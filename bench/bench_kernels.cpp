@@ -14,7 +14,11 @@
 // inspector cost), and SpmmAmortized rows measure one inspection plus a
 // burst of executions — the shape a training run actually sees. SpmmSkew
 // rows use a heavy-tailed (lognormal sigma = 2) degree distribution, the
-// regime the degree-binned executors are built for. Emit JSON with
+// regime the degree-binned executors are built for. NeighborSample rows
+// time the mini-batch sampler on the Products replica (1/48, 10,10 fanout)
+// in sampled edges per second, and CacheAdmit rows one round of LFU
+// feature-cache lookup + admission at the sampled pipeline's shape. Emit
+// JSON with
 //   bench_kernels --benchmark_format=json --benchmark_out=kernels.json
 #include <benchmark/benchmark.h>
 
@@ -22,10 +26,14 @@
 #include <cstdint>
 #include <string>
 
+#include "core/feature_cache.hpp"
 #include "core/gcn_kernels.hpp"
 #include "dense/kernel_policy.hpp"
 #include "dense/kernels.hpp"
+#include "graph/datasets.hpp"
 #include "graph/generators.hpp"
+#include "graph/sampling.hpp"
+#include "sim/machine.hpp"
 #include "sparse/sddmm.hpp"
 #include "sparse/spmm.hpp"
 #include "sparse/spmm_plan.hpp"
@@ -272,6 +280,65 @@ void BM_Adam(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_Adam)->Arg(1 << 14)->Arg(1 << 18);
+
+// --- mini-batch round preparation (sampler, feature-cache bookkeeping) ----
+
+/// The Products replica at 1/48 (n ~ 52k, nnz ~ 2.6M), built once.
+const sparse::Csr& products_replica() {
+  static const graph::Dataset dataset = graph::make_dataset(
+      graph::products(), {.scale = 48.0, .seed = 1, .with_features = false});
+  return dataset.adjacency;
+}
+
+void BM_NeighborSample(benchmark::State& state) {
+  const sparse::Csr& adjacency = products_replica();
+  const graph::NeighborSampler sampler(adjacency, {10, 10});
+  util::Rng rng(5);
+  std::int64_t edges = 0;
+  for (auto _ : state) {
+    const graph::SampledSubgraph sub =
+        sampler.sample(sampler.random_batch(state.range(0), rng), rng);
+    edges += sub.total_edges();
+    benchmark::DoNotOptimize(sub.blocks.back().values().data());
+  }
+  state.counters["edges_per_s"] = benchmark::Counter(
+      static_cast<double>(edges), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_NeighborSample)->Arg(256)->Arg(1024);
+
+void BM_CacheAdmit(benchmark::State& state) {
+  // One device's view of the pipeline: a 5% LFU cache prefilled by degree,
+  // then per round a lookup of a sampled input frontier and admission of
+  // its misses.
+  const sparse::Csr& adjacency = products_replica();
+  const graph::NeighborSampler sampler(adjacency, {10, 10});
+  util::Rng rng(9);
+  std::vector<std::vector<std::uint32_t>> frontiers;
+  for (int b = 0; b < 32; ++b) {
+    frontiers.push_back(
+        sampler.sample(sampler.random_batch(256, rng), rng).layers.back());
+  }
+  std::vector<std::uint32_t> vertices(
+      static_cast<std::size_t>(adjacency.rows()));
+  std::vector<std::int64_t> degree(vertices.size());
+  for (std::size_t v = 0; v < vertices.size(); ++v) {
+    vertices[v] = static_cast<std::uint32_t>(v);
+    degree[v] = adjacency.row_nnz(static_cast<std::int64_t>(v));
+  }
+  sim::Machine machine(sim::dgx_v100(), 1, sim::ExecutionMode::kPhantom);
+  core::FeatureCache cache(machine.device(0), 1, adjacency.rows() / 20,
+                           core::CacheMode::kFreq);
+  cache.prefill(vertices, degree);
+  std::size_t round = 0;
+  for (auto _ : state) {
+    const auto& frontier = frontiers[round++ % frontiers.size()];
+    const core::FeatureCache::Partition part = cache.lookup(frontier);
+    benchmark::DoNotOptimize(cache.admit(part.miss_vertices).data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(frontiers[0].size()));
+}
+BENCHMARK(BM_CacheAdmit);
 
 }  // namespace
 

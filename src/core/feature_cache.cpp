@@ -1,6 +1,8 @@
 #include "core/feature_cache.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <queue>
 
 #include "sim/cost_model.hpp"
 #include "util/error.hpp"
@@ -69,24 +71,38 @@ FeatureCache::AutoDecision FeatureCache::plan_auto(
   return decision;
 }
 
+void FeatureCache::cover(std::span<const std::uint32_t> vertices) {
+  if (vertices.empty()) return;
+  const auto need =
+      static_cast<std::size_t>(
+          *std::max_element(vertices.begin(), vertices.end())) +
+      1;
+  if (slot_of_.size() < need) slot_of_.resize(need, kNoSlot);
+  if (mode_ == CacheMode::kFreq && freq_.size() < need) freq_.resize(need, 0);
+}
+
 void FeatureCache::prefill(std::span<const std::uint32_t> vertices,
                            std::span<const std::int64_t> scores) {
   if (!enabled()) return;
   MGGCN_CHECK(vertices.size() == scores.size());
   MGGCN_CHECK_MSG(slot_vertex_.empty(), "prefill an empty cache");
+  cover(vertices);
 
+  // Only the top `take` are pinned; the order is total (ties: lower id), so
+  // partially sorting selects exactly what a full sort would.
   std::vector<std::size_t> order(vertices.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (scores[a] != scores[b]) return scores[a] > scores[b];
-    return vertices[a] < vertices[b];
-  });
-
+  std::iota(order.begin(), order.end(), std::size_t{0});
   const auto take = std::min<std::size_t>(
       order.size(), static_cast<std::size_t>(capacity_rows_));
+  std::partial_sort(order.begin(),
+                    order.begin() + static_cast<std::ptrdiff_t>(take),
+                    order.end(), [&](std::size_t a, std::size_t b) {
+                      if (scores[a] != scores[b]) return scores[a] > scores[b];
+                      return vertices[a] < vertices[b];
+                    });
   for (std::size_t i = 0; i < take; ++i) {
     const std::uint32_t v = vertices[order[i]];
-    slot_of_.emplace(v, static_cast<std::int64_t>(slot_vertex_.size()));
+    slot_of_[v] = static_cast<std::int64_t>(slot_vertex_.size());
     slot_vertex_.push_back(v);
   }
   if (mode_ == CacheMode::kFreq) {
@@ -107,12 +123,13 @@ FeatureCache::Partition FeatureCache::lookup(
     stats_.misses += vertices.size();
     return part;
   }
+  cover(vertices);
   for (const std::uint32_t v : vertices) {
     if (mode_ == CacheMode::kFreq) ++freq_[v];
-    const auto it = slot_of_.find(v);
-    if (it != slot_of_.end()) {
+    const std::int64_t slot = slot_of_[v];
+    if (slot != kNoSlot) {
       part.hit_vertices.push_back(v);
-      part.hit_slots.push_back(it->second);
+      part.hit_slots.push_back(slot);
     } else {
       part.miss_vertices.push_back(v);
     }
@@ -128,59 +145,58 @@ std::vector<std::pair<std::uint32_t, std::int64_t>> FeatureCache::admit(
   if (!enabled() || mode_ != CacheMode::kFreq || missed.empty()) {
     return placements;
   }
+  cover(missed);
 
-  // Candidates by descending frequency (ties: lower vertex id), so free
-  // slots and evictions go to the hottest misses first.
-  std::vector<std::uint32_t> candidates(missed.begin(), missed.end());
-  std::sort(candidates.begin(), candidates.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              const auto fa = freq_[a], fb = freq_[b];
-              if (fa != fb) return fa > fb;
-              return a < b;
-            });
+  // The admission order is total: by frequency, ties broken by vertex id.
+  // Misses are taken hottest first (ties: lower id) and pinned rows are
+  // displaced coldest first (ties: higher id evicted first). Heaps yield
+  // both orders exactly, but pay only for the rows actually placed.
+  const auto colder = [this](std::uint32_t a, std::uint32_t b) {
+    const auto fa = freq_[a], fb = freq_[b];
+    if (fa != fb) return fa < fb;
+    return a > b;
+  };
+  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
+                      decltype(colder)>
+      hottest(colder, std::vector<std::uint32_t>(missed.begin(), missed.end()));
 
-  std::size_t next = 0;
-  while (next < candidates.size() &&
-         static_cast<std::int64_t>(slot_vertex_.size()) < capacity_rows_) {
-    const std::uint32_t v = candidates[next++];
-    const auto slot = static_cast<std::int64_t>(slot_vertex_.size());
-    slot_of_.emplace(v, slot);
+  while (!hottest.empty() && occupancy() < capacity_rows_) {
+    const std::uint32_t v = hottest.top();
+    hottest.pop();
+    const std::int64_t slot = occupancy();
+    slot_of_[v] = slot;
     slot_vertex_.push_back(v);
     ++stats_.inserts;
     placements.emplace_back(v, slot);
   }
-  if (next == candidates.size()) return placements;
+  if (hottest.empty()) return placements;
 
-  // Cache full: displace pinned rows with strictly lower frequency,
-  // coldest first (ties: higher vertex id evicted first, so the order is
-  // deterministic).
-  std::vector<std::int64_t> victims(slot_vertex_.size());
-  for (std::size_t i = 0; i < victims.size(); ++i) {
-    victims[i] = static_cast<std::int64_t>(i);
-  }
-  std::sort(victims.begin(), victims.end(),
-            [&](std::int64_t a, std::int64_t b) {
-              const auto va = slot_vertex_[static_cast<std::size_t>(a)];
-              const auto vb = slot_vertex_[static_cast<std::size_t>(b)];
-              const auto fa = freq_[va], fb = freq_[vb];
-              if (fa != fb) return fa < fb;
-              return va > vb;
-            });
+  // Cache full: displace pinned rows with strictly lower frequency.
+  const auto hotter_slot = [this, &colder](std::int64_t a, std::int64_t b) {
+    return colder(slot_vertex_[static_cast<std::size_t>(b)],
+                  slot_vertex_[static_cast<std::size_t>(a)]);
+  };
+  std::vector<std::int64_t> slots(slot_vertex_.size());
+  std::iota(slots.begin(), slots.end(), std::int64_t{0});
+  std::priority_queue<std::int64_t, std::vector<std::int64_t>,
+                      decltype(hotter_slot)>
+      coldest(hotter_slot, std::move(slots));
 
-  std::size_t victim = 0;
-  for (; next < candidates.size() && victim < victims.size(); ++victim) {
-    const std::uint32_t incoming = candidates[next];
-    const auto slot = victims[victim];
+  while (!hottest.empty() && !coldest.empty()) {
+    const std::uint32_t incoming = hottest.top();
+    const std::int64_t slot = coldest.top();
     const std::uint32_t outgoing =
         slot_vertex_[static_cast<std::size_t>(slot)];
     if (freq_[incoming] <= freq_[outgoing]) break;
-    slot_of_.erase(outgoing);
-    slot_of_.emplace(incoming, slot);
+    // Pop before the slot changes hands: the heap orders by its vertex.
+    hottest.pop();
+    coldest.pop();
+    slot_of_[outgoing] = kNoSlot;
+    slot_of_[incoming] = slot;
     slot_vertex_[static_cast<std::size_t>(slot)] = incoming;
     ++stats_.evictions;
     ++stats_.inserts;
     placements.emplace_back(incoming, slot);
-    ++next;
   }
   return placements;
 }
@@ -191,10 +207,9 @@ std::vector<FeatureCache::Relocation> FeatureCache::invalidate(
   std::size_t count = 0;
   if (enabled()) {
     for (const std::uint32_t v : vertices) {
-      const auto it = slot_of_.find(v);
-      if (it == slot_of_.end()) continue;
-      const auto slot = it->second;
-      slot_of_.erase(it);
+      if (v >= slot_of_.size() || slot_of_[v] == kNoSlot) continue;
+      const std::int64_t slot = slot_of_[v];
+      slot_of_[v] = kNoSlot;
       const auto last = static_cast<std::int64_t>(slot_vertex_.size()) - 1;
       if (slot != last) {
         const std::uint32_t moved =

@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -154,17 +153,25 @@ class FeatureCache {
   [[nodiscard]] mem::PooledBuffer& lease() { return buffer_; }
 
  private:
+  static constexpr std::int64_t kNoSlot = -1;
+
+  /// Sizes the per-vertex tables to cover every id in `vertices`.
+  void cover(std::span<const std::uint32_t> vertices);
+
   CacheMode mode_ = CacheMode::kOff;
   std::int64_t d_ = 0;
   std::int64_t capacity_rows_ = 0;
   mem::PooledBuffer buffer_;
   Stats stats_;
-  /// vertex -> cache slot of the pinned rows.
-  std::unordered_map<std::uint32_t, std::int64_t> slot_of_;
+  // The per-vertex tables are dense over vertex ids and grown on first
+  // sight of a larger id, so lookup and admission never hash.
+  /// vertex -> cache slot of its pinned row, or kNoSlot.
+  std::vector<std::int64_t> slot_of_;
   /// slot -> vertex (defines occupancy; slots are filled densely).
   std::vector<std::uint32_t> slot_vertex_;
-  /// kFreq: lookup counts per vertex (seeded by prefill scores).
-  std::unordered_map<std::uint32_t, std::uint64_t> freq_;
+  /// kFreq: lookup counts per vertex (seeded by prefill scores; empty
+  /// under the other modes).
+  std::vector<std::uint64_t> freq_;
 };
 
 }  // namespace mggcn::core

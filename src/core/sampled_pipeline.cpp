@@ -10,30 +10,10 @@
 #include "dense/kernels.hpp"
 #include "sim/cost_model.hpp"
 #include "sparse/spmm.hpp"
+#include "sparse/spmm_plan.hpp"
 #include "util/error.hpp"
 
 namespace mggcn::core {
-
-namespace {
-
-/// Position of each of `subset` (ascending) within `sorted` (ascending
-/// superset) — the gather-block row a vertex's feature row lands in.
-std::vector<std::int64_t> positions_in(
-    const std::vector<std::uint32_t>& sorted,
-    const std::vector<std::uint32_t>& subset) {
-  std::vector<std::int64_t> out;
-  out.reserve(subset.size());
-  auto it = sorted.begin();
-  for (const std::uint32_t v : subset) {
-    it = std::lower_bound(it, sorted.end(), v);
-    MGGCN_CHECK_MSG(it != sorted.end() && *it == v,
-                    "vertex missing from sampled frontier");
-    out.push_back(it - sorted.begin());
-  }
-  return out;
-}
-
-}  // namespace
 
 /// Persistent per-device state: the owned feature shard, the feature cache,
 /// and the replicated model (weights + gradient + Adam moments per layer).
@@ -344,29 +324,31 @@ void SampledPipeline::prepare_round(RoundState& round) {
       }
     }
 
-    const FeatureCache::Partition split = state.cache.lookup(remote);
-    batch.hit_slots = split.hit_slots;
-    batch.hit_dst = positions_in(in, split.hit_vertices);
+    FeatureCache::Partition split = state.cache.lookup(remote);
+    batch.hit_slots = std::move(split.hit_slots);
 
+    // Hits and misses are order-preserving subsequences of `remote`, so one
+    // walk over it recovers each row's gx position.
     batch.want_from.resize(static_cast<std::size_t>(P));
     batch.want_dst.resize(static_cast<std::size_t>(P));
-    for (const std::uint32_t v : split.miss_vertices) {
+    std::size_t next_hit = 0;
+    for (std::size_t i = 0; i < remote.size(); ++i) {
+      const std::uint32_t v = remote[i];
+      if (next_hit < split.hit_vertices.size() &&
+          split.hit_vertices[next_hit] == v) {
+        batch.hit_dst.push_back(remote_pos[i]);
+        ++next_hit;
+        continue;
+      }
       const int owner = part_.part_of(v);
       batch.want_from[static_cast<std::size_t>(owner)].push_back(
           v - static_cast<std::uint32_t>(part_.begin(owner)));
-    }
-    {
-      const auto dst = positions_in(in, split.miss_vertices);
-      std::size_t i = 0;
-      for (const std::uint32_t v : split.miss_vertices) {
-        const int owner = part_.part_of(v);
-        batch.want_dst[static_cast<std::size_t>(owner)].push_back(dst[i++]);
-      }
+      batch.want_dst[static_cast<std::size_t>(owner)].push_back(remote_pos[i]);
     }
 
     for (const auto& [v, slot] : state.cache.admit(split.miss_vertices)) {
-      const auto pos = positions_in(in, {v});
-      batch.admit_copies.emplace_back(pos.front(), slot);
+      const auto pos = std::lower_bound(in.begin(), in.end(), v) - in.begin();
+      batch.admit_copies.emplace_back(pos, slot);
     }
 
     delta.cache_hits += split.hit_vertices.size();
@@ -932,6 +914,8 @@ void SampledPipeline::retire_round(RoundState& round) {
     epoch_loss_sum_ += batch.loss.loss_sum;
     epoch_correct_ += batch.loss.correct;
     epoch_counted_ += batch.loss.counted;
+    for (const auto& block : batch.sub.blocks) sparse::forget_spmm_plan(block);
+    for (const auto& block : batch.blocks_t) sparse::forget_spmm_plan(block);
   }
   round.batches.clear();  // frees every scratch DeviceBuffer
 }

@@ -19,8 +19,9 @@ namespace mggcn::graph {
 
 /// One sampled computation graph for a batch of seed vertices.
 struct SampledSubgraph {
-  /// Frontier vertex ids per hop; layer 0 is the (deduplicated) seed set,
-  /// layer k the vertices needed to compute layer k-1's aggregation.
+  /// Frontier vertex ids per hop, each ascending and duplicate-free; layer 0
+  /// is the seed set, layer k the vertices needed to compute layer k-1's
+  /// aggregation.
   std::vector<std::vector<std::uint32_t>> layers;
   /// Sampled edges per hop (edges from layer k+1 into layer k).
   std::vector<std::int64_t> edges_per_hop;

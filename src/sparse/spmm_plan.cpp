@@ -152,10 +152,13 @@ PlanCache& plan_cache() {
 /// few plans beats tracking LRU order on the hot path.
 constexpr std::size_t kMaxCachedPlans = 8192;
 
+const void* plan_key(const Csr& a) {
+  return a.nnz() > 0 ? static_cast<const void*>(a.col_idx().data())
+                     : static_cast<const void*>(a.row_ptr().data());
+}
+
 std::shared_ptr<const SpmmPlan> cached_plan(const Csr& a) {
-  const void* key =
-      a.nnz() > 0 ? static_cast<const void*>(a.col_idx().data())
-                  : static_cast<const void*>(a.row_ptr().data());
+  const void* key = plan_key(a);
   PlanCache& cache = plan_cache();
   {
     std::lock_guard lock(cache.mutex);
@@ -199,6 +202,12 @@ void clear_spmm_plan_cache() {
   cache.map.clear();
   cache.hits = 0;
   cache.misses = 0;
+}
+
+void forget_spmm_plan(const Csr& a) {
+  PlanCache& cache = plan_cache();
+  std::lock_guard lock(cache.mutex);
+  cache.map.erase(plan_key(a));
 }
 
 sim::KernelCost spmm_inspect_cost(std::int64_t rows, std::int64_t nnz,

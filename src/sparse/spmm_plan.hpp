@@ -198,6 +198,11 @@ struct SpmmPlanCacheStats {
 [[nodiscard]] SpmmPlanCacheStats spmm_plan_cache_stats();
 void clear_spmm_plan_cache();
 
+/// Drops the cached plan of `a`, if any. Owners of short-lived matrices
+/// (a mini-batch's sampled blocks) call it before destroying them, so the
+/// cache does not hold dead plans until its next wholesale reset.
+void forget_spmm_plan(const Csr& a);
+
 /// Cost of the one-time inspection of a tile: a sequential sweep over the
 /// row pointers (counting pass + scatter of the sorted row list), plus the
 /// ghost-set construction (mark pass over col_idx, scan over the mark

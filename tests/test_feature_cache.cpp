@@ -1,14 +1,17 @@
 // Tests for the per-device frequency-aware feature cache: scoring order,
-// capacity degeneration, counter reconciliation, and the plan_auto
-// cost-model decision.
+// capacity degeneration, counter reconciliation, parity of the bookkeeping
+// with the hash-map LFU it replaced, and the plan_auto cost-model decision.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "comm/communicator.hpp"
 #include "core/feature_cache.hpp"
 #include "sim/machine.hpp"
+#include "util/rng.hpp"
 
 namespace mggcn::core {
 namespace {
@@ -137,6 +140,196 @@ TEST_F(FeatureCacheTest, CountersReconcile) {
 TEST_F(FeatureCacheTest, BufferBytesMatchCapacity) {
   FeatureCache cache(machine_.device(0), 16, 10, CacheMode::kStatic);
   EXPECT_EQ(cache.bytes(), 10u * 16u * sizeof(float));
+}
+
+// The LFU bookkeeping as first written, on hash maps with fully sorted
+// candidate and victim lists. FeatureCache must make the same decisions in
+// the same order.
+class ReferenceLfu {
+ public:
+  explicit ReferenceLfu(std::int64_t capacity) : capacity_(capacity) {}
+
+  void prefill(const std::vector<std::uint32_t>& vertices,
+               const std::vector<std::int64_t>& scores) {
+    std::vector<std::size_t> order(vertices.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      if (scores[a] != scores[b]) return scores[a] > scores[b];
+      return vertices[a] < vertices[b];
+    });
+    const auto take = std::min<std::size_t>(
+        order.size(), static_cast<std::size_t>(capacity_));
+    for (std::size_t i = 0; i < take; ++i) {
+      slot_of_.emplace(vertices[order[i]],
+                       static_cast<std::int64_t>(slots_.size()));
+      slots_.push_back(vertices[order[i]]);
+    }
+    for (std::size_t i = 0; i < vertices.size(); ++i) {
+      freq_[vertices[i]] =
+          static_cast<std::uint64_t>(std::max<std::int64_t>(scores[i], 0));
+    }
+  }
+
+  FeatureCache::Partition lookup(const std::vector<std::uint32_t>& vertices) {
+    FeatureCache::Partition part;
+    for (const std::uint32_t v : vertices) {
+      ++freq_[v];
+      const auto it = slot_of_.find(v);
+      if (it != slot_of_.end()) {
+        part.hit_vertices.push_back(v);
+        part.hit_slots.push_back(it->second);
+      } else {
+        part.miss_vertices.push_back(v);
+      }
+    }
+    return part;
+  }
+
+  std::vector<std::pair<std::uint32_t, std::int64_t>> admit(
+      const std::vector<std::uint32_t>& missed) {
+    std::vector<std::pair<std::uint32_t, std::int64_t>> placements;
+    std::vector<std::uint32_t> candidates = missed;
+    std::sort(candidates.begin(), candidates.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                if (freq_[a] != freq_[b]) return freq_[a] > freq_[b];
+                return a < b;
+              });
+    std::size_t next = 0;
+    while (next < candidates.size() &&
+           static_cast<std::int64_t>(slots_.size()) < capacity_) {
+      const std::uint32_t v = candidates[next++];
+      slot_of_.emplace(v, static_cast<std::int64_t>(slots_.size()));
+      placements.emplace_back(v, static_cast<std::int64_t>(slots_.size()));
+      slots_.push_back(v);
+    }
+    if (next == candidates.size()) return placements;
+    std::vector<std::int64_t> victims(slots_.size());
+    for (std::size_t i = 0; i < victims.size(); ++i) {
+      victims[i] = static_cast<std::int64_t>(i);
+    }
+    std::sort(victims.begin(), victims.end(),
+              [&](std::int64_t a, std::int64_t b) {
+                const auto va = slots_[static_cast<std::size_t>(a)];
+                const auto vb = slots_[static_cast<std::size_t>(b)];
+                if (freq_[va] != freq_[vb]) return freq_[va] < freq_[vb];
+                return va > vb;
+              });
+    for (std::size_t victim = 0;
+         next < candidates.size() && victim < victims.size(); ++victim) {
+      const std::uint32_t incoming = candidates[next];
+      const auto slot = victims[victim];
+      const std::uint32_t outgoing = slots_[static_cast<std::size_t>(slot)];
+      if (freq_[incoming] <= freq_[outgoing]) break;
+      slot_of_.erase(outgoing);
+      slot_of_.emplace(incoming, slot);
+      slots_[static_cast<std::size_t>(slot)] = incoming;
+      placements.emplace_back(incoming, slot);
+      ++next;
+    }
+    return placements;
+  }
+
+  std::vector<FeatureCache::Relocation> invalidate(
+      const std::vector<std::uint32_t>& vertices) {
+    std::vector<FeatureCache::Relocation> relocations;
+    for (const std::uint32_t v : vertices) {
+      const auto it = slot_of_.find(v);
+      if (it == slot_of_.end()) continue;
+      const auto slot = it->second;
+      slot_of_.erase(it);
+      const auto last = static_cast<std::int64_t>(slots_.size()) - 1;
+      if (slot != last) {
+        const std::uint32_t moved = slots_[static_cast<std::size_t>(last)];
+        slots_[static_cast<std::size_t>(slot)] = moved;
+        slot_of_[moved] = slot;
+        relocations.push_back({moved, last, slot});
+      }
+      slots_.pop_back();
+    }
+    return relocations;
+  }
+
+  const std::vector<std::uint32_t>& pinned() const { return slots_; }
+
+ private:
+  std::int64_t capacity_;
+  std::unordered_map<std::uint32_t, std::int64_t> slot_of_;
+  std::vector<std::uint32_t> slots_;
+  std::unordered_map<std::uint32_t, std::uint64_t> freq_;
+};
+
+TEST_F(FeatureCacheTest, FreqBookkeepingMatchesHashMapReference) {
+  // Skewed lookups over a growing id range (ids beyond the prefill), with
+  // graph-update invalidations in between: every partition, placement,
+  // relocation and the pinned set must match the reference step by step.
+  for (const bool prefilled : {true, false}) {
+    constexpr std::int64_t kCapacity = 40;
+    FeatureCache cache(machine_.device(0), 4, kCapacity, CacheMode::kFreq);
+    ReferenceLfu reference(kCapacity);
+    util::Rng rng(prefilled ? 51 : 52);
+    if (prefilled) {
+      std::vector<std::uint32_t> vertices;
+      std::vector<std::int64_t> scores;
+      for (std::uint32_t v = 0; v < 300; v += 2) {
+        vertices.push_back(v);
+        scores.push_back(static_cast<std::int64_t>(rng.uniform_index(20)));
+      }
+      cache.prefill(vertices, scores);
+      reference.prefill(vertices, scores);
+    }
+    int displaced = 0;
+    for (int round = 0; round < 60; ++round) {
+      const std::uint64_t range = 200 + 10 * static_cast<std::uint64_t>(round);
+      std::vector<std::uint32_t> frontier;
+      for (int i = 0; i < 80; ++i) {
+        // Squaring a uniform draw skews accesses towards low ids.
+        const double u = rng.uniform();
+        frontier.push_back(
+            static_cast<std::uint32_t>(u * u * static_cast<double>(range)));
+      }
+      std::sort(frontier.begin(), frontier.end());
+      frontier.erase(std::unique(frontier.begin(), frontier.end()),
+                     frontier.end());
+
+      const FeatureCache::Partition got = cache.lookup(frontier);
+      const FeatureCache::Partition want = reference.lookup(frontier);
+      ASSERT_EQ(got.hit_vertices, want.hit_vertices) << "round " << round;
+      ASSERT_EQ(got.hit_slots, want.hit_slots) << "round " << round;
+      ASSERT_EQ(got.miss_vertices, want.miss_vertices) << "round " << round;
+      const std::int64_t occupied = cache.occupancy();
+      const auto placements = cache.admit(got.miss_vertices);
+      ASSERT_EQ(placements, reference.admit(want.miss_vertices))
+          << "round " << round;
+      for (const auto& placement : placements) {
+        if (placement.second < occupied) ++displaced;
+      }
+
+      if (round % 7 == 3) {
+        std::vector<std::uint32_t> touched;
+        for (int i = 0; i < 12; ++i) {
+          touched.push_back(static_cast<std::uint32_t>(
+              rng.uniform_index(range + 50)));
+        }
+        const auto a = cache.invalidate(touched);
+        const auto b = reference.invalidate(touched);
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          EXPECT_EQ(a[i].vertex, b[i].vertex);
+          EXPECT_EQ(a[i].from_slot, b[i].from_slot);
+          EXPECT_EQ(a[i].to_slot, b[i].to_slot);
+        }
+      }
+      ASSERT_TRUE(std::equal(cache.pinned().begin(), cache.pinned().end(),
+                             reference.pinned().begin(),
+                             reference.pinned().end()))
+          << "round " << round;
+    }
+    EXPECT_GT(displaced, 0);  // the workload reached LFU displacement
+    const auto& stats = cache.stats();
+    EXPECT_EQ(static_cast<std::int64_t>(stats.inserts) -
+                  static_cast<std::int64_t>(stats.evictions),
+              cache.occupancy() - (prefilled ? kCapacity : 0));
+  }
 }
 
 TEST_F(FeatureCacheTest, PlanAutoKeepsCacheWhenWireLoses) {

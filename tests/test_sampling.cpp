@@ -2,7 +2,10 @@
 // statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "graph/generators.hpp"
 #include "graph/sampling.hpp"
@@ -181,6 +184,161 @@ TEST(NeighborSampler, SeededSamplingBitIdenticalIncludingBlocks) {
                            a.blocks[k].values().end(),
                            b.blocks[k].values().begin()));
   }
+}
+
+// The sampler as first written: hash-set dedup and a materialized O(degree)
+// Fisher-Yates per capped vertex. The production sampler must reproduce it
+// bit for bit (same RNG draws, same picks, same blocks).
+SampledSubgraph reference_sample(const sparse::Csr& adj,
+                                 const std::vector<std::int64_t>& fanout,
+                                 const std::vector<std::uint32_t>& seeds,
+                                 util::Rng& rng) {
+  SampledSubgraph out;
+  std::vector<std::uint32_t> frontier = seeds;
+  std::sort(frontier.begin(), frontier.end());
+  frontier.erase(std::unique(frontier.begin(), frontier.end()),
+                 frontier.end());
+  out.layers.push_back(frontier);
+  const auto row_ptr = adj.row_ptr();
+  const auto col_idx = adj.col_idx();
+  for (const std::int64_t cap : fanout) {
+    std::unordered_set<std::uint32_t> next;
+    std::vector<std::vector<std::uint32_t>> sampled(frontier.size());
+    std::int64_t edges = 0;
+    for (std::size_t f = 0; f < frontier.size(); ++f) {
+      const auto begin = row_ptr[frontier[f]];
+      const auto end = row_ptr[frontier[f] + 1];
+      const std::int64_t degree = end - begin;
+      if (cap <= 0 || degree <= cap) {
+        for (auto e = begin; e < end; ++e) {
+          sampled[f].push_back(col_idx[static_cast<std::size_t>(e)]);
+        }
+      } else {
+        std::vector<std::int64_t> offsets(static_cast<std::size_t>(degree));
+        for (std::int64_t i = 0; i < degree; ++i) {
+          offsets[static_cast<std::size_t>(i)] = begin + i;
+        }
+        for (std::int64_t i = 0; i < cap; ++i) {
+          const auto pick =
+              i + static_cast<std::int64_t>(rng.uniform_index(
+                      static_cast<std::uint64_t>(degree - i)));
+          std::swap(offsets[static_cast<std::size_t>(i)],
+                    offsets[static_cast<std::size_t>(pick)]);
+          sampled[f].push_back(col_idx[static_cast<std::size_t>(
+              offsets[static_cast<std::size_t>(i)])]);
+        }
+      }
+      std::sort(sampled[f].begin(), sampled[f].end());
+      sampled[f].erase(std::unique(sampled[f].begin(), sampled[f].end()),
+                       sampled[f].end());
+      next.insert(sampled[f].begin(), sampled[f].end());
+      edges += static_cast<std::int64_t>(sampled[f].size());
+    }
+    out.edges_per_hop.push_back(edges);
+    std::vector<std::uint32_t> next_layer(next.begin(), next.end());
+    std::sort(next_layer.begin(), next_layer.end());
+    std::unordered_map<std::uint32_t, std::uint32_t> local;
+    for (std::uint32_t i = 0; i < next_layer.size(); ++i) {
+      local.emplace(next_layer[i], i);
+    }
+    sparse::Coo block(static_cast<std::int64_t>(frontier.size()),
+                      static_cast<std::int64_t>(next_layer.size()));
+    for (std::size_t f = 0; f < frontier.size(); ++f) {
+      if (sampled[f].empty()) continue;
+      const float w = 1.0f / static_cast<float>(sampled[f].size());
+      for (const std::uint32_t u : sampled[f]) {
+        block.add(static_cast<std::uint32_t>(f), local.at(u), w);
+      }
+    }
+    out.blocks.push_back(sparse::Csr::from_coo(block));
+    frontier = std::move(next_layer);
+    out.layers.push_back(frontier);
+  }
+  return out;
+}
+
+std::vector<std::uint32_t> reference_random_batch(std::int64_t n,
+                                                  std::int64_t batch_size,
+                                                  util::Rng& rng) {
+  std::unordered_set<std::uint32_t> picked;
+  while (static_cast<std::int64_t>(picked.size()) < batch_size) {
+    picked.insert(static_cast<std::uint32_t>(
+        rng.uniform_index(static_cast<std::uint64_t>(n))));
+  }
+  std::vector<std::uint32_t> batch(picked.begin(), picked.end());
+  std::sort(batch.begin(), batch.end());
+  return batch;
+}
+
+void expect_identical(const SampledSubgraph& a, const SampledSubgraph& b) {
+  ASSERT_EQ(a.layers, b.layers);
+  ASSERT_EQ(a.edges_per_hop, b.edges_per_hop);
+  ASSERT_EQ(a.blocks.size(), b.blocks.size());
+  for (std::size_t k = 0; k < a.blocks.size(); ++k) {
+    // Csr equality compares shape, offsets, columns and value bits.
+    EXPECT_TRUE(a.blocks[k] == b.blocks[k]) << "block " << k;
+  }
+}
+
+TEST(NeighborSampler, MatchesReferenceOverSeededSweep) {
+  // Heavy-tailed degrees (hubs far above the cap), a parallel-edge graph,
+  // uncapped hops, caps above and below the degrees, large and small
+  // batches: every case must draw the same picks from the same stream.
+  const std::vector<sparse::Csr> graphs = {
+      dense_community_graph(2000, 30.0, 31),
+      dense_community_graph(700, 6.0, 32),
+      multi_edge_graph(),
+  };
+  const std::vector<std::vector<std::int64_t>> fanouts = {
+      {10, 10}, {2, 25, 5}, {0, 3}, {1}, {40, 40}};
+  for (const auto& adj : graphs) {
+    for (const auto& fanout : fanouts) {
+      const NeighborSampler sampler(adj, fanout);
+      for (std::uint64_t seed = 0; seed < 6; ++seed) {
+        const std::int64_t batch =
+            std::min<std::int64_t>(adj.rows(), seed % 2 == 0 ? 3 : 64);
+        util::Rng rng(seed), ref_rng(seed);
+        for (int round = 0; round < 3; ++round) {
+          const auto seeds = sampler.random_batch(batch, rng);
+          ASSERT_EQ(seeds, reference_random_batch(adj.rows(), batch, ref_rng));
+          const SampledSubgraph got = sampler.sample(seeds, rng);
+          const SampledSubgraph want =
+              reference_sample(adj, fanout, seeds, ref_rng);
+          expect_identical(got, want);
+          // Both streams must also end in the same state.
+          ASSERT_EQ(rng(), ref_rng());
+        }
+      }
+    }
+  }
+}
+
+TEST(NeighborSampler, SamplersOfDifferentSizesShareThreadScratch) {
+  // A small graph after a large one (and back) must not see stale marks.
+  const sparse::Csr big = dense_community_graph(3000, 20.0, 33);
+  const sparse::Csr small = dense_community_graph(90, 8.0, 34);
+  for (const sparse::Csr* adj : {&big, &small, &big}) {
+    const NeighborSampler sampler(*adj, {5, 5});
+    util::Rng rng(35), ref_rng(35);
+    const auto seeds = sampler.random_batch(30, rng);
+    ASSERT_EQ(seeds, reference_random_batch(adj->rows(), 30, ref_rng));
+    expect_identical(sampler.sample(seeds, rng),
+                     reference_sample(*adj, {5, 5}, seeds, ref_rng));
+  }
+}
+
+TEST(NeighborSampler, TotalVerticesCountsTheUnionOfLayers) {
+  const sparse::Csr adj = dense_community_graph(800, 12.0, 36);
+  const NeighborSampler sampler(adj, {6, 6, 6});
+  util::Rng rng(37);
+  const SampledSubgraph sub =
+      sampler.sample(sampler.random_batch(25, rng), rng);
+  std::set<std::uint32_t> unique;
+  for (const auto& layer : sub.layers) {
+    unique.insert(layer.begin(), layer.end());
+  }
+  EXPECT_EQ(sub.total_vertices(), static_cast<std::int64_t>(unique.size()));
+  EXPECT_EQ(SampledSubgraph{}.total_vertices(), 0);
 }
 
 TEST(Explosion, SmallBatchesAreRedundantWork) {

@@ -238,6 +238,14 @@ TEST(SpmmPlan, DispatchedPlannedPolicyUsesCache) {
   EXPECT_EQ(after.misses, before.misses + 1);  // built exactly once
   EXPECT_EQ(after.hits, before.hits + 1);      // second call reused it
   EXPECT_GE(after.entries, 1u);
+
+  // Forgetting drops exactly this matrix's plan; the next call rebuilds it.
+  sparse::forget_spmm_plan(a);
+  EXPECT_EQ(sparse::spmm_plan_cache_stats().entries, after.entries - 1);
+  sparse::planned::spmm(a, b.view(), c_plan.view(), 1.0f, 0.0f);
+  EXPECT_EQ(sparse::spmm_plan_cache_stats().misses, after.misses + 1);
+  expect_bitwise_equal(c_naive, c_plan, "rebuilt plan");
+
   sparse::clear_spmm_plan_cache();
   EXPECT_EQ(sparse::spmm_plan_cache_stats().entries, 0u);
 }
