@@ -21,10 +21,6 @@ using namespace mggcn;
 
 namespace {
 
-const char* mode_label(comm::CommMode mode) {
-  return comm::comm_mode_name(mode);
-}
-
 std::string gigabytes(std::uint64_t bytes) {
   return util::format_double(static_cast<double>(bytes) / 1e9, 3);
 }
@@ -102,20 +98,20 @@ int main(int argc, char** argv) {
           first_row = false;
           if (r.oom) {
             table.add_row({std::to_string(gpus), std::to_string(deg),
-                           permute ? "on" : "off", mode_label(mode), "OOM",
-                           "-", "-", "-", "-", "-"});
+                           permute ? "on" : "off", comm::comm_mode_name(mode),
+                           "OOM", "-", "-", "-", "-", "-"});
             json_rows << "    {\"machine\": \"" << cli.get("machine")
                       << "\", \"gpus\": " << gpus
                       << ", \"avg_degree\": " << deg << ", \"permute\": "
                       << (permute ? "true" : "false") << ", \"mode\": \""
-                      << mode_label(mode) << "\", \"oom\": true}";
+                      << comm::comm_mode_name(mode) << "\", \"oom\": true}";
             continue;
           }
 
           const double vs_dense =
               r.seconds > 0.0 ? dense_seconds / r.seconds : 0.0;
           table.add_row({std::to_string(gpus), std::to_string(deg),
-                         permute ? "on" : "off", mode_label(mode),
+                         permute ? "on" : "off", comm::comm_mode_name(mode),
                          util::format_double(r.seconds, 4),
                          gigabytes(r.comm_wire_bytes),
                          gigabytes(r.comm_bytes_saved),
@@ -126,7 +122,7 @@ int main(int argc, char** argv) {
           json_rows << "    {\"machine\": \"" << cli.get("machine")
                     << "\", \"gpus\": " << gpus << ", \"avg_degree\": " << deg
                     << ", \"permute\": " << (permute ? "true" : "false")
-                    << ", \"mode\": \"" << mode_label(mode)
+                    << ", \"mode\": \"" << comm::comm_mode_name(mode)
                     << "\", \"oom\": false, \"epoch_seconds\": " << r.seconds
                     << ", \"wire_bytes\": " << r.comm_wire_bytes
                     << ", \"bytes_saved\": " << r.comm_bytes_saved

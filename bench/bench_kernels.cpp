@@ -77,7 +77,8 @@ void set_flops_counter(benchmark::State& state, double flops_per_iteration) {
 
 void bm_spmm(benchmark::State& state, dense::KernelPolicy policy,
              std::int64_t n, std::int64_t d, double degree_sigma) {
-  dense::ScopedKernelPolicy scope(policy);
+  util::Knob<dense::KernelPolicy>::Scoped scope(dense::kernel_policy_knob,
+                                                policy);
   const sparse::Csr a = random_graph(n, 16.0, degree_sigma);
   const dense::HostMatrix b = random_matrix(n, d);
   dense::HostMatrix c(n, d);
@@ -126,7 +127,8 @@ void bm_spmm_amortized(benchmark::State& state, std::int64_t n,
 
 void bm_gemm(benchmark::State& state, dense::KernelPolicy policy,
              std::int64_t m, std::int64_t d) {
-  dense::ScopedKernelPolicy scope(policy);
+  util::Knob<dense::KernelPolicy>::Scoped scope(dense::kernel_policy_knob,
+                                                policy);
   const dense::HostMatrix a = random_matrix(m, d);
   const dense::HostMatrix b = random_matrix(d, d);
   dense::HostMatrix c(m, d);
@@ -140,7 +142,8 @@ void bm_gemm(benchmark::State& state, dense::KernelPolicy policy,
 
 void bm_gemm_at_b(benchmark::State& state, dense::KernelPolicy policy,
                   std::int64_t m, std::int64_t d) {
-  dense::ScopedKernelPolicy scope(policy);
+  util::Knob<dense::KernelPolicy>::Scoped scope(dense::kernel_policy_knob,
+                                                policy);
   const dense::HostMatrix a = random_matrix(m, d);
   const dense::HostMatrix b = random_matrix(m, d);
   dense::HostMatrix c(d, d);
@@ -153,7 +156,8 @@ void bm_gemm_at_b(benchmark::State& state, dense::KernelPolicy policy,
 
 void bm_gemm_a_bt_masked(benchmark::State& state, dense::KernelPolicy policy,
                          std::int64_t m, std::int64_t d) {
-  dense::ScopedKernelPolicy scope(policy);
+  util::Knob<dense::KernelPolicy>::Scoped scope(dense::kernel_policy_knob,
+                                                policy);
   const dense::HostMatrix a = random_matrix(m, d);
   const dense::HostMatrix w = random_matrix(d, d);
   const dense::HostMatrix activation = random_matrix(m, d);

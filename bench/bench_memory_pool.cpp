@@ -17,7 +17,6 @@
 // hazard ledger.
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -35,35 +34,13 @@
 #include "mem/workspace_pool.hpp"
 #include "sim/machine.hpp"
 #include "sim/profile.hpp"
+#include "tests/scoped_env.hpp"
 #include "util/cli.hpp"
 #include "util/format.hpp"
 
 using namespace mggcn;
 
 namespace {
-
-/// RAII environment override for the sched-fuzz parity axis.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_old_ = old != nullptr;
-    setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_, saved_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_old_ = false;
-};
 
 /// One workload execution's footprint + numerics.
 struct RunResult {

@@ -23,7 +23,7 @@ int main() {
             << "\n\n";
 
   // A single additive-attention head and a dot-product head.
-  for (const auto [kind, name] :
+  for (const auto& [kind, name] :
        {std::pair{core::AttentionKind::kAdditive, "additive (GATv1)"},
         std::pair{core::AttentionKind::kDotProduct, "scaled dot-product"}}) {
     core::GraphAttentionLayer layer(ds.adjacency, ds.spec.feature_dim, 32,

@@ -14,48 +14,26 @@
 //     broadcast keeps high-density graphs at exactly their old timings.
 //
 // Selection mirrors the kernel registry (dense/kernel_policy.hpp):
-// set_comm_mode() programmatically, or the MGGCN_COMM environment variable
-// ("dense" | "compact" | "auto") read once at first use; an unknown value
-// fails loudly so experiment-script typos do not silently change the
-// communication volume under study.
+// comm_mode_knob.set() programmatically, or the MGGCN_COMM environment
+// variable ("dense" | "compact" | "auto"); an unknown value fails loudly so
+// experiment-script typos do not silently change the communication volume
+// under study (util/knob.hpp).
 #pragma once
 
-#include <optional>
-#include <string_view>
+#include <array>
+
+#include "util/knob.hpp"
 
 namespace mggcn::comm {
 
 enum class CommMode { kDense = 0, kCompact = 1, kAuto = 2 };
 
-inline constexpr int kNumCommModes = 3;
+inline constinit util::Knob<CommMode> comm_mode_knob{
+    "MGGCN_COMM", CommMode::kAuto, std::array{"dense", "compact", "auto"}};
 
-/// Stable lower-case name ("dense" | "compact" | "auto") for logs, CLI,
-/// and JSON.
-[[nodiscard]] const char* comm_mode_name(CommMode mode);
-
-/// Parses a mode name; nullopt when unknown.
-[[nodiscard]] std::optional<CommMode> parse_comm_mode(std::string_view name);
-
-/// The active mode. Defaults to kAuto, overridable once via the MGGCN_COMM
-/// environment variable; throws InvalidArgumentError on an unknown
-/// MGGCN_COMM value.
-[[nodiscard]] CommMode comm_mode();
-
-/// Installs `mode` as the active mode (e.g. from a --comm CLI flag).
-void set_comm_mode(CommMode mode);
-
-/// RAII mode override for tests and benches that diff the exchange paths.
-class ScopedCommMode {
- public:
-  explicit ScopedCommMode(CommMode mode) : previous_(comm_mode()) {
-    set_comm_mode(mode);
-  }
-  ~ScopedCommMode() { set_comm_mode(previous_); }
-  ScopedCommMode(const ScopedCommMode&) = delete;
-  ScopedCommMode& operator=(const ScopedCommMode&) = delete;
-
- private:
-  CommMode previous_;
-};
+inline CommMode comm_mode() { return comm_mode_knob.get(); }
+inline const char* comm_mode_name(CommMode mode) {
+  return comm_mode_knob.name(mode);
+}
 
 }  // namespace mggcn::comm

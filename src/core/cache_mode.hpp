@@ -23,15 +23,16 @@
 // Every mode trains bit-identically: the cache changes which task moves a
 // row (local gather vs sendv payload), never the row's contents.
 //
-// set_cache_mode() installs a mode programmatically; the MGGCN_CACHE
-// environment variable ("off" | "static" | "freq" | "auto") is read once at
-// first use and an unknown value fails loudly. The capacity knob —
-// MGGCN_CACHE_CAP, a fraction of the graph's vertices cacheable per device —
-// is read the same way (cache_capacity_fraction()).
+// cache_mode_knob.set() installs a mode programmatically; the MGGCN_CACHE
+// environment variable ("off" | "static" | "freq" | "auto") is read at
+// first use and an unknown value fails loudly (util/knob.hpp). The capacity
+// knob — MGGCN_CACHE_CAP, a fraction in [0, 1] of the graph's vertices
+// cacheable per device, default 0.05 — is read the same way.
 #pragma once
 
-#include <optional>
-#include <string_view>
+#include <array>
+
+#include "util/knob.hpp"
 
 namespace mggcn::core {
 
@@ -42,41 +43,17 @@ enum class CacheMode {
   kAuto = 3,
 };
 
-inline constexpr int kNumCacheModes = 4;
+inline constinit util::Knob<CacheMode> cache_mode_knob{
+    "MGGCN_CACHE", CacheMode::kAuto,
+    std::array{"off", "static", "freq", "auto"}};
 
-/// Stable lower-case name ("off" | "static" | "freq" | "auto") for logs,
-/// CLI, and JSON.
-[[nodiscard]] const char* cache_mode_name(CacheMode mode);
+inline constinit util::Knob<double> cache_cap_knob{
+    "MGGCN_CACHE_CAP", 0.05, 0.0, 1.0, "a fraction in [0, 1]"};
 
-/// Parses a mode name; nullopt when unknown.
-[[nodiscard]] std::optional<CacheMode> parse_cache_mode(std::string_view name);
-
-/// The active mode. Defaults to kAuto (cost-priced, never worse than off),
-/// overridable once via the MGGCN_CACHE environment variable; throws
-/// InvalidArgumentError on an unknown MGGCN_CACHE value.
-[[nodiscard]] CacheMode cache_mode();
-
-/// Installs `mode` as the active mode (e.g. from a --cache CLI flag).
-void set_cache_mode(CacheMode mode);
-
-/// Per-device cache capacity as a fraction of the graph's vertex count.
-/// Defaults to 0.05, overridable once via MGGCN_CACHE_CAP (a double in
-/// [0, 1]); an unparsable value fails loudly.
-[[nodiscard]] double cache_capacity_fraction();
-void set_cache_capacity_fraction(double fraction);
-
-/// RAII mode override for tests and benches that diff the cache policies.
-class ScopedCacheMode {
- public:
-  explicit ScopedCacheMode(CacheMode mode) : previous_(cache_mode()) {
-    set_cache_mode(mode);
-  }
-  ~ScopedCacheMode() { set_cache_mode(previous_); }
-  ScopedCacheMode(const ScopedCacheMode&) = delete;
-  ScopedCacheMode& operator=(const ScopedCacheMode&) = delete;
-
- private:
-  CacheMode previous_;
-};
+inline CacheMode cache_mode() { return cache_mode_knob.get(); }
+inline const char* cache_mode_name(CacheMode mode) {
+  return cache_mode_knob.name(mode);
+}
+inline double cache_capacity_fraction() { return cache_cap_knob.get(); }
 
 }  // namespace mggcn::core

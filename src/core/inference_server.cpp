@@ -55,25 +55,6 @@ double percentile(const std::vector<double>& sorted, double q) {
 
 }  // namespace
 
-const char* batch_policy_name(BatchPolicy policy) {
-  switch (policy) {
-    case BatchPolicy::kPerRequest:
-      return "per-request";
-    case BatchPolicy::kFixed:
-      return "fixed";
-    case BatchPolicy::kDeadline:
-      return "deadline";
-  }
-  return "unknown";
-}
-
-std::optional<BatchPolicy> parse_batch_policy(std::string_view name) {
-  if (name == "per-request") return BatchPolicy::kPerRequest;
-  if (name == "fixed") return BatchPolicy::kFixed;
-  if (name == "deadline") return BatchPolicy::kDeadline;
-  return std::nullopt;
-}
-
 InferenceServer::InferenceServer(sim::Machine& machine, MgGcnTrainer& trainer,
                                  const graph::Dataset& dataset,
                                  ServeOptions options)

@@ -38,10 +38,9 @@
 // bit-identical).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -55,6 +54,7 @@
 #include "mem/workspace_pool.hpp"
 #include "sim/machine.hpp"
 #include "sparse/csr.hpp"
+#include "util/knob.hpp"
 
 namespace mggcn::core {
 
@@ -64,14 +64,13 @@ enum class BatchPolicy {
   kDeadline = 2,
 };
 
-inline constexpr int kNumBatchPolicies = 3;
+/// Stable names, indexed by BatchPolicy.
+inline constexpr std::array<const char*, 3> kBatchPolicyNames = {
+    "per-request", "fixed", "deadline"};
 
-/// Stable lower-case name ("per-request" | "fixed" | "deadline").
-[[nodiscard]] const char* batch_policy_name(BatchPolicy policy);
-
-/// Parses a policy name; nullopt when unknown.
-[[nodiscard]] std::optional<BatchPolicy> parse_batch_policy(
-    std::string_view name);
+inline const char* batch_policy_name(BatchPolicy policy) {
+  return util::enum_name(kBatchPolicyNames, policy);
+}
 
 struct ServeOptions {
   BatchPolicy policy = BatchPolicy::kDeadline;

@@ -27,15 +27,16 @@
 // floating-point reduction-order effect any reordering has (the documented
 // §5.2 permutation effect). Within one mode, training is bit-deterministic.
 //
-// set_part_mode() installs a mode programmatically; the MGGCN_PART
+// part_mode_knob.set() installs a mode programmatically; the MGGCN_PART
 // environment variable ("random" | "balanced" | "locality" | "hier" |
-// "auto") is read once at first use and an unknown value fails loudly, so
+// "auto") is read at first use and an unknown value fails loudly, so
 // experiment-script typos do not silently change the partitioner under
-// study.
+// study (util/knob.hpp).
 #pragma once
 
-#include <optional>
-#include <string_view>
+#include <array>
+
+#include "util/knob.hpp"
 
 namespace mggcn::core {
 
@@ -47,35 +48,13 @@ enum class PartMode {
   kAuto = 4,
 };
 
-inline constexpr int kNumPartModes = 5;
+inline constinit util::Knob<PartMode> part_mode_knob{
+    "MGGCN_PART", PartMode::kRandom,
+    std::array{"random", "balanced", "locality", "hier", "auto"}};
 
-/// Stable lower-case name ("random" | "balanced" | "locality" | "hier" |
-/// "auto") for logs, CLI, and JSON.
-[[nodiscard]] const char* part_mode_name(PartMode mode);
-
-/// Parses a mode name; nullopt when unknown.
-[[nodiscard]] std::optional<PartMode> parse_part_mode(std::string_view name);
-
-/// The active mode. Defaults to kRandom (the paper's behaviour),
-/// overridable once via the MGGCN_PART environment variable; throws
-/// InvalidArgumentError on an unknown MGGCN_PART value.
-[[nodiscard]] PartMode part_mode();
-
-/// Installs `mode` as the active mode (e.g. from a --part CLI flag).
-void set_part_mode(PartMode mode);
-
-/// RAII mode override for tests and benches that diff the partitioners.
-class ScopedPartMode {
- public:
-  explicit ScopedPartMode(PartMode mode) : previous_(part_mode()) {
-    set_part_mode(mode);
-  }
-  ~ScopedPartMode() { set_part_mode(previous_); }
-  ScopedPartMode(const ScopedPartMode&) = delete;
-  ScopedPartMode& operator=(const ScopedPartMode&) = delete;
-
- private:
-  PartMode previous_;
-};
+inline PartMode part_mode() { return part_mode_knob.get(); }
+inline const char* part_mode_name(PartMode mode) {
+  return part_mode_knob.name(mode);
+}
 
 }  // namespace mggcn::core

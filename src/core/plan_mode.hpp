@@ -20,48 +20,27 @@
 // order — exactly the 1D stage order — so trainer losses are bit-identical
 // across MGGCN_PLAN values; only time, volume and memory differ.
 //
-// set_plan_mode() installs a mode programmatically; the MGGCN_PLAN
-// environment variable ("1d" | "15d" | "replicated" | "auto") is read once
-// at first use and an unknown value fails loudly, so experiment-script
-// typos do not silently change the strategy under study.
+// plan_mode_knob.set() installs a mode programmatically; the MGGCN_PLAN
+// environment variable ("1d" | "15d" | "replicated" | "auto") is read at
+// first use and an unknown value fails loudly, so experiment-script typos
+// do not silently change the strategy under study (util/knob.hpp).
 #pragma once
 
-#include <optional>
-#include <string_view>
+#include <array>
+
+#include "util/knob.hpp"
 
 namespace mggcn::core {
 
 enum class PlanMode { k1D = 0, k15D = 1, kReplicated = 2, kAuto = 3 };
 
-inline constexpr int kNumPlanModes = 4;
+inline constinit util::Knob<PlanMode> plan_mode_knob{
+    "MGGCN_PLAN", PlanMode::kAuto,
+    std::array{"1d", "15d", "replicated", "auto"}};
 
-/// Stable lower-case name ("1d" | "15d" | "replicated" | "auto") for logs,
-/// CLI, and JSON.
-[[nodiscard]] const char* plan_mode_name(PlanMode mode);
-
-/// Parses a mode name; nullopt when unknown.
-[[nodiscard]] std::optional<PlanMode> parse_plan_mode(std::string_view name);
-
-/// The active mode. Defaults to kAuto, overridable once via the MGGCN_PLAN
-/// environment variable; throws InvalidArgumentError on an unknown
-/// MGGCN_PLAN value.
-[[nodiscard]] PlanMode plan_mode();
-
-/// Installs `mode` as the active mode (e.g. from a --plan CLI flag).
-void set_plan_mode(PlanMode mode);
-
-/// RAII mode override for tests and benches that diff the strategies.
-class ScopedPlanMode {
- public:
-  explicit ScopedPlanMode(PlanMode mode) : previous_(plan_mode()) {
-    set_plan_mode(mode);
-  }
-  ~ScopedPlanMode() { set_plan_mode(previous_); }
-  ScopedPlanMode(const ScopedPlanMode&) = delete;
-  ScopedPlanMode& operator=(const ScopedPlanMode&) = delete;
-
- private:
-  PlanMode previous_;
-};
+inline PlanMode plan_mode() { return plan_mode_knob.get(); }
+inline const char* plan_mode_name(PlanMode mode) {
+  return plan_mode_knob.name(mode);
+}
 
 }  // namespace mggcn::core

@@ -18,17 +18,19 @@
 // Every mode predicts bit-identically: the cache changes which task moves a
 // row, never the row's contents.
 //
-// set_serve_cache_mode() installs a mode programmatically; the
+// serve_cache_knob.set() installs a mode programmatically; the
 // MGGCN_SERVE_CACHE environment variable ("off" | "embed" | "auto") is read
-// once at first use and an unknown value fails loudly (util::env_enum). The
+// at first use and an unknown value fails loudly (util/knob.hpp). The
 // batching knobs are read the same way: MGGCN_SERVE_BATCH (maximum
-// micro-batch size, an integer in [1, 4096]) and MGGCN_SERVE_SLACK (the
-// deadline policy's wait budget in microseconds, a double in [0, 1e6]).
+// micro-batch size, an integer in [1, 4096], default 16) and
+// MGGCN_SERVE_SLACK (the deadline policy's wait budget in microseconds, a
+// double in [0, 1e6], default 200).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <optional>
-#include <string_view>
+
+#include "util/knob.hpp"
 
 namespace mggcn::core {
 
@@ -38,49 +40,23 @@ enum class ServeCacheMode {
   kAuto = 2,
 };
 
-inline constexpr int kNumServeCacheModes = 3;
+inline constinit util::Knob<ServeCacheMode> serve_cache_knob{
+    "MGGCN_SERVE_CACHE", ServeCacheMode::kAuto,
+    std::array{"off", "embed", "auto"}};
 
-/// Stable lower-case name ("off" | "embed" | "auto") for logs, CLI, and
-/// JSON.
-[[nodiscard]] const char* serve_cache_mode_name(ServeCacheMode mode);
+inline constinit util::Knob<std::int64_t> serve_batch_knob{
+    "MGGCN_SERVE_BATCH", 16, 1, 4096};
 
-/// Parses a mode name; nullopt when unknown.
-[[nodiscard]] std::optional<ServeCacheMode> parse_serve_cache_mode(
-    std::string_view name);
+/// Microseconds, like the variable; serve_slack_seconds() converts.
+inline constinit util::Knob<double> serve_slack_knob{
+    "MGGCN_SERVE_SLACK", 200.0, 0.0, 1e6,
+    "a wait budget in microseconds, in [0, 1e6]"};
 
-/// The active mode. Defaults to kAuto (cost-priced, never worse than off),
-/// overridable once via the MGGCN_SERVE_CACHE environment variable; throws
-/// InvalidArgumentError on an unknown MGGCN_SERVE_CACHE value.
-[[nodiscard]] ServeCacheMode serve_cache_mode();
-
-/// Installs `mode` as the active mode (e.g. from a --serve-cache CLI flag).
-void set_serve_cache_mode(ServeCacheMode mode);
-
-/// Maximum micro-batch size of the batcher. Defaults to 16, overridable
-/// once via MGGCN_SERVE_BATCH (an integer in [1, 4096]); an unparsable or
-/// out-of-range value fails loudly.
-[[nodiscard]] std::int64_t serve_batch();
-void set_serve_batch(std::int64_t batch);
-
-/// Deadline-policy wait budget in seconds. Defaults to 200 microseconds,
-/// overridable once via MGGCN_SERVE_SLACK (microseconds, a double in
-/// [0, 1e6]); an unparsable value fails loudly.
-[[nodiscard]] double serve_slack_seconds();
-void set_serve_slack_seconds(double seconds);
-
-/// RAII mode override for tests and benches that diff the cache policies.
-class ScopedServeCacheMode {
- public:
-  explicit ScopedServeCacheMode(ServeCacheMode mode)
-      : previous_(serve_cache_mode()) {
-    set_serve_cache_mode(mode);
-  }
-  ~ScopedServeCacheMode() { set_serve_cache_mode(previous_); }
-  ScopedServeCacheMode(const ScopedServeCacheMode&) = delete;
-  ScopedServeCacheMode& operator=(const ScopedServeCacheMode&) = delete;
-
- private:
-  ServeCacheMode previous_;
-};
+inline ServeCacheMode serve_cache_mode() { return serve_cache_knob.get(); }
+inline const char* serve_cache_mode_name(ServeCacheMode mode) {
+  return serve_cache_knob.name(mode);
+}
+inline std::int64_t serve_batch() { return serve_batch_knob.get(); }
+inline double serve_slack_seconds() { return serve_slack_knob.get() * 1e-6; }
 
 }  // namespace mggcn::core

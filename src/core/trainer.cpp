@@ -94,7 +94,6 @@ void MgGcnTrainer::build_plan() {
 }
 
 void MgGcnTrainer::preprocess(const graph::Dataset& dataset) {
-  const std::int64_t n = dataset.n();
   const int p = machine_.num_devices();
   const sim::InterconnectProfile& inter = machine_.profile().interconnect;
 

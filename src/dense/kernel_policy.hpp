@@ -13,52 +13,30 @@
 //     inspector–executor SpMM (sparse/spmm_plan.hpp), which amortizes a
 //     one-time per-matrix degree-binning pass across every later launch.
 //
-// Selection: set_kernel_policy() programmatically, or the MGGCN_KERNELS
-// environment variable ("naive" | "tiled" | "planned") read once at first
-// use. Benches expose it as a CLI sweep so the policies land in the same
-// JSON artifact for the perf-regression gate (scripts/check_perf.py).
+// Selection: kernel_policy_knob.set() programmatically, or the
+// MGGCN_KERNELS environment variable ("naive" | "tiled" | "planned"; see
+// util/knob.hpp for the shared contract). Benches expose it as a CLI sweep
+// so the policies land in the same JSON artifact for the perf-regression
+// gate (scripts/check_perf.py).
 #pragma once
 
-#include <optional>
-#include <string_view>
+#include <array>
 
 #include "dense/matrix.hpp"
+#include "util/knob.hpp"
 
 namespace mggcn::dense {
 
 enum class KernelPolicy { kNaive = 0, kTiled = 1, kPlanned = 2 };
 
-inline constexpr int kNumKernelPolicies = 3;
+inline constinit util::Knob<KernelPolicy> kernel_policy_knob{
+    "MGGCN_KERNELS", KernelPolicy::kPlanned,
+    std::array{"naive", "tiled", "planned"}};
 
-/// Stable lower-case name ("naive" | "tiled" | "planned") for logs, CLI,
-/// and JSON.
-[[nodiscard]] const char* kernel_policy_name(KernelPolicy policy);
-
-/// Parses a policy name; nullopt when unknown.
-[[nodiscard]] std::optional<KernelPolicy> parse_kernel_policy(
-    std::string_view name);
-
-/// The active policy. Defaults to kPlanned, overridable once via the
-/// MGGCN_KERNELS environment variable; throws InvalidArgumentError on an
-/// unknown MGGCN_KERNELS value so experiment-script typos fail loudly.
-[[nodiscard]] KernelPolicy kernel_policy();
-
-/// Installs `policy` as the active policy (e.g. from a --kernels CLI flag).
-void set_kernel_policy(KernelPolicy policy);
-
-/// RAII policy override for tests and benches that diff the two paths.
-class ScopedKernelPolicy {
- public:
-  explicit ScopedKernelPolicy(KernelPolicy policy) : previous_(kernel_policy()) {
-    set_kernel_policy(policy);
-  }
-  ~ScopedKernelPolicy() { set_kernel_policy(previous_); }
-  ScopedKernelPolicy(const ScopedKernelPolicy&) = delete;
-  ScopedKernelPolicy& operator=(const ScopedKernelPolicy&) = delete;
-
- private:
-  KernelPolicy previous_;
-};
+inline KernelPolicy kernel_policy() { return kernel_policy_knob.get(); }
+inline const char* kernel_policy_name(KernelPolicy policy) {
+  return kernel_policy_knob.name(policy);
+}
 
 /// Per-policy dense kernel entry points. The dispatching wrappers in
 /// kernels.hpp look the active table up per call, so flipping the policy
@@ -74,11 +52,7 @@ struct DenseKernelTable {
   GemmMaskedFn gemm_a_bt_relu_masked = nullptr;
 };
 
-/// The kernel table registered for `policy`.
+/// The kernel table of `policy`.
 [[nodiscard]] const DenseKernelTable& dense_kernels(KernelPolicy policy);
-
-/// Replaces the table for `policy` (hook for future backends, e.g. a BLAS
-/// binding); the built-in naive and tiled tables are pre-registered.
-void register_dense_kernels(KernelPolicy policy, const DenseKernelTable& table);
 
 }  // namespace mggcn::dense

@@ -21,15 +21,18 @@
 // fresh DeviceBuffer; only footprint and (slightly) the simulated schedule
 // of reuse edges differ.
 //
-// set_pool_mode() installs a mode programmatically; the MGGCN_POOL
-// environment variable ("off" | "on" | "auto") is read once at first use
-// and an unknown value fails loudly. MGGCN_POOL_BUDGET caps each device's
-// pool in bytes (0 = the device's full memory capacity).
+// pool_mode_knob.set() installs a mode programmatically; the MGGCN_POOL
+// environment variable ("off" | "on" | "auto") is read at first use and an
+// unknown value fails loudly (util/knob.hpp). MGGCN_POOL_BUDGET caps each
+// device's pool in bytes (0, the default, means the device's full memory
+// capacity).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <optional>
-#include <string_view>
+#include <limits>
+
+#include "util/knob.hpp"
 
 namespace mggcn::mem {
 
@@ -39,39 +42,17 @@ enum class PoolMode {
   kAuto = 2,
 };
 
-inline constexpr int kNumPoolModes = 3;
+inline constinit util::Knob<PoolMode> pool_mode_knob{
+    "MGGCN_POOL", PoolMode::kAuto, std::array{"off", "on", "auto"}};
 
-/// Stable lower-case name ("off" | "on" | "auto") for logs, CLI, and JSON.
-[[nodiscard]] const char* pool_mode_name(PoolMode mode);
+inline constinit util::Knob<std::uint64_t> pool_budget_knob{
+    "MGGCN_POOL_BUDGET", 0, 0,
+    static_cast<std::uint64_t>(std::numeric_limits<long long>::max())};
 
-/// Parses a mode name; nullopt when unknown.
-[[nodiscard]] std::optional<PoolMode> parse_pool_mode(std::string_view name);
-
-/// The active mode. Defaults to kAuto, overridable once via the MGGCN_POOL
-/// environment variable; throws InvalidArgumentError on an unknown value.
-[[nodiscard]] PoolMode pool_mode();
-
-/// Installs `mode` as the active mode (e.g. from a --pool CLI flag).
-void set_pool_mode(PoolMode mode);
-
-/// Per-device pool budget in bytes; 0 means "the device's full capacity".
-/// Defaults to 0, overridable once via MGGCN_POOL_BUDGET (a non-negative
-/// byte count); an unparsable value fails loudly.
-[[nodiscard]] std::uint64_t pool_budget_bytes();
-void set_pool_budget_bytes(std::uint64_t bytes);
-
-/// RAII mode override for tests and benches that diff the pool policies.
-class ScopedPoolMode {
- public:
-  explicit ScopedPoolMode(PoolMode mode) : previous_(pool_mode()) {
-    set_pool_mode(mode);
-  }
-  ~ScopedPoolMode() { set_pool_mode(previous_); }
-  ScopedPoolMode(const ScopedPoolMode&) = delete;
-  ScopedPoolMode& operator=(const ScopedPoolMode&) = delete;
-
- private:
-  PoolMode previous_;
-};
+inline PoolMode pool_mode() { return pool_mode_knob.get(); }
+inline const char* pool_mode_name(PoolMode mode) {
+  return pool_mode_knob.name(mode);
+}
+inline std::uint64_t pool_budget_bytes() { return pool_budget_knob.get(); }
 
 }  // namespace mggcn::mem

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "util/format.hpp"
+#include "util/knob.hpp"
 #include "util/logging.hpp"
 
 namespace mggcn::sim {
@@ -25,14 +26,12 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-/// MGGCN_SCHED_FUZZ=<seed> enables schedule fuzzing. Read per Stream (not
-/// cached process-wide) so tests can flip the variable between machines.
-bool sched_fuzz_seed(std::uint64_t* seed) {
-  const char* env = std::getenv("MGGCN_SCHED_FUZZ");
-  if (env == nullptr || env[0] == '\0') return false;
-  *seed = std::strtoull(env, nullptr, 0);
-  return true;
-}
+/// MGGCN_SCHED_FUZZ=<seed> enables schedule fuzzing; a malformed seed
+/// throws. Read per Stream (not cached process-wide) so tests can flip the
+/// variable between machines.
+constinit const util::Knob<std::uint64_t> sched_fuzz_knob{
+    "MGGCN_SCHED_FUZZ", 0, 0, std::numeric_limits<std::uint64_t>::max(),
+    "an unsigned integer seed (decimal, 0x hex, or 0 octal)", /*base=*/0};
 
 }  // namespace
 
@@ -64,11 +63,10 @@ Stream::Stream(Device& device, int id) : device_(device), id_(id) {
   if (device_.hazard() != nullptr) {
     hb_slot_ = device_.hazard()->register_stream();
   }
-  std::uint64_t seed = 0;
-  if (sched_fuzz_seed(&seed)) {
+  if (const auto seed = sched_fuzz_knob.read_env()) {
     fuzz_ = true;
     // Distinct per-(rank, stream) delay sequences from one seed.
-    fuzz_state_ = seed + 0x9e3779b97f4a7c15ULL *
+    fuzz_state_ = *seed + 0x9e3779b97f4a7c15ULL *
                              (static_cast<std::uint64_t>(device.rank()) * 2 +
                               static_cast<std::uint64_t>(id) + 1);
   }

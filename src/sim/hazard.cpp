@@ -1,9 +1,9 @@
 #include "sim/hazard.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "sim/trace.hpp"
+#include "util/knob.hpp"
 #include "util/logging.hpp"
 
 namespace mggcn::sim {
@@ -23,10 +23,17 @@ void clock_join(HbClock& into, const HbClock& other) {
   }
 }
 
+namespace {
+
+/// Re-read per Machine (not cached) so tests can flip the variable between
+/// machines.
+constinit const util::Knob<bool> hazard_check_knob{"MGGCN_HAZARD_CHECK",
+                                                   false, false, true};
+
+}  // namespace
+
 bool hazard_check_env() {
-  const char* env = std::getenv("MGGCN_HAZARD_CHECK");
-  return env != nullptr && env[0] != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
+  return hazard_check_knob.read_env().value_or(false);
 }
 
 int HazardChecker::register_stream() {

@@ -48,7 +48,9 @@ struct BufferAccess {
 };
 
 /// True when the MGGCN_HAZARD_CHECK environment variable asks for
-/// machine-wide hazard checking (set and not "0").
+/// machine-wide hazard checking: unset or empty means off, otherwise one of
+/// true/1/yes/on | false/0/no/off; any other value throws
+/// InvalidArgumentError naming the variable.
 [[nodiscard]] bool hazard_check_env();
 
 /// Thread-safe happens-before race detector over declared buffer accesses.

@@ -61,22 +61,17 @@ void spmm(const Csr& a, dense::ConstMatrixView b, dense::MatrixView c,
 
 namespace {
 
-SpmmFn* spmm_table() {
-  static SpmmFn registered[dense::kNumKernelPolicies] = {
-      &naive::spmm, &tiled::spmm, &planned::spmm};
-  return registered;
-}
+using SpmmFn = void (*)(const Csr&, dense::ConstMatrixView, dense::MatrixView,
+                        float, float);
+
+/// Indexed by dense::KernelPolicy.
+constexpr SpmmFn kSpmm[] = {&naive::spmm, &tiled::spmm, &planned::spmm};
 
 }  // namespace
 
 void spmm(const Csr& a, dense::ConstMatrixView b, dense::MatrixView c,
           float alpha, float beta) {
-  spmm_table()[static_cast<int>(dense::kernel_policy())](a, b, c, alpha, beta);
-}
-
-void register_spmm(dense::KernelPolicy policy, SpmmFn fn) {
-  MGGCN_CHECK_MSG(fn != nullptr, "spmm backend must be non-null");
-  spmm_table()[static_cast<int>(policy)] = fn;
+  kSpmm[static_cast<int>(dense::kernel_policy())](a, b, c, alpha, beta);
 }
 
 sim::KernelCost spmm_cost(std::int64_t nnz, std::int64_t out_rows,

@@ -38,11 +38,6 @@ void spmm(const Csr& a, dense::ConstMatrixView b, dense::MatrixView c,
 void spmm(const Csr& a, dense::ConstMatrixView b, dense::MatrixView c,
           float alpha = 1.0f, float beta = 0.0f);
 
-/// Per-policy SpMM entry point, for registering additional backends.
-using SpmmFn = void (*)(const Csr&, dense::ConstMatrixView, dense::MatrixView,
-                        float, float);
-void register_spmm(dense::KernelPolicy policy, SpmmFn fn);
-
 /// Cost of one SpMM launch. `src_rows` is the number of B rows the tile can
 /// touch (the tile width): it bounds the gather working set, which is what
 /// gives narrower tiles better cache reuse (the paper's super-linear

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/knob.hpp"
 
 namespace mggcn::util {
 
@@ -123,8 +124,7 @@ double CliParser::get_double(const std::string& name) const {
 
 bool CliParser::get_bool(const std::string& name) const {
   const std::string v = get(name);
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  if (const auto parsed = parse_bool(v)) return *parsed;
   throw InvalidArgumentError("invalid boolean for --" + name + ": '" + v +
                              "' (expected true/1/yes/on or false/0/no/off)");
 }

@@ -103,8 +103,10 @@ TEST(Baselines, MgGcnIsFastestOnTheSameWorkload) {
   // broadcast exchange and 1D staged pipeline; pin both so forced
   // MGGCN_COMM=compact / MGGCN_PLAN=15d runs (intentional pessimizations
   // on this workload) keep the premise.
-  comm::ScopedCommMode dense_mode(comm::CommMode::kDense);
-  core::ScopedPlanMode plan_1d(core::PlanMode::k1D);
+  util::Knob<comm::CommMode>::Scoped dense_mode(comm::comm_mode_knob,
+                                                comm::CommMode::kDense);
+  util::Knob<core::PlanMode>::Scoped plan_1d(core::plan_mode_knob,
+                                             core::PlanMode::k1D);
   // A big-enough replica that multi-GPU pays off (Cora-sized graphs do
   // not scale, as the paper notes).
   const graph::Dataset ds = phantom_dataset(/*scale=*/8.0);

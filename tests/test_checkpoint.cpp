@@ -35,7 +35,7 @@ TEST(Checkpoint, FileRoundTrip) {
   util::Rng rng(3);
   Checkpoint original;
   original.adam_step = 42;
-  for (const auto [rows, cols] : {std::pair{4L, 6L}, std::pair{6L, 2L}}) {
+  for (const auto& [rows, cols] : {std::pair{4L, 6L}, std::pair{6L, 2L}}) {
     dense::HostMatrix w(rows, cols), m(rows, cols), v(rows, cols);
     w.init_gaussian(rng);
     m.init_gaussian(rng);

@@ -4,7 +4,6 @@
 // the per-epoch communication-volume counters must be consistent.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "core/elastic.hpp"
 #include "core/trainer.hpp"
 #include "graph/datasets.hpp"
+#include "scoped_env.hpp"
 #include "sim/fault.hpp"
 #include "sim/machine.hpp"
 
@@ -41,29 +41,6 @@ core::TrainConfig small_config(comm::CommMode mode) {
   config.plan_mode = core::PlanMode::k1D;
   return config;
 }
-
-/// RAII environment variable override (mirrors test_hazard.cpp).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_old_ = old != nullptr;
-    setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_, saved_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_old_ = false;
-};
 
 std::vector<core::EpochStats> train_with_mode(const graph::Dataset& ds,
                                               int gpus, int epochs,
@@ -106,10 +83,11 @@ TEST(CommCompact, EnvModeReachesDefaultConfiguredTrainer) {
   // MGGCN_COMM must flow through comm_mode() into TrainConfig's default so
   // the environment axis works without touching config code.
   ScopedEnv env("MGGCN_COMM", "compact");
-  const auto parsed = comm::parse_comm_mode("compact");
-  ASSERT_TRUE(parsed.has_value());
-  comm::ScopedCommMode scoped(*parsed);
-  core::ScopedPlanMode plan(core::PlanMode::k1D);  // audit the 1D exchange
+  util::Knob<comm::CommMode>::Scoped scoped(comm::comm_mode_knob,
+                                            comm::CommMode::kCompact);
+  // Audit the 1D exchange.
+  util::Knob<core::PlanMode>::Scoped plan(core::plan_mode_knob,
+                                          core::PlanMode::k1D);
   const graph::Dataset ds = small_dataset();
   sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kReal);
   core::MgGcnTrainer trainer(machine, ds, core::TrainConfig{});

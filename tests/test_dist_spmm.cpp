@@ -158,7 +158,8 @@ TEST(DistSpmm, OverlapReducesSimulatedTime) {
 TEST(DistSpmm, TraceContainsAllStages) {
   // Pin the dense exchange so the comm-record count below is exactly the
   // broadcast schedule, independent of the MGGCN_COMM environment.
-  comm::ScopedCommMode dense_mode(comm::CommMode::kDense);
+  util::Knob<comm::CommMode>::Scoped dense_mode(comm::comm_mode_knob,
+                                                comm::CommMode::kDense);
   const int gpus = 4;
   Fixture fx(gpus, 512, 8, /*overlap=*/false,
              sim::ExecutionMode::kPhantom);
@@ -246,7 +247,7 @@ TEST(DistSpmm, CompactMatchesDenseBitwise) {
       for (const comm::CommMode mode :
            {comm::CommMode::kDense, comm::CommMode::kCompact,
             comm::CommMode::kAuto}) {
-        comm::ScopedCommMode scoped(mode);
+        util::Knob<comm::CommMode>::Scoped scoped(comm::comm_mode_knob, mode);
         Fixture fx(gpus, n, d, overlap);
         fx.fill_input(x);
         fx.run();
@@ -276,7 +277,7 @@ TEST(DistSpmm, AutoIsNeverSlowerThanDense) {
   double dense_time = 0.0, auto_time = 0.0;
   for (const comm::CommMode mode :
        {comm::CommMode::kDense, comm::CommMode::kAuto}) {
-    comm::ScopedCommMode scoped(mode);
+    util::Knob<comm::CommMode>::Scoped scoped(comm::comm_mode_knob, mode);
     Fixture fx(4, n, d, /*overlap=*/false, sim::ExecutionMode::kPhantom);
     fx.run();
     fx.machine.synchronize();
@@ -296,7 +297,7 @@ TEST(DistSpmm, AccountMemoryChargesGhostMapsUnderCompact) {
   std::uint64_t dense_used = 0, compact_used = 0;
   for (const comm::CommMode mode :
        {comm::CommMode::kDense, comm::CommMode::kCompact}) {
-    comm::ScopedCommMode scoped(mode);
+    util::Knob<comm::CommMode>::Scoped scoped(comm::comm_mode_knob, mode);
     Fixture fx(4, n, d, /*overlap=*/false, sim::ExecutionMode::kPhantom);
     const std::uint64_t before = fx.machine.device(0).memory_used();
     fx.spmm->account_memory();
@@ -314,7 +315,8 @@ TEST(DistSpmm, CompactRecordsWireBytesSaved) {
   // On a sparse operator the compacted stages must put fewer bytes on the
   // wire than the dense broadcasts they replace, and the trace counters
   // must account for every stage exactly once.
-  comm::ScopedCommMode scoped(comm::CommMode::kCompact);
+  util::Knob<comm::CommMode>::Scoped scoped(comm::comm_mode_knob,
+                                            comm::CommMode::kCompact);
   const int gpus = 4;
   Fixture fx(gpus, 2048, 32, /*overlap=*/false,
              sim::ExecutionMode::kPhantom);

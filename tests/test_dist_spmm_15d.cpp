@@ -130,7 +130,8 @@ TEST(Spmm15D, Section51PerformanceRelationship) {
   // DGX-A100 switch. §5.1's regime is bandwidth-bound, so use a wide d
   // (broadcast volume >> launch/collective latencies). The arithmetic is
   // about dense broadcast volumes, so pin that exchange path.
-  comm::ScopedCommMode dense_mode(comm::CommMode::kDense);
+  util::Knob<comm::CommMode>::Scoped dense_mode(comm::comm_mode_knob,
+                                                comm::CommMode::kDense);
   const std::int64_t n = 8192, d = 4096;
   const sparse::Csr op = random_operator(n, 5);
 

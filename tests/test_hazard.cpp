@@ -6,8 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -18,6 +18,7 @@
 #include "dense/kernels.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
+#include "scoped_env.hpp"
 #include "sim/hazard.hpp"
 #include "sim/machine.hpp"
 #include "sparse/spmm.hpp"
@@ -30,29 +31,6 @@ sim::Machine checked_machine(int gpus) {
   return sim::Machine(sim::dgx_v100(), gpus, sim::ExecutionMode::kReal,
                       /*hazard_check=*/true);
 }
-
-/// RAII environment variable override for the fuzz/env-driven tests.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_old_ = old != nullptr;
-    setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_, saved_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_old_ = false;
-};
 
 // --- vector-clock primitives ---------------------------------------------
 
@@ -334,6 +312,47 @@ TEST(SchedFuzz, TrainingIsBitIdenticalAcrossSeeds) {
     for (std::size_t e = 0; e < losses[0].size(); ++e) {
       // Bit-identical, not approximately equal.
       EXPECT_EQ(losses[i][e], losses[0][e]) << "seed " << i << " epoch " << e;
+    }
+  }
+}
+
+// Both variables are read per Machine/Stream through strict parsers: a
+// malformed value must fail loudly, never silently pick a seed or flip the
+// audit the wrong way.
+TEST(SchedFuzz, MalformedSeedThrowsNamingTheVariable) {
+  for (const char* bad : {"abc", "12abc", "-5", "1.5", "0x"}) {
+    ScopedEnv fuzz("MGGCN_SCHED_FUZZ", bad);
+    try {
+      sim::Machine machine(sim::dgx_v100(), 2);
+      FAIL() << "expected InvalidArgumentError for '" << bad << "'";
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find("MGGCN_SCHED_FUZZ"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(HazardChecker, EnvFlagTakesTheBooleanTokenSet) {
+  for (const char* on : {"1", "true", "yes", "on"}) {
+    ScopedEnv check("MGGCN_HAZARD_CHECK", on);
+    EXPECT_TRUE(sim::hazard_check_env()) << on;
+  }
+  for (const char* off : {"", "0", "false", "no", "off"}) {
+    ScopedEnv check("MGGCN_HAZARD_CHECK", off);
+    EXPECT_FALSE(sim::hazard_check_env()) << off;
+    sim::Machine machine(sim::dgx_v100(), 2);
+    EXPECT_EQ(machine.hazard_checker(), nullptr) << off;
+  }
+  for (const char* bad : {"2", "TRUE", "enabled"}) {
+    ScopedEnv check("MGGCN_HAZARD_CHECK", bad);
+    try {
+      sim::Machine machine(sim::dgx_v100(), 2);
+      FAIL() << "expected InvalidArgumentError for '" << bad << "'";
+    } catch (const InvalidArgumentError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("MGGCN_HAZARD_CHECK"), std::string::npos) << what;
+      EXPECT_NE(what.find("'off'"), std::string::npos) << what;
     }
   }
 }

@@ -2,9 +2,9 @@
 // the naive reference across alpha/beta combinations, ragged shapes (rows,
 // columns, and inner dimensions that are not multiples of the register
 // tile), and CSR inputs with empty and high-degree rows; plus the
-// bit-for-bit beta == 0 SpMM agreement all three policies promise, the
-// policy selection machinery itself, and the planned policy's one-time
-// inspector accounting in the distributed trainer's trace.
+// bit-for-bit beta == 0 SpMM agreement all three policies promise, and the
+// planned policy's one-time inspector accounting in the distributed
+// trainer's trace. The knob itself is covered by tests/test_util.cpp.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -209,63 +209,6 @@ TEST(KernelPolicyProperty, SpmmPoliciesBitIdenticalAtBetaZero) {
   }
 }
 
-TEST(KernelPolicy, ParseAndName) {
-  EXPECT_EQ(dense::parse_kernel_policy("naive"), dense::KernelPolicy::kNaive);
-  EXPECT_EQ(dense::parse_kernel_policy("tiled"), dense::KernelPolicy::kTiled);
-  EXPECT_EQ(dense::parse_kernel_policy("planned"),
-            dense::KernelPolicy::kPlanned);
-  EXPECT_FALSE(dense::parse_kernel_policy("blas").has_value());
-  EXPECT_STREQ(dense::kernel_policy_name(dense::KernelPolicy::kNaive),
-               "naive");
-  EXPECT_STREQ(dense::kernel_policy_name(dense::KernelPolicy::kTiled),
-               "tiled");
-  EXPECT_STREQ(dense::kernel_policy_name(dense::KernelPolicy::kPlanned),
-               "planned");
-}
-
-TEST(KernelPolicy, ScopedOverrideRestores) {
-  const dense::KernelPolicy before = dense::kernel_policy();
-  {
-    dense::ScopedKernelPolicy scope(dense::KernelPolicy::kNaive);
-    EXPECT_EQ(dense::kernel_policy(), dense::KernelPolicy::kNaive);
-    {
-      dense::ScopedKernelPolicy inner(dense::KernelPolicy::kTiled);
-      EXPECT_EQ(dense::kernel_policy(), dense::KernelPolicy::kTiled);
-    }
-    EXPECT_EQ(dense::kernel_policy(), dense::KernelPolicy::kNaive);
-  }
-  EXPECT_EQ(dense::kernel_policy(), before);
-}
-
-int g_counting_gemm_calls = 0;
-void counting_gemm(dense::ConstMatrixView a, dense::ConstMatrixView b,
-                   dense::MatrixView c, float alpha, float beta) {
-  ++g_counting_gemm_calls;
-  dense::naive::gemm(a, b, c, alpha, beta);
-}
-
-TEST(KernelPolicy, RegistryRoutesDispatch) {
-  const dense::DenseKernelTable original =
-      dense::dense_kernels(dense::KernelPolicy::kNaive);
-  dense::DenseKernelTable table = original;
-  table.gemm = &counting_gemm;
-  dense::register_dense_kernels(dense::KernelPolicy::kNaive, table);
-
-  const dense::HostMatrix a = random_matrix(4, 4, 18);
-  const dense::HostMatrix b = random_matrix(4, 4, 19);
-  dense::HostMatrix c(4, 4);
-  {
-    dense::ScopedKernelPolicy scope(dense::KernelPolicy::kNaive);
-    g_counting_gemm_calls = 0;
-    dense::gemm(a.view(), b.view(), c.view());
-    EXPECT_EQ(g_counting_gemm_calls, 1);
-    dense::ScopedKernelPolicy inner(dense::KernelPolicy::kTiled);
-    dense::gemm(a.view(), b.view(), c.view());
-    EXPECT_EQ(g_counting_gemm_calls, 1);  // tiled table untouched
-  }
-  dense::register_dense_kernels(dense::KernelPolicy::kNaive, original);
-}
-
 TEST(KernelPolicy, TrainerNumericsMatchAcrossPolicies) {
   // End-to-end guard for the acceptance bar: the serial reference trainer's
   // logits under the tiled and planned policies match the naive policy
@@ -284,7 +227,8 @@ TEST(KernelPolicy, TrainerNumericsMatchAcrossPolicies) {
   config.seed = 3;
 
   auto run = [&](dense::KernelPolicy policy) {
-    dense::ScopedKernelPolicy scope(policy);
+    util::Knob<dense::KernelPolicy>::Scoped scope(dense::kernel_policy_knob,
+                                                  policy);
     core::ReferenceTrainer trainer(ds, config);
     for (int epoch = 0; epoch < 3; ++epoch) trainer.train_epoch();
     return trainer.forward();
@@ -313,7 +257,8 @@ TEST(KernelPolicy, DistributedTrainerChargesInspectOncePerTile) {
   const graph::Dataset ds = graph::make_dataset(spec, options);
 
   for (const int gpus : {1, 2, 4}) {
-    dense::ScopedKernelPolicy scope(dense::KernelPolicy::kPlanned);
+    util::Knob<dense::KernelPolicy>::Scoped scope(dense::kernel_policy_knob,
+                                                  dense::KernelPolicy::kPlanned);
     core::TrainConfig config;
     config.hidden_dims = {16};
     config.seed = 3;
@@ -358,7 +303,8 @@ TEST(KernelPolicy, MultiDeviceTrainerMatchesReferenceUnderAllPolicies) {
   for (const dense::KernelPolicy policy :
        {dense::KernelPolicy::kNaive, dense::KernelPolicy::kTiled,
         dense::KernelPolicy::kPlanned}) {
-    dense::ScopedKernelPolicy scope(policy);
+    util::Knob<dense::KernelPolicy>::Scoped scope(dense::kernel_policy_knob,
+                                                  policy);
     core::TrainConfig config;
     config.hidden_dims = {16};
     config.seed = 3;

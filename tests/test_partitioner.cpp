@@ -91,22 +91,6 @@ PartitionCutStats brute_force_stats(const sparse::Csr& a,
   return stats;
 }
 
-TEST(PartModeRegistry, RoundTripsAndRejectsUnknown) {
-  const PartMode modes[] = {PartMode::kRandom, PartMode::kBalanced,
-                            PartMode::kLocality, PartMode::kHier,
-                            PartMode::kAuto};
-  for (const PartMode mode : modes) {
-    const auto parsed = parse_part_mode(part_mode_name(mode));
-    ASSERT_TRUE(parsed.has_value()) << part_mode_name(mode);
-    EXPECT_EQ(*parsed, mode);
-  }
-  EXPECT_FALSE(parse_part_mode("metis").has_value());
-  EXPECT_FALSE(parse_part_mode("").has_value());
-
-  ScopedPartMode scoped(PartMode::kLocality);
-  EXPECT_EQ(part_mode(), PartMode::kLocality);
-}
-
 TEST(Partitioner, PermIsBijectionAndPartitionCoversEveryMode) {
   const sparse::Csr a = clustered_graph(500);
   const PartMode modes[] = {PartMode::kRandom, PartMode::kBalanced,

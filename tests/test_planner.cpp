@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +15,7 @@
 #include "core/planner.hpp"
 #include "core/trainer.hpp"
 #include "graph/datasets.hpp"
+#include "scoped_env.hpp"
 #include "sim/fault.hpp"
 #include "sim/machine.hpp"
 
@@ -41,29 +41,6 @@ core::TrainConfig small_config(core::PlanMode mode, bool overlap = true) {
   config.plan_mode = mode;
   return config;
 }
-
-/// RAII environment variable override (mirrors test_hazard.cpp).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_old_ = old != nullptr;
-    setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_, saved_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_old_ = false;
-};
 
 std::vector<core::EpochStats> train_with_plan(const graph::Dataset& ds,
                                               int gpus, int epochs,
@@ -221,13 +198,12 @@ TEST(Planner, HazardFreeUnderCheckerAndSchedFuzz) {
   }
 }
 
-TEST(Planner, ScopedPlanModeReachesDefaultConfiguredTrainer) {
+TEST(Planner, ScopedPlanKnobReachesDefaultConfiguredTrainer) {
   // MGGCN_PLAN must flow through plan_mode() into TrainConfig's default so
   // the environment axis works without touching config code.
   ScopedEnv env("MGGCN_PLAN", "replicated");
-  const auto parsed = core::parse_plan_mode("replicated");
-  ASSERT_TRUE(parsed.has_value());
-  core::ScopedPlanMode scoped(*parsed);
+  util::Knob<core::PlanMode>::Scoped scoped(core::plan_mode_knob,
+                                            core::PlanMode::kReplicated);
   const graph::Dataset ds = small_dataset();
   sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kReal);
   core::MgGcnTrainer trainer(machine, ds, core::TrainConfig{});

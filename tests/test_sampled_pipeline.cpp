@@ -4,12 +4,12 @@
 // persistent-memory accounting.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "core/sampled_pipeline.hpp"
 #include "graph/datasets.hpp"
+#include "scoped_env.hpp"
 #include "sim/machine.hpp"
 
 namespace mggcn::core {
@@ -37,29 +37,6 @@ SampledPipeline::Options small_options() {
   options.cache_capacity_fraction = 0.1;
   return options;
 }
-
-/// RAII environment override (for the sched-fuzz axis).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_old_ = old != nullptr;
-    setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_, saved_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_old_ = false;
-};
 
 std::vector<double> run_losses(const graph::Dataset& ds,
                                SampledPipeline::Options options, int epochs,

@@ -158,7 +158,7 @@ TEST(GraphAttention, AttentionDiffersFromUniformGcnWeights) {
   GraphAttentionLayer layer(adj, 12, 6, AttentionKind::kAdditive, 13);
   dense::HostMatrix x(100, 12);
   x.init_gaussian(rng);
-  layer.forward(x.view());
+  (void)layer.forward(x.view());
 
   const sparse::Csr& attention = layer.last_attention();
   const auto row_ptr = attention.row_ptr();

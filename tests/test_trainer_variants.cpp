@@ -171,9 +171,12 @@ TEST(TrainerSim, MoreDevicesReduceEpochTimeOnLargeGraphs) {
   // the §5.2 random permutation: a forced MGGCN_PART=locality run trades
   // up to the 1.15 slack of nnz balance for a cut the dense broadcast
   // cannot monetize, bending exactly the curve asserted here.
-  comm::ScopedCommMode dense_mode(comm::CommMode::kDense);
-  core::ScopedPlanMode plan_1d(core::PlanMode::k1D);
-  core::ScopedPartMode part_random(core::PartMode::kRandom);
+  util::Knob<comm::CommMode>::Scoped dense_mode(comm::comm_mode_knob,
+                                                comm::CommMode::kDense);
+  util::Knob<core::PlanMode>::Scoped plan_1d(core::plan_mode_knob,
+                                             core::PlanMode::k1D);
+  util::Knob<core::PartMode>::Scoped part_random(core::part_mode_knob,
+                                                 core::PartMode::kRandom);
   graph::DatasetSpec spec = graph::arxiv();
   graph::DatasetOptions options;
   options.scale = 8.0;

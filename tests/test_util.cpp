@@ -1,15 +1,29 @@
-// Unit tests for the util substrate: deterministic RNG, CLI parsing,
-// tables, formatting, and the blocking queue the stream workers use.
+// Unit tests for the util substrate: deterministic RNG, CLI parsing, the
+// MGGCN_* knobs, tables, formatting, and the blocking queue the stream
+// workers use.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 
+#include "comm/comm_mode.hpp"
+#include "core/cache_mode.hpp"
+#include "core/inference_server.hpp"
+#include "core/part_mode.hpp"
+#include "core/plan_mode.hpp"
+#include "core/serve_mode.hpp"
+#include "dense/kernel_policy.hpp"
+#include "mem/pool_mode.hpp"
+#include "scoped_env.hpp"
 #include "util/blocking_queue.hpp"
 #include "util/cli.hpp"
-#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/knob.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -214,73 +228,181 @@ TEST(Cli, BoolAcceptsDocumentedTokensOnly) {
   (void)argv0;
 }
 
-// The env helpers back every MGGCN_* registry; the registries latch their
-// statics on first use, so exercise the helpers directly on scratch names.
-TEST(Env, IntFullConsumptionAndRangeNameTheKnob) {
-  unsetenv("MGGCN_TEST_INT");
-  EXPECT_EQ(env_int("MGGCN_TEST_INT", 7, 1, 100), 7);
-  setenv("MGGCN_TEST_INT", "", 1);
-  EXPECT_EQ(env_int("MGGCN_TEST_INT", 7, 1, 100), 7);
-  setenv("MGGCN_TEST_INT", "42", 1);
-  EXPECT_EQ(env_int("MGGCN_TEST_INT", 7, 1, 100), 42);
-  for (const char* bad : {"42x", "abc", "1e3", "0", "101"}) {
-    setenv("MGGCN_TEST_INT", bad, 1);
-    try {
-      env_int("MGGCN_TEST_INT", 7, 1, 100);
-      FAIL() << "expected InvalidArgumentError for '" << bad << "'";
-    } catch (const InvalidArgumentError& e) {
-      EXPECT_NE(std::string(e.what()).find("MGGCN_TEST_INT"),
-                std::string::npos);
-    }
-  }
-  unsetenv("MGGCN_TEST_INT");
-}
+// --- util::Knob: one table-driven test over every MGGCN_* knob -----------
 
-TEST(Env, DoubleFullConsumptionNamesTheKnob) {
-  unsetenv("MGGCN_TEST_DOUBLE");
-  EXPECT_EQ(env_double("MGGCN_TEST_DOUBLE", 0.5, 0.0, 1.0, "a fraction"),
-            0.5);
-  setenv("MGGCN_TEST_DOUBLE", "0.25", 1);
-  EXPECT_EQ(env_double("MGGCN_TEST_DOUBLE", 0.5, 0.0, 1.0, "a fraction"),
-            0.25);
-  for (const char* bad : {"0.25x", "lots", "-0.1", "1.5"}) {
-    setenv("MGGCN_TEST_DOUBLE", bad, 1);
-    try {
-      env_double("MGGCN_TEST_DOUBLE", 0.5, 0.0, 1.0, "a fraction");
-      FAIL() << "expected InvalidArgumentError for '" << bad << "'";
-    } catch (const InvalidArgumentError& e) {
-      EXPECT_NE(std::string(e.what()).find("MGGCN_TEST_DOUBLE"),
-                std::string::npos);
-      EXPECT_NE(std::string(e.what()).find("a fraction"), std::string::npos);
-    }
-  }
-  unsetenv("MGGCN_TEST_DOUBLE");
-}
+template <typename Enum>
+void check_enum_knob(Knob<Enum>& knob, const std::string& legal) {
+  SCOPED_TRACE(knob.env_name());
+  const NameTable names = knob.names();
+  // The legal-token list is the historical one, so error text is unchanged.
+  EXPECT_EQ(knob.legal(), legal);
 
-TEST(Env, EnumTypoFailsLoudlyNamingKnobAndTokens) {
-  enum class Color { kRed, kBlue };
-  const auto parse = [](std::string_view s) -> std::optional<Color> {
-    if (s == "red") return Color::kRed;
-    if (s == "blue") return Color::kBlue;
-    return std::nullopt;
-  };
-  unsetenv("MGGCN_TEST_ENUM");
-  EXPECT_EQ(env_enum("MGGCN_TEST_ENUM", Color::kRed, parse, "'red' or 'blue'"),
-            Color::kRed);
-  setenv("MGGCN_TEST_ENUM", "blue", 1);
-  EXPECT_EQ(env_enum("MGGCN_TEST_ENUM", Color::kRed, parse, "'red' or 'blue'"),
-            Color::kBlue);
-  setenv("MGGCN_TEST_ENUM", "blu", 1);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const auto value = static_cast<Enum>(i);
+    EXPECT_STREQ(knob.name(value), names[i]);
+    EXPECT_EQ(knob.parse(names[i]), value);
+    EXPECT_EQ(knob.parse_or_throw(names[i], "--flag"), value);
+  }
+  EXPECT_FALSE(knob.parse("bogus").has_value());
+  EXPECT_FALSE(knob.parse("").has_value());
+  EXPECT_THROW(knob.set(static_cast<Enum>(names.size())),
+               InvalidArgumentError);
   try {
-    env_enum("MGGCN_TEST_ENUM", Color::kRed, parse, "'red' or 'blue'");
+    (void)knob.parse_or_throw("bogus", "--flag");
+    FAIL() << "expected InvalidArgumentError";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find("--flag must be " + legal +
+                                         ", got 'bogus'"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // Scoped overrides nest and restore the previous value.
+  const Enum before = knob.get();
+  const auto first = static_cast<Enum>(0);
+  const auto last = static_cast<Enum>(names.size() - 1);
+  {
+    typename Knob<Enum>::Scoped outer(knob, first);
+    EXPECT_EQ(knob.get(), first);
+    {
+      typename Knob<Enum>::Scoped inner(knob, last);
+      EXPECT_EQ(knob.get(), last);
+    }
+    EXPECT_EQ(knob.get(), first);
+  }
+  EXPECT_EQ(knob.get(), before);
+
+  // A fresh knob reads its variable lazily: a typo throws on the first
+  // get() (not at construction), naming the variable and every token, and
+  // keeps throwing until the value is fixed.
+  Knob<Enum> fresh("MGGCN_TEST_KNOB", first, names);
+  ScopedEnv env("MGGCN_TEST_KNOB", "bogus");
+  try {
+    (void)fresh.get();
     FAIL() << "expected InvalidArgumentError";
   } catch (const InvalidArgumentError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("MGGCN_TEST_ENUM"), std::string::npos);
-    EXPECT_NE(what.find("'red' or 'blue'"), std::string::npos);
-    EXPECT_NE(what.find("blu"), std::string::npos);
+    EXPECT_NE(what.find("MGGCN_TEST_KNOB must be " + legal + ", got 'bogus'"),
+              std::string::npos)
+        << what;
+    for (const char* token : names) {
+      EXPECT_NE(what.find(std::string("'") + token + "'"), std::string::npos);
+    }
   }
-  unsetenv("MGGCN_TEST_ENUM");
+  EXPECT_THROW((void)fresh.get(), InvalidArgumentError);
+  setenv("MGGCN_TEST_KNOB", names[names.size() - 1], 1);
+  EXPECT_EQ(fresh.get(), last);
+}
+
+TEST(Knob, EveryEnumKnobRoundTripsRejectsAndScopes) {
+  check_enum_knob(dense::kernel_policy_knob, "'naive', 'tiled', or 'planned'");
+  check_enum_knob(comm::comm_mode_knob, "'dense', 'compact', or 'auto'");
+  check_enum_knob(core::plan_mode_knob,
+                  "'1d', '15d', 'replicated', or 'auto'");
+  check_enum_knob(core::part_mode_knob,
+                  "'random', 'balanced', 'locality', 'hier', or 'auto'");
+  check_enum_knob(core::cache_mode_knob,
+                  "'off', 'static', 'freq', or 'auto'");
+  check_enum_knob(core::serve_cache_knob, "'off', 'embed', or 'auto'");
+  check_enum_knob(mem::pool_mode_knob, "'off', 'on', or 'auto'");
+}
+
+template <typename T>
+void check_scalar_knob(Knob<T>& knob, std::optional<T> below, T above) {
+  SCOPED_TRACE(knob.env_name());
+  const T before = knob.get();
+  if (below.has_value()) {
+    EXPECT_THROW(knob.set(*below), InvalidArgumentError);
+  }
+  try {
+    knob.set(above);
+    FAIL() << "expected InvalidArgumentError";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find(std::string(knob.env_name()) +
+                                         " must be " + knob.legal()),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(knob.get(), before);  // a rejected set() changes nothing
+}
+
+TEST(Knob, EveryScalarKnobRejectsOutOfRangeSet) {
+  check_scalar_knob(core::cache_cap_knob, {-0.01}, 1.01);
+  check_scalar_knob<std::int64_t>(core::serve_batch_knob, {0}, 100000);
+  check_scalar_knob(core::serve_slack_knob, {-1.0}, 1e6 + 1.0);
+  check_scalar_knob<std::uint64_t>(
+      mem::pool_budget_knob, std::nullopt,
+      static_cast<std::uint64_t>(std::numeric_limits<long long>::max()) + 1);
+  EXPECT_EQ(core::serve_batch_knob.legal(), "an integer in [1, 4096]");
+  EXPECT_EQ(core::cache_cap_knob.legal(), "a fraction in [0, 1]");
+}
+
+TEST(Knob, IntegerEnvIsFullConsumptionAndRangeChecked) {
+  ScopedEnv env("MGGCN_TEST_INT", "");
+  EXPECT_EQ(Knob<std::int64_t>("MGGCN_TEST_INT", 7, 1, 100).get(), 7);
+  setenv("MGGCN_TEST_INT", "42", 1);
+  EXPECT_EQ(Knob<std::int64_t>("MGGCN_TEST_INT", 7, 1, 100).get(), 42);
+  for (const char* bad : {"42x", "abc", "1e3", "0", "101"}) {
+    setenv("MGGCN_TEST_INT", bad, 1);
+    Knob<std::int64_t> knob("MGGCN_TEST_INT", 7, 1, 100);
+    try {
+      (void)knob.get();
+      FAIL() << "expected InvalidArgumentError for '" << bad << "'";
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "MGGCN_TEST_INT must be an integer in [1, 100], got '" +
+                    std::string(bad) + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // An unsigned knob rejects a sign instead of wrapping it around.
+  setenv("MGGCN_TEST_INT", "-1", 1);
+  EXPECT_THROW(
+      (void)Knob<std::uint64_t>("MGGCN_TEST_INT", 0, 0, 10).get(),
+      InvalidArgumentError);
+}
+
+TEST(Knob, DoubleEnvIsFullConsumptionAndNamesTheKnob) {
+  ScopedEnv env("MGGCN_TEST_DOUBLE", "0.25");
+  EXPECT_EQ(
+      Knob<double>("MGGCN_TEST_DOUBLE", 0.5, 0.0, 1.0, "a fraction").get(),
+      0.25);
+  for (const char* bad : {"0.25x", "lots", "-0.1", "1.5"}) {
+    setenv("MGGCN_TEST_DOUBLE", bad, 1);
+    Knob<double> knob("MGGCN_TEST_DOUBLE", 0.5, 0.0, 1.0, "a fraction");
+    try {
+      (void)knob.get();
+      FAIL() << "expected InvalidArgumentError for '" << bad << "'";
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find("MGGCN_TEST_DOUBLE must be a "
+                                           "fraction, got '" +
+                                           std::string(bad) + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Knob, SetBeforeFirstGetPreemptsTheEnvironment) {
+  ScopedEnv env("MGGCN_TEST_INT", "bogus");
+  Knob<std::int64_t> knob("MGGCN_TEST_INT", 7, 1, 100);
+  knob.set(9);
+  EXPECT_EQ(knob.get(), 9);
+}
+
+TEST(Knob, BatchPolicyNameTableRoundTrips) {
+  for (std::size_t i = 0; i < core::kBatchPolicyNames.size(); ++i) {
+    const auto policy = static_cast<core::BatchPolicy>(i);
+    EXPECT_EQ(parse_enum<core::BatchPolicy>(core::kBatchPolicyNames,
+                                            core::batch_policy_name(policy)),
+              policy);
+  }
+  EXPECT_FALSE(parse_enum<core::BatchPolicy>(core::kBatchPolicyNames,
+                                             "batched")
+                   .has_value());
+  EXPECT_EQ(token_list(core::kBatchPolicyNames),
+            "'per-request', 'fixed', or 'deadline'");
 }
 
 TEST(Table, RendersAlignedColumns) {

@@ -7,7 +7,6 @@
 // MGGCN_POOL=off|on|auto × sched-fuzz seeds for all three tenants.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "graph/datasets.hpp"
 #include "mem/pool_mode.hpp"
 #include "mem/workspace_pool.hpp"
+#include "scoped_env.hpp"
 #include "sim/machine.hpp"
 #include "util/error.hpp"
 
@@ -52,29 +52,6 @@ core::SampledPipeline::Options pipeline_options() {
   options.seed = 3;
   return options;
 }
-
-/// RAII environment override (for the sched-fuzz axis).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_old_ = old != nullptr;
-    setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_, saved_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_old_ = false;
-};
 
 constexpr std::size_t kF = sizeof(float);
 
@@ -264,13 +241,18 @@ TEST(PoolAccounting, LPlusThreeSlopeUnchangedUnderOff) {
   const std::uint64_t l3 = trainer_used_bytes(ds, 3, mem::PoolMode::kOff);
   const std::uint64_t l4 = trainer_used_bytes(ds, 4, mem::PoolMode::kOff);
 
+  // The peak device is the one owning the most rows: the random
+  // permutation's uniform cuts make every part the same size, a
+  // locality-aware cut (MGGCN_PART) need not.
   core::TrainConfig probe = small_config();
   sim::Machine machine(sim::dgx_v100(), 2, sim::ExecutionMode::kPhantom);
   core::MgGcnTrainer trainer(machine, ds, probe);
-  const std::int64_t rows0 = trainer.partition().size(0);
-  const std::uint64_t expected = (static_cast<std::uint64_t>(rows0) * 16 +
-                                  4ull * 16 * 16) *
-                                 kF;
+  std::int64_t rows = 0;
+  for (int r = 0; r < machine.num_devices(); ++r) {
+    rows = std::max(rows, trainer.partition().size(r));
+  }
+  const std::uint64_t expected =
+      (static_cast<std::uint64_t>(rows) * 16 + 4ull * 16 * 16) * kF;
   EXPECT_EQ(l3 - l2, expected);
   EXPECT_EQ(l4 - l3, expected);
 }
