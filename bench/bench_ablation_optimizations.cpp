@@ -95,14 +95,16 @@ int main(int argc, char** argv) {
         table.add_row({spec.name, variant.name, "OOM", "-", "-"});
         continue;
       }
-      if (variant.apply == full) full_seconds = r.seconds;
+      const double seconds = r.stats.sim_seconds;
+      if (variant.apply == full) full_seconds = seconds;
       table.add_row(
           {spec.name, variant.name, bench::cell_seconds(r),
            full_seconds > 0
-               ? util::format_double(r.seconds / full_seconds, 2) + "x"
+               ? util::format_double(seconds / full_seconds, 2) + "x"
                : "-",
            util::format_double(
-               static_cast<double>(r.peak_memory) / (1ULL << 30), 2)});
+               static_cast<double>(r.stats.peak_memory_bytes) / (1ULL << 30),
+               2)});
     }
   }
 

@@ -92,7 +92,9 @@ int main(int argc, char** argv) {
           config.plan_mode = core::PlanMode::k1D;
           const bench::EpochResult r = bench::run_epoch(
               bench::System::kMgGcn, profile, gpus, ds, config);
-          if (mode == comm::CommMode::kDense) dense_seconds = r.seconds;
+          if (mode == comm::CommMode::kDense) {
+            dense_seconds = r.stats.sim_seconds;
+          }
 
           if (!first_row) json_rows << ",\n";
           first_row = false;
@@ -108,27 +110,29 @@ int main(int argc, char** argv) {
             continue;
           }
 
+          const core::EpochStats& s = r.stats;
           const double vs_dense =
-              r.seconds > 0.0 ? dense_seconds / r.seconds : 0.0;
+              s.sim_seconds > 0.0 ? dense_seconds / s.sim_seconds : 0.0;
           table.add_row({std::to_string(gpus), std::to_string(deg),
                          permute ? "on" : "off", comm::comm_mode_name(mode),
-                         util::format_double(r.seconds, 4),
-                         gigabytes(r.comm_wire_bytes),
-                         gigabytes(r.comm_bytes_saved),
-                         std::to_string(r.comm_packs),
-                         std::to_string(r.comm_compact_stages) + "/" +
-                             std::to_string(r.comm_dense_stages),
+                         util::format_double(s.sim_seconds, 4),
+                         gigabytes(s.comm_wire_bytes),
+                         gigabytes(s.comm_bytes_saved),
+                         std::to_string(s.comm_packs),
+                         std::to_string(s.comm_compact_stages) + "/" +
+                             std::to_string(s.comm_dense_stages),
                          util::format_speedup(vs_dense)});
           json_rows << "    {\"machine\": \"" << cli.get("machine")
                     << "\", \"gpus\": " << gpus << ", \"avg_degree\": " << deg
                     << ", \"permute\": " << (permute ? "true" : "false")
                     << ", \"mode\": \"" << comm::comm_mode_name(mode)
-                    << "\", \"oom\": false, \"epoch_seconds\": " << r.seconds
-                    << ", \"wire_bytes\": " << r.comm_wire_bytes
-                    << ", \"bytes_saved\": " << r.comm_bytes_saved
-                    << ", \"packs\": " << r.comm_packs
-                    << ", \"compact_stages\": " << r.comm_compact_stages
-                    << ", \"dense_stages\": " << r.comm_dense_stages << "}";
+                    << "\", \"oom\": false, \"epoch_seconds\": "
+                    << s.sim_seconds
+                    << ", \"wire_bytes\": " << s.comm_wire_bytes
+                    << ", \"bytes_saved\": " << s.comm_bytes_saved
+                    << ", \"packs\": " << s.comm_packs
+                    << ", \"compact_stages\": " << s.comm_compact_stages
+                    << ", \"dense_stages\": " << s.comm_dense_stages << "}";
         }
       }
     }

@@ -32,7 +32,8 @@ double peak_gib(bench::System system, const sim::MachineProfile& profile,
   const bench::EpochResult r =
       bench::run_epoch(system, profile, gpus, ds, config);
   if (r.oom) return -1.0;
-  return static_cast<double>(r.peak_memory) / (1024.0 * 1024.0 * 1024.0);
+  return static_cast<double>(r.stats.peak_memory_bytes) /
+         (1024.0 * 1024.0 * 1024.0);
 }
 
 /// Largest layer count whose peak memory fits the 30 GiB budget.

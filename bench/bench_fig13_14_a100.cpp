@@ -67,11 +67,11 @@ int main(int argc, char** argv) {
           continue;
         }
         rt_row.push_back(bench::cell_seconds(it->second));
-        if (it->second.oom || dgl1.oom || dgl1.seconds <= 0.0) {
+        if (it->second.oom || dgl1.oom || dgl1.stats.sim_seconds <= 0.0) {
           sp_row.push_back(it->second.oom ? "OOM" : "-");
         } else {
-          sp_row.push_back(
-              util::format_speedup(dgl1.seconds / it->second.seconds));
+          sp_row.push_back(util::format_speedup(
+              dgl1.stats.sim_seconds / it->second.stats.sim_seconds));
         }
       }
       runtime.add_row(std::move(rt_row));

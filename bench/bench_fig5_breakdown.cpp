@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
       }
 
       auto busy = [&](sim::TaskKind kind) {
-        const auto it = r.busy.find(kind);
-        return it == r.busy.end() ? 0.0 : it->second;
+        const auto it = r.stats.busy_by_kind.find(kind);
+        return it == r.stats.busy_by_kind.end() ? 0.0 : it->second;
       };
       // The paper attributes the broadcast wait to the SpMM stage.
       const double spmm = busy(sim::TaskKind::kSpMM) + busy(sim::TaskKind::kComm);
@@ -72,13 +72,14 @@ int main(int argc, char** argv) {
       };
       table.add_row({spec.name, std::to_string(gpus), pct(spmm), pct(gemm),
                      pct(act), pct(loss), pct(adam),
-                     util::format_double(r.seconds, 4)});
+                     util::format_double(r.stats.sim_seconds, 4)});
       json_rows << "    {\"dataset\": \"" << spec.name << "\", \"gpus\": "
-                << gpus << ", \"oom\": false, \"epoch_seconds\": " << r.seconds
+                << gpus << ", \"oom\": false, \"epoch_seconds\": "
+                << r.stats.sim_seconds
                 << ", \"busy_seconds\": {\"spmm\": " << spmm
                 << ", \"gemm\": " << gemm << ", \"activation\": " << act
                 << ", \"loss\": " << loss << ", \"adam\": " << adam << "}, "
-                << bench::comm_json_fragment(r) << "}";
+                << bench::comm_json_fragment(r.stats) << "}";
     }
   }
 

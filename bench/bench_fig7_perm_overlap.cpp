@@ -61,11 +61,12 @@ int main(int argc, char** argv) {
                        "-", "-", "-"});
         continue;
       }
+      const double orig_seconds = r_orig.stats.sim_seconds;
       table.add_row(
           {spec.name, std::to_string(gpus), bench::cell_seconds(r_orig),
            bench::cell_seconds(r_perm), bench::cell_seconds(r_both),
-           util::format_speedup(r_orig.seconds / r_perm.seconds),
-           util::format_speedup(r_orig.seconds / r_both.seconds),
+           util::format_speedup(orig_seconds / r_perm.stats.sim_seconds),
+           util::format_speedup(orig_seconds / r_both.stats.sim_seconds),
            util::format_double(r_orig.imbalance, 2)});
     }
   }

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
       const auto r = bench::run_epoch(bench::System::kMgGcn, profile,
                                       static_cast<int>(gpus), ds,
                                       core::model_hidden512());
-      seconds.push_back(r.oom ? -1.0 : r.seconds);
+      seconds.push_back(r.oom ? -1.0 : r.stats.sim_seconds);
     }
 
     std::vector<std::string> row = {

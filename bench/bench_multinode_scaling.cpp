@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
       config.plan_mode = core::PlanMode::k1D;
       const bench::EpochResult r = bench::run_epoch(
           bench::System::kMgGcn, profile, gpus, ds, config);
-      if (part == "random") random_seconds = r.oom ? 0.0 : r.seconds;
+      if (part == "random") random_seconds = r.oom ? 0.0 : r.stats.sim_seconds;
 
       if (!first_row) json_rows << ",\n";
       first_row = false;
@@ -109,26 +109,27 @@ int main(int argc, char** argv) {
         continue;
       }
 
+      const core::EpochStats& s = r.stats;
       const double vs_random =
-          (random_seconds > 0.0 && r.seconds > 0.0)
-              ? random_seconds / r.seconds
+          (random_seconds > 0.0 && s.sim_seconds > 0.0)
+              ? random_seconds / s.sim_seconds
               : 0.0;
       table.add_row(
           {std::to_string(gpus), std::to_string(nodes), part,
            bench::cell_seconds(r), util::format_speedup(vs_random),
-           gigabytes(r.comm_wire_bytes), gigabytes(r.comm_wire_bytes_inter),
-           std::to_string(r.part_ghost_rows),
-           std::to_string(r.part_inter_node_ghost_rows),
-           util::format_double(r.part_imbalance, 3)});
+           gigabytes(s.comm_wire_bytes), gigabytes(s.comm_wire_bytes_inter),
+           std::to_string(s.part_ghost_rows),
+           std::to_string(s.part_inter_node_ghost_rows),
+           util::format_double(s.part_imbalance, 3)});
       json_rows << "    {\"machine\": \"dgx-a100-cluster\", \"gpus\": "
                 << gpus << ", \"nodes\": " << nodes << ", \"part\": \""
                 << part << "\", \"oom\": false, \"epoch_seconds\": "
-                << r.seconds << ", \"wire_bytes\": " << r.comm_wire_bytes
-                << ", \"wire_bytes_inter\": " << r.comm_wire_bytes_inter
-                << ", \"imbalance\": " << r.part_imbalance << ", "
-                << bench::part_json_fragment(r) << ", "
-                << bench::comm_json_fragment(r) << ", "
-                << bench::plan_json_fragment(r) << "}";
+                << s.sim_seconds << ", \"wire_bytes\": " << s.comm_wire_bytes
+                << ", \"wire_bytes_inter\": " << s.comm_wire_bytes_inter
+                << ", \"imbalance\": " << s.part_imbalance << ", "
+                << bench::part_json_fragment(s) << ", "
+                << bench::comm_json_fragment(s) << ", "
+                << bench::plan_json_fragment(s) << "}";
     }
   }
 

@@ -101,14 +101,14 @@ int main(int argc, char** argv) {
       const bench::EpochResult r =
           bench::run_epoch(bench::System::kMgGcn, profile, sc.gpus, ds,
                            config);
-      if (mode == core::PlanMode::k1D) seconds_1d = r.seconds;
+      if (mode == core::PlanMode::k1D) seconds_1d = r.stats.sim_seconds;
 
       if (!first_row) json_rows << ",\n";
       first_row = false;
       const std::string products =
-          std::to_string(r.plan_products_1d) + "/" +
-          std::to_string(r.plan_products_15d) + "/" +
-          std::to_string(r.plan_products_replicated);
+          std::to_string(r.stats.plan_products_1d) + "/" +
+          std::to_string(r.stats.plan_products_15d) + "/" +
+          std::to_string(r.stats.plan_products_replicated);
       if (r.oom) {
         table.add_row({sc.machine, std::to_string(sc.gpus),
                        std::to_string(sc.n), std::to_string(sc.avg_degree),
@@ -121,19 +121,21 @@ int main(int argc, char** argv) {
                   << core::plan_mode_name(mode) << "\", \"oom\": true}";
         continue;
       }
-      const double vs_1d = r.seconds > 0.0 ? seconds_1d / r.seconds : 0.0;
+      const core::EpochStats& s = r.stats;
+      const double vs_1d =
+          s.sim_seconds > 0.0 ? seconds_1d / s.sim_seconds : 0.0;
       table.add_row({sc.machine, std::to_string(sc.gpus),
                      std::to_string(sc.n), std::to_string(sc.avg_degree),
                      std::to_string(sc.d), core::plan_mode_name(mode),
-                     util::format_double(r.seconds, 4), products,
-                     std::to_string(r.plan_fallbacks),
+                     util::format_double(s.sim_seconds, 4), products,
+                     std::to_string(s.plan_fallbacks),
                      util::format_speedup(vs_1d)});
       json_rows << "    {\"machine\": \"" << sc.machine
                 << "\", \"gpus\": " << sc.gpus << ", \"n\": " << sc.n
                 << ", \"avg_degree\": " << sc.avg_degree << ", \"d\": "
                 << sc.d << ", \"plan\": \"" << core::plan_mode_name(mode)
-                << "\", \"oom\": false, \"epoch_seconds\": " << r.seconds
-                << ", " << bench::plan_json_fragment(r) << "}";
+                << "\", \"oom\": false, \"epoch_seconds\": " << s.sim_seconds
+                << ", " << bench::plan_json_fragment(s) << "}";
     }
   }
 

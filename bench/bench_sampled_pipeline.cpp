@@ -31,12 +31,9 @@ using namespace mggcn;
 namespace {
 
 struct RunResult {
-  double seconds = 0.0;
-  double hit_rate = 0.0;
-  std::uint64_t wire_bytes = 0;
-  double occupancy = 0.0;
-  std::string resolved_mode;
+  /// The steady-state epoch, extrapolated to full scale.
   core::EpochStats stats;
+  std::string resolved_mode;
 };
 
 RunResult run_config(const graph::Dataset& ds,
@@ -55,18 +52,9 @@ RunResult run_config(const graph::Dataset& ds,
   core::SampledPipeline pipeline(machine, ds, options);
 
   pipeline.train_epoch();  // cold epoch: prefill + admission churn
-  const core::EpochStats stats = pipeline.train_epoch();
-
-  RunResult result;
-  const double x = ds.extrapolation();
-  result.seconds = stats.sim_seconds * x;
-  result.hit_rate = stats.cache_hit_rate;
-  result.wire_bytes = static_cast<std::uint64_t>(
-      static_cast<double>(stats.comm_wire_bytes) * x);
-  result.occupancy = stats.pipe_occupancy;
-  result.resolved_mode = core::cache_mode_name(pipeline.resolved_cache_mode());
-  result.stats = stats;
-  return result;
+  return {bench::extrapolate(pipeline.train_epoch(), ds.extrapolation(),
+                             invariant),
+          core::cache_mode_name(pipeline.resolved_cache_mode())};
 }
 
 }  // namespace
@@ -138,20 +126,21 @@ int main(int argc, char** argv) {
         options.cache_capacity_fraction = config.fraction;
         const RunResult r =
             run_config(ds, profile, static_cast<int>(gpus), options);
-        if (!config.pipeline) serial_seconds = r.seconds;
+        const double seconds = r.stats.sim_seconds;
+        if (!config.pipeline) serial_seconds = seconds;
 
         table.add_row(
             {ds.spec.name, std::to_string(gpus), config.engine,
              core::cache_mode_name(config.mode),
              util::format_double(config.fraction, 3),
-             util::format_double(r.seconds, 4),
+             util::format_double(seconds, 4),
              serial_seconds > 0
-                 ? util::format_double(serial_seconds / r.seconds, 2) + "x"
+                 ? util::format_double(serial_seconds / seconds, 2) + "x"
                  : "-",
-             util::format_double(r.hit_rate, 3),
+             util::format_double(r.stats.cache_hit_rate, 3),
              util::format_double(
-                 static_cast<double>(r.wire_bytes) / 1e9, 3),
-             util::format_double(r.occupancy, 3)});
+                 static_cast<double>(r.stats.comm_wire_bytes) / 1e9, 3),
+             util::format_double(r.stats.pipe_occupancy, 3)});
 
         if (!first_row) json_rows << ",\n";
         first_row = false;
@@ -162,13 +151,11 @@ int main(int argc, char** argv) {
                   << "\", \"resolved_mode\": \"" << r.resolved_mode
                   << "\", \"capacity_fraction\": " << config.fraction
                   << ", \"fanout\": \"" << cli.get("fanout")
-                  << "\", \"seconds\": " << r.seconds
-                  << ", \"hit_rate\": " << r.hit_rate
-                  << ", \"wire_bytes\": " << r.wire_bytes
-                  << ", \"occupancy\": " << r.occupancy << ", "
-                  << bench::pipeline_json_fragment(r.stats,
-                                                   ds.extrapolation())
-                  << "}";
+                  << "\", \"seconds\": " << seconds
+                  << ", \"hit_rate\": " << r.stats.cache_hit_rate
+                  << ", \"wire_bytes\": " << r.stats.comm_wire_bytes
+                  << ", \"occupancy\": " << r.stats.pipe_occupancy << ", "
+                  << bench::pipeline_json_fragment(r.stats) << "}";
       }
     }
   }

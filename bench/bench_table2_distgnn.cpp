@@ -87,12 +87,12 @@ int main(int argc, char** argv) {
     const sim::MachineProfile profile = sim::dgx_a100();
     const bench::EpochResult r = bench::run_epoch(
         bench::System::kMgGcn, profile, 8, ds, model_for(name));
-    if (name == std::string("Papers")) papers_epoch = r.seconds;
+    if (name == std::string("Papers")) papers_epoch = r.stats.sim_seconds;
 
     const double best = best_reported[name];
-    versus.add_row({spec.name, util::format_double(best, 2),
-                    bench::cell_seconds(r),
-                    r.oom ? "-" : util::format_speedup(best / r.seconds)});
+    versus.add_row(
+        {spec.name, util::format_double(best, 2), bench::cell_seconds(r),
+         r.oom ? "-" : util::format_speedup(best / r.stats.sim_seconds)});
   }
   std::cout << "§6.6 — single node (8x A100) vs DistGNN best:\n"
             << versus.to_string() << '\n';

@@ -113,6 +113,31 @@ const char* system_name(System system) {
   return "?";
 }
 
+core::EpochStats extrapolate(core::EpochStats stats, double x,
+                             std::uint64_t invariant) {
+  const auto scaled = [x](auto count) {
+    return static_cast<decltype(count)>(static_cast<double>(count) * x);
+  };
+  stats.sim_seconds *= x;
+  for (auto& [kind, busy] : stats.busy_by_kind) busy *= x;
+  const std::uint64_t invariant_part =
+      std::min<std::uint64_t>(stats.peak_memory_bytes, invariant);
+  stats.peak_memory_bytes =
+      invariant_part + scaled(stats.peak_memory_bytes - invariant_part);
+  stats.comm_wire_bytes = scaled(stats.comm_wire_bytes);
+  stats.comm_bytes_saved = scaled(stats.comm_bytes_saved);
+  stats.comm_wire_bytes_inter = scaled(stats.comm_wire_bytes_inter);
+  stats.part_cut_edges = scaled(stats.part_cut_edges);
+  stats.part_inter_node_cut_edges = scaled(stats.part_inter_node_cut_edges);
+  stats.part_ghost_rows = scaled(stats.part_ghost_rows);
+  stats.part_inter_node_ghost_rows = scaled(stats.part_inter_node_ghost_rows);
+  stats.pool_peak_bytes = scaled(stats.pool_peak_bytes);
+  stats.pipe_sample_seconds *= x;
+  stats.pipe_extract_seconds *= x;
+  stats.pipe_train_seconds *= x;
+  return stats;
+}
+
 EpochResult run_epoch(System system, const sim::MachineProfile& machine_prof,
                       int gpus, const graph::Dataset& dataset,
                       const core::TrainConfig& config) {
@@ -135,48 +160,9 @@ EpochResult run_epoch(System system, const sim::MachineProfile& machine_prof,
     // Two epochs; the second is steady state (Adam state touched, clocks
     // aligned). Phantom mode is deterministic, so no further repeats.
     trainer.train_epoch();
-    const core::EpochStats stats = trainer.train_epoch();
-
-    const double x = dataset.extrapolation();
-    result.seconds = stats.sim_seconds * x;
-    for (const auto& [kind, busy] : stats.busy_by_kind) {
-      result.busy[kind] = busy * x;
-    }
-    const std::uint64_t invariant_part =
-        std::min<std::uint64_t>(stats.peak_memory_bytes, invariant);
-    result.peak_memory =
-        invariant_part +
-        static_cast<std::uint64_t>(
-            static_cast<double>(stats.peak_memory_bytes - invariant_part) * x);
+    result.stats =
+        extrapolate(trainer.train_epoch(), dataset.extrapolation(), invariant);
     result.imbalance = trainer.tile_imbalance();
-    result.comm_wire_bytes = static_cast<std::uint64_t>(
-        static_cast<double>(stats.comm_wire_bytes) * x);
-    result.comm_bytes_saved = static_cast<std::uint64_t>(
-        static_cast<double>(stats.comm_bytes_saved) * x);
-    result.comm_packs = stats.comm_packs;
-    result.comm_compact_stages = stats.comm_compact_stages;
-    result.comm_dense_stages = stats.comm_dense_stages;
-    result.plan_products_1d = stats.plan_products_1d;
-    result.plan_products_15d = stats.plan_products_15d;
-    result.plan_products_replicated = stats.plan_products_replicated;
-    result.plan_decisions = stats.plan_decisions;
-    result.plan_fallbacks = stats.plan_fallbacks;
-    result.comm_wire_bytes_inter = static_cast<std::uint64_t>(
-        static_cast<double>(stats.comm_wire_bytes_inter) * x);
-    result.part_cut_edges = static_cast<std::int64_t>(
-        static_cast<double>(stats.part_cut_edges) * x);
-    result.part_inter_node_cut_edges = static_cast<std::int64_t>(
-        static_cast<double>(stats.part_inter_node_cut_edges) * x);
-    result.part_ghost_rows = static_cast<std::int64_t>(
-        static_cast<double>(stats.part_ghost_rows) * x);
-    result.part_inter_node_ghost_rows = static_cast<std::int64_t>(
-        static_cast<double>(stats.part_inter_node_ghost_rows) * x);
-    result.part_avg_ghost_density = stats.part_avg_ghost_density;
-    result.part_imbalance = stats.part_imbalance;
-    result.pool_peak_bytes = static_cast<std::uint64_t>(
-        static_cast<double>(stats.pool_peak_bytes) * x);
-    result.pool_reuse_hits = stats.pool_reuse_hits;
-    result.pool_fragmentation = stats.pool_fragmentation;
   } catch (const OutOfMemoryError&) {
     result.oom = true;
   }
@@ -267,58 +253,51 @@ SpmmTimeline run_spmm_timeline(const graph::Dataset& dataset,
 
 std::string cell_seconds(const EpochResult& result) {
   if (result.oom) return "OOM";
-  return util::format_double(result.seconds, result.seconds < 0.1 ? 4 : 3);
+  const double seconds = result.stats.sim_seconds;
+  return util::format_double(seconds, seconds < 0.1 ? 4 : 3);
 }
 
-std::string comm_json_fragment(const EpochResult& result) {
+std::string comm_json_fragment(const core::EpochStats& stats) {
   std::ostringstream os;
-  os << "\"comm\": {\"wire_bytes\": " << result.comm_wire_bytes
-     << ", \"bytes_saved\": " << result.comm_bytes_saved
-     << ", \"packs\": " << result.comm_packs
-     << ", \"compact_stages\": " << result.comm_compact_stages
-     << ", \"dense_stages\": " << result.comm_dense_stages << "}";
+  os << "\"comm\": {\"wire_bytes\": " << stats.comm_wire_bytes
+     << ", \"bytes_saved\": " << stats.comm_bytes_saved
+     << ", \"packs\": " << stats.comm_packs
+     << ", \"compact_stages\": " << stats.comm_compact_stages
+     << ", \"dense_stages\": " << stats.comm_dense_stages << "}";
   return os.str();
 }
 
-std::string plan_json_fragment(const EpochResult& result) {
+std::string plan_json_fragment(const core::EpochStats& stats) {
   std::ostringstream os;
-  os << "\"plan_counters\": {\"products_1d\": " << result.plan_products_1d
-     << ", \"products_15d\": " << result.plan_products_15d
-     << ", \"products_replicated\": " << result.plan_products_replicated
-     << ", \"decisions\": " << result.plan_decisions
-     << ", \"fallbacks\": " << result.plan_fallbacks << "}";
+  os << "\"plan_counters\": {\"products_1d\": " << stats.plan_products_1d
+     << ", \"products_15d\": " << stats.plan_products_15d
+     << ", \"products_replicated\": " << stats.plan_products_replicated
+     << ", \"decisions\": " << stats.plan_decisions
+     << ", \"fallbacks\": " << stats.plan_fallbacks << "}";
   return os.str();
 }
 
-std::string part_json_fragment(const EpochResult& result) {
+std::string part_json_fragment(const core::EpochStats& stats) {
   std::ostringstream os;
-  os << "\"part_stats\": {\"cut_edges\": " << result.part_cut_edges
-     << ", \"inter_node_cut_edges\": " << result.part_inter_node_cut_edges
-     << ", \"ghost_rows\": " << result.part_ghost_rows
-     << ", \"inter_node_ghost_rows\": " << result.part_inter_node_ghost_rows
-     << ", \"avg_ghost_density\": " << result.part_avg_ghost_density
-     << ", \"imbalance\": " << result.part_imbalance << "}";
+  os << "\"part_stats\": {\"cut_edges\": " << stats.part_cut_edges
+     << ", \"inter_node_cut_edges\": " << stats.part_inter_node_cut_edges
+     << ", \"ghost_rows\": " << stats.part_ghost_rows
+     << ", \"inter_node_ghost_rows\": " << stats.part_inter_node_ghost_rows
+     << ", \"avg_ghost_density\": " << stats.part_avg_ghost_density
+     << ", \"imbalance\": " << stats.part_imbalance << "}";
   return os.str();
 }
 
-std::string pool_json_fragment(const EpochResult& result) {
-  std::ostringstream os;
-  os << "\"pool\": {\"peak_bytes\": " << result.pool_peak_bytes
-     << ", \"reuse_hits\": " << result.pool_reuse_hits
-     << ", \"fragmentation\": " << result.pool_fragmentation << "}";
-  return os.str();
-}
-
-std::string pipeline_json_fragment(const core::EpochStats& stats, double x) {
+std::string pipeline_json_fragment(const core::EpochStats& stats) {
   std::ostringstream os;
   os << "\"pipeline\": {\"rounds\": " << stats.pipe_rounds
      << ", \"cache_hits\": " << stats.cache_hits
      << ", \"cache_misses\": " << stats.cache_misses
      << ", \"cache_evictions\": " << stats.cache_evictions
      << ", \"cache_hit_rate\": " << stats.cache_hit_rate
-     << ", \"sample_seconds\": " << stats.pipe_sample_seconds * x
-     << ", \"extract_seconds\": " << stats.pipe_extract_seconds * x
-     << ", \"train_seconds\": " << stats.pipe_train_seconds * x
+     << ", \"sample_seconds\": " << stats.pipe_sample_seconds
+     << ", \"extract_seconds\": " << stats.pipe_extract_seconds
+     << ", \"train_seconds\": " << stats.pipe_train_seconds
      << ", \"occupancy\": " << stats.pipe_occupancy << "}";
   return os.str();
 }

@@ -65,49 +65,21 @@ bool write_json(const util::CliParser& cli, const std::string& bench_name,
 enum class System { kMgGcn, kDgl, kCagnet };
 const char* system_name(System system);
 
+/// Scales a replica epoch's stats to full scale by the extrapolation
+/// factor `x`: simulated seconds (epoch, busy per kind, pipeline stages),
+/// wire/saved/inter-node bytes, cut edges and ghost rows, and the pool
+/// peak grow with the graph; peak device memory grows except for its
+/// `invariant` replicated model-state part. Counters of decisions, stages,
+/// packs, hits and every ratio are replica counts and stay as they are.
+core::EpochStats extrapolate(core::EpochStats stats, double x,
+                             std::uint64_t invariant);
+
 struct EpochResult {
   bool oom = false;
-  /// Full-scale-extrapolated epoch seconds.
-  double seconds = 0.0;
-  /// Full-scale-extrapolated busy seconds per kind (summed over devices).
-  std::map<sim::TaskKind, double> busy;
-  /// Full-scale-extrapolated peak per-device memory (bytes).
-  std::uint64_t peak_memory = 0;
   /// Load imbalance of the tiling (max/mean tile-row nnz).
   double imbalance = 1.0;
-  /// Full-scale-extrapolated staged-exchange wire bytes and the bytes the
-  /// compacted path avoided vs all-dense broadcasts (0 under dense mode).
-  std::uint64_t comm_wire_bytes = 0;
-  std::uint64_t comm_bytes_saved = 0;
-  /// Per-destination pack operations and per-path stage counts (replica
-  /// counts; scale-invariant, not extrapolated).
-  std::uint64_t comm_packs = 0;
-  int comm_compact_stages = 0;
-  int comm_dense_stages = 0;
-  /// Planner decision counters (replica counts; scale-invariant): products
-  /// routed per strategy, distinct (d, overlap) decisions priced, and
-  /// infeasible choices that fell back to 1d.
-  int plan_products_1d = 0;
-  int plan_products_15d = 0;
-  int plan_products_replicated = 0;
-  int plan_decisions = 0;
-  int plan_fallbacks = 0;
-  /// Wire bytes that crossed a node boundary (full-scale extrapolated;
-  /// 0 on single-node profiles).
-  std::uint64_t comm_wire_bytes_inter = 0;
-  /// Partitioner cut quality of the active ordering (replica counts;
-  /// scale-invariant ratios, extrapolated edge/row counts).
-  std::int64_t part_cut_edges = 0;
-  std::int64_t part_inter_node_cut_edges = 0;
-  std::int64_t part_ghost_rows = 0;
-  std::int64_t part_inter_node_ghost_rows = 0;
-  double part_avg_ghost_density = 0.0;
-  double part_imbalance = 1.0;
-  /// Workspace-pool counters (peak full-scale extrapolated, hits replica
-  /// counts; all zero when MGGCN_POOL resolves to the static path).
-  std::uint64_t pool_peak_bytes = 0;
-  std::uint64_t pool_reuse_hits = 0;
-  double pool_fragmentation = 0.0;
+  /// The steady-state epoch, extrapolated to full scale.
+  core::EpochStats stats;
 };
 
 /// Builds a phantom-mode machine + the requested system and measures one
@@ -122,26 +94,16 @@ EpochResult run_epoch(System system, const sim::MachineProfile& machine,
 /// "OOM" when the configuration did not fit.
 std::string cell_seconds(const EpochResult& result);
 
-/// The epoch's exchange-path counters as a JSON object fragment
-/// (`"comm": {...}`), for splicing into a bench's --json rows.
-std::string comm_json_fragment(const EpochResult& result);
-
-/// The epoch's planner counters as a JSON object fragment
-/// (`"plan_counters": {...}`), for splicing into a bench's --json rows.
-std::string plan_json_fragment(const EpochResult& result);
-
-/// The epoch's partitioner cut-quality counters as a JSON object fragment
-/// (`"part_stats": {...}`), for splicing into a bench's --json rows.
-std::string part_json_fragment(const EpochResult& result);
-
-/// The epoch's workspace-pool counters as a JSON object fragment
-/// (`"pool": {...}`), for splicing into a bench's --json rows.
-std::string pool_json_fragment(const EpochResult& result);
-
-/// The sampled pipeline's cache + stage counters as a JSON object fragment
-/// (`"pipeline": {...}`). Stage seconds are extrapolated by `x`; counters
-/// are replica counts.
-std::string pipeline_json_fragment(const core::EpochStats& stats, double x);
+/// An epoch's counters as JSON object fragments for splicing into a
+/// bench's --json rows: the exchange path (`"comm": {...}`), the planner
+/// (`"plan_counters": {...}`), the partitioner's cut quality
+/// (`"part_stats": {...}`) and the sampled pipeline's cache and stages
+/// (`"pipeline": {...}`). Pass extrapolated stats; each fragment prints
+/// them as they are.
+std::string comm_json_fragment(const core::EpochStats& stats);
+std::string plan_json_fragment(const core::EpochStats& stats);
+std::string part_json_fragment(const core::EpochStats& stats);
+std::string pipeline_json_fragment(const core::EpochStats& stats);
 
 /// Isolated one-shot distributed SpMM for the timeline figures (6 and 8):
 /// partitions the dataset's normalized adjacency transpose, allocates the

@@ -17,6 +17,15 @@ void write_pod(std::ofstream& os, const T& value) {
   os.write(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
+/// Bytes between the read position and the end of the file.
+std::uint64_t bytes_left(std::ifstream& is) {
+  const auto pos = is.tellg();
+  is.seekg(0, std::ios::end);
+  const auto end = is.tellg();
+  is.seekg(pos);
+  return static_cast<std::uint64_t>(end - pos);
+}
+
 template <typename T>
 T read_pod(std::ifstream& is) {
   T value{};
@@ -77,15 +86,24 @@ Checkpoint load_checkpoint(const std::string& path) {
 
   Checkpoint checkpoint;
   checkpoint.adam_step = read_pod<std::int32_t>(is);
+  MGGCN_CHECK_MSG(checkpoint.adam_step >= 0, "corrupt checkpoint step");
   const auto layers = read_pod<std::uint32_t>(is);
   for (std::uint32_t l = 0; l < layers; ++l) {
     const auto rows = read_pod<std::int64_t>(is);
     const auto cols = read_pod<std::int64_t>(is);
-    MGGCN_CHECK_MSG(rows > 0 && cols > 0, "corrupt checkpoint shape");
+    // W, m and v are rows x cols floats each; the file must hold them
+    // before the shape sizes an allocation.
+    const std::uint64_t floats = bytes_left(is) / (3 * sizeof(float));
+    MGGCN_CHECK_MSG(rows > 0 && cols > 0 &&
+                        static_cast<std::uint64_t>(rows) <= floats &&
+                        static_cast<std::uint64_t>(cols) <=
+                            floats / static_cast<std::uint64_t>(rows),
+                    "corrupt checkpoint shape");
     checkpoint.weights.push_back(read_matrix(is, rows, cols));
     checkpoint.adam_m.push_back(read_matrix(is, rows, cols));
     checkpoint.adam_v.push_back(read_matrix(is, rows, cols));
   }
+  MGGCN_CHECK_MSG(bytes_left(is) == 0, "trailing bytes in checkpoint");
   return checkpoint;
 }
 

@@ -1,5 +1,6 @@
 #include "sparse/io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -29,6 +30,15 @@ T read_pod(std::ifstream& is) {
   is.read(reinterpret_cast<char*>(&value), sizeof(T));
   MGGCN_CHECK_MSG(static_cast<bool>(is), "truncated csr file");
   return value;
+}
+
+/// Bytes between the read position and the end of the file.
+std::uint64_t bytes_left(std::ifstream& is) {
+  const auto pos = is.tellg();
+  is.seekg(0, std::ios::end);
+  const auto end = is.tellg();
+  is.seekg(pos);
+  return static_cast<std::uint64_t>(end - pos);
 }
 
 template <typename T>
@@ -65,10 +75,27 @@ Csr read_csr(const std::string& path) {
   const auto rows = read_pod<std::int64_t>(is);
   const auto cols = read_pod<std::int64_t>(is);
   const auto nnz = read_pod<std::int64_t>(is);
+  // The header sizes every array, so it must describe exactly the bytes
+  // the file holds before anything is allocated from it. Column indices
+  // are u32, which bounds cols.
+  const std::uint64_t left = bytes_left(is);
+  MGGCN_CHECK_MSG(rows >= 0 && cols >= 0 && cols <= (std::int64_t{1} << 32) &&
+                      nnz >= 0 && static_cast<std::uint64_t>(rows) < left &&
+                      static_cast<std::uint64_t>(nnz) < left &&
+                      (static_cast<std::uint64_t>(rows + nnz) + 1) * 8 == left,
+                  "csr header does not match the file size of " + path);
   auto row_ptr =
       read_vec<std::int64_t>(is, static_cast<std::size_t>(rows) + 1);
   auto col_idx = read_vec<std::uint32_t>(is, static_cast<std::size_t>(nnz));
   auto values = read_vec<float>(is, static_cast<std::size_t>(nnz));
+  // Checked here rather than in the Csr constructor, which hot paths call
+  // per batch on structure they built themselves.
+  MGGCN_CHECK_MSG(row_ptr.front() == 0 && row_ptr.back() == nnz &&
+                      std::is_sorted(row_ptr.begin(), row_ptr.end()),
+                  "csr row_ptr is not monotone from 0 to nnz in " + path);
+  MGGCN_CHECK_MSG(std::all_of(col_idx.begin(), col_idx.end(),
+                              [cols](std::uint32_t c) { return c < cols; }),
+                  "csr column index out of range in " + path);
   return Csr(rows, cols, std::move(row_ptr), std::move(col_idx),
              std::move(values));
 }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 
 #include "core/checkpoint.hpp"
@@ -65,13 +66,61 @@ TEST(Checkpoint, FileRoundTrip) {
   }
 }
 
+std::string read_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), {}};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
 TEST(Checkpoint, RejectsCorruptFile) {
   const std::string path = temp_path("mggcn_test_ckpt_bad.bin");
-  {
-    std::ofstream os(path, std::ios::binary);
-    os << "garbage";
+  write_bytes(path, "garbage");
+  EXPECT_THROW((void)load_checkpoint(path), InvalidArgumentError);
+
+  Checkpoint original;
+  original.adam_step = 7;
+  for (const auto& [rows, cols] : {std::pair{4L, 6L}, std::pair{6L, 2L}}) {
+    original.weights.emplace_back(rows, cols);
+    original.adam_m.emplace_back(rows, cols);
+    original.adam_v.emplace_back(rows, cols);
   }
-  EXPECT_THROW(load_checkpoint(path), Error);
+  save_checkpoint(original, path);
+  const std::string good = read_bytes(path);
+
+  for (std::size_t length = 0; length < good.size(); ++length) {
+    write_bytes(path, good.substr(0, length));
+    EXPECT_THROW((void)load_checkpoint(path), InvalidArgumentError)
+        << "truncated to " << length << " bytes";
+  }
+
+  // magic[8] | version u32 | adam_step i32 | layers u32, then per layer
+  // rows i64 | cols i64 | W, m, v f32[rows * cols].
+  constexpr std::size_t kStep = 12;
+  std::vector<std::size_t> header;
+  for (std::size_t i = 0; i < 20; ++i) header.push_back(i);
+  std::size_t layer = 20;
+  for (const auto& w : original.weights) {
+    for (std::size_t i = 0; i < 16; ++i) header.push_back(layer + i);
+    layer += 16 + 3 * static_cast<std::size_t>(w.size()) * sizeof(float);
+  }
+  for (const std::size_t i : header) {
+    std::string bad = good;
+    bad[i] = static_cast<char>(~bad[i]);
+    write_bytes(path, bad);
+    if (i >= kStep && i < kStep + 3) {
+      // The step count has no redundancy: flipping a low byte gives
+      // another non-negative step, which is a valid file.
+      EXPECT_NE(load_checkpoint(path).adam_step, original.adam_step);
+      continue;
+    }
+    EXPECT_THROW((void)load_checkpoint(path), InvalidArgumentError)
+        << "header byte " << i << " flipped";
+  }
+  write_bytes(path, good + '\0');
+  EXPECT_THROW((void)load_checkpoint(path), InvalidArgumentError);
   std::remove(path.c_str());
 }
 

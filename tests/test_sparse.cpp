@@ -3,9 +3,12 @@
 // SpMM against a dense oracle, and the binary IO (PIGO stand-in).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <filesystem>
+#include <iterator>
 
 #include "dense/kernels.hpp"
 #include "graph/generators.hpp"
@@ -265,15 +268,69 @@ TEST(Io, CsrRoundTrip) {
   std::remove(path.c_str());
 }
 
+std::string read_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), {}};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+template <typename T>
+void patch(std::string& bytes, std::size_t offset, T value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(T));
+}
+
 TEST(Io, RejectsCorruptFile) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "mggcn_test_bad.csr")
           .string();
-  {
-    std::ofstream os(path, std::ios::binary);
-    os << "not a csr file";
+  write_bytes(path, "not a csr file");
+  EXPECT_THROW((void)read_csr(path), InvalidArgumentError);
+
+  const Csr a = random_csr(23, 19, 0.25, 18);
+  write_csr(a, path);
+  const std::string good = read_bytes(path);
+  // magic[8] | rows i64 | cols i64 | nnz i64 | row_ptr | col_idx | values
+  constexpr std::size_t kCols = 16, kHeader = 32;
+
+  for (std::size_t length = 0; length < good.size(); ++length) {
+    write_bytes(path, good.substr(0, length));
+    EXPECT_THROW((void)read_csr(path), InvalidArgumentError)
+        << "truncated to " << length << " bytes";
   }
-  EXPECT_THROW(read_csr(path), Error);
+  for (std::size_t i = 0; i < kHeader; ++i) {
+    std::string bad = good;
+    bad[i] = static_cast<char>(~bad[i]);
+    write_bytes(path, bad);
+    if (i >= kCols && i < kCols + 4) {
+      // Nothing else in the file pins cols: flipping one of its low four
+      // bytes widens the matrix within the u32 index range, which is a
+      // valid file with the same entries.
+      const Csr b = read_csr(path);
+      EXPECT_GT(b.cols(), a.cols());
+      EXPECT_TRUE(std::ranges::equal(b.row_ptr(), a.row_ptr()) &&
+                  std::ranges::equal(b.col_idx(), a.col_idx()) &&
+                  std::ranges::equal(b.values(), a.values()));
+      continue;
+    }
+    EXPECT_THROW((void)read_csr(path), InvalidArgumentError)
+        << "header byte " << i << " flipped";
+  }
+
+  // Body corruption the size check cannot see.
+  const std::size_t row_ptr = kHeader;
+  const std::size_t col_idx =
+      row_ptr + 8 * static_cast<std::size_t>(a.rows() + 1);
+  std::string bad = good;
+  patch(bad, row_ptr + 8, a.nnz() + 1);  // row_ptr no longer monotone
+  write_bytes(path, bad);
+  EXPECT_THROW((void)read_csr(path), InvalidArgumentError);
+  bad = good;
+  patch(bad, col_idx, static_cast<std::uint32_t>(a.cols()));
+  write_bytes(path, bad);
+  EXPECT_THROW((void)read_csr(path), InvalidArgumentError);
   std::remove(path.c_str());
 }
 

@@ -204,14 +204,21 @@ TEST(WorkspacePool, CrossStreamReuseWithoutDeclaredWaitIsFlagged) {
 
 // --- satellite: release_memory underflow surfaces in the trace -----------
 
-TEST(DeviceLedger, ReleaseUnderflowIsCounted) {
+// An underflow is fatal in debug builds (the assert in release_memory) and
+// counted-and-clamped in release builds.
+TEST(DeviceLedgerDeathTest, ReleaseUnderflowIsCounted) {
+  // The machine owns worker threads, so the death test must re-execute.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   sim::Machine machine(sim::dgx_v100(), 1, sim::ExecutionMode::kPhantom);
   sim::Device& device = machine.device(0);
   device.reserve_memory(128, "probe");
   EXPECT_EQ(machine.trace().pool_counters().release_underflows, 0u);
-  device.release_memory(4096);  // more than reserved: accounting leak
+  // More than reserved: an accounting leak.
+  EXPECT_DEBUG_DEATH(device.release_memory(4096), "underflow");
+#ifdef NDEBUG
   EXPECT_EQ(machine.trace().pool_counters().release_underflows, 1u);
   EXPECT_EQ(device.memory_used(), 0u);  // clamped, not wrapped
+#endif
 }
 
 // --- the documented L+3 slope --------------------------------------------
