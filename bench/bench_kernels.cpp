@@ -10,6 +10,10 @@
 // flops_per_s counter — the stable unit scripts/check_perf.py gates CI perf
 // regressions on. The GeMM benches stay {naive, tiled}: the planned policy
 // shares the tiled dense kernels, so planned rows would be duplicates.
+// Besides the square m:2048/d sweep, the GeMMs run at one device's share of
+// fullbatch-products (".../m:13056/in:104/out:512" and in:512/out:47: the
+// forward, the weight gradient and, for the 47-wide layer, the plain and
+// ReLU-masked input gradient), where n or k is 47.
 // Planned SpMM rows additionally report plan_build_s (the one-time
 // inspector cost), and SpmmAmortized rows measure one inspection plus a
 // burst of executions — the shape a training run actually sees. SpmmSkew
@@ -25,6 +29,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "core/feature_cache.hpp"
 #include "core/gcn_kernels.hpp"
@@ -46,6 +51,10 @@ namespace {
 constexpr std::int64_t kFeatureSweep[] = {32, 128, 512};
 constexpr dense::KernelPolicy kPolicies[] = {dense::KernelPolicy::kNaive,
                                              dense::KernelPolicy::kTiled};
+/// Rows per device of fullbatch-products and its (in, out) layer dims.
+constexpr std::int64_t kFullbatchRows = 13056;
+constexpr std::pair<std::int64_t, std::int64_t> kFullbatchLayers[] = {
+    {104, 512}, {512, 47}};
 constexpr dense::KernelPolicy kSpmmPolicies[] = {dense::KernelPolicy::kNaive,
                                                  dense::KernelPolicy::kTiled,
                                                  dense::KernelPolicy::kPlanned};
@@ -126,50 +135,58 @@ void bm_spmm_amortized(benchmark::State& state, std::int64_t n,
 }
 
 void bm_gemm(benchmark::State& state, dense::KernelPolicy policy,
-             std::int64_t m, std::int64_t d) {
+             std::int64_t m, std::int64_t k, std::int64_t n) {
   util::Knob<dense::KernelPolicy>::Scoped scope(dense::kernel_policy_knob,
                                                 policy);
-  const dense::HostMatrix a = random_matrix(m, d);
-  const dense::HostMatrix b = random_matrix(d, d);
-  dense::HostMatrix c(m, d);
+  const dense::HostMatrix a = random_matrix(m, k);
+  const dense::HostMatrix b = random_matrix(k, n);
+  dense::HostMatrix c(m, n);
   for (auto _ : state) {
     dense::gemm(a.view(), b.view(), c.view());
     benchmark::DoNotOptimize(c.data());
   }
-  state.SetItemsProcessed(state.iterations() * 2 * m * d * d);
-  set_flops_counter(state, 2.0 * static_cast<double>(m * d * d));
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+  set_flops_counter(state, 2.0 * static_cast<double>(m * k * n));
 }
 
+/// The weight-gradient shape: C(k x n) = A(m x k)^T * B(m x n).
 void bm_gemm_at_b(benchmark::State& state, dense::KernelPolicy policy,
-                  std::int64_t m, std::int64_t d) {
+                  std::int64_t m, std::int64_t k, std::int64_t n) {
   util::Knob<dense::KernelPolicy>::Scoped scope(dense::kernel_policy_knob,
                                                 policy);
-  const dense::HostMatrix a = random_matrix(m, d);
-  const dense::HostMatrix b = random_matrix(m, d);
-  dense::HostMatrix c(d, d);
+  const dense::HostMatrix a = random_matrix(m, k);
+  const dense::HostMatrix b = random_matrix(m, n);
+  dense::HostMatrix c(k, n);
   for (auto _ : state) {
     dense::gemm_at_b(a.view(), b.view(), c.view());
     benchmark::DoNotOptimize(c.data());
   }
-  set_flops_counter(state, 2.0 * static_cast<double>(m * d * d));
+  set_flops_counter(state, 2.0 * static_cast<double>(m * k * n));
 }
 
-void bm_gemm_a_bt_masked(benchmark::State& state, dense::KernelPolicy policy,
-                         std::int64_t m, std::int64_t d) {
+/// The input-gradient shape of a k -> n layer: C(m x k) = G(m x n) * W^T
+/// with W (k x n), plain or fused with the ReLU mask.
+void bm_gemm_a_bt(benchmark::State& state, dense::KernelPolicy policy,
+                  bool masked, std::int64_t m, std::int64_t k,
+                  std::int64_t n) {
   util::Knob<dense::KernelPolicy>::Scoped scope(dense::kernel_policy_knob,
                                                 policy);
-  const dense::HostMatrix a = random_matrix(m, d);
-  const dense::HostMatrix w = random_matrix(d, d);
-  const dense::HostMatrix activation = random_matrix(m, d);
-  dense::HostMatrix c(m, d);
+  const dense::HostMatrix g = random_matrix(m, n);
+  const dense::HostMatrix w = random_matrix(k, n);
+  const dense::HostMatrix activation = random_matrix(m, k);
+  dense::HostMatrix c(m, k);
   for (auto _ : state) {
-    state.PauseTiming();
-    c = activation;  // the mask is consumed in place each iteration
-    state.ResumeTiming();
-    dense::gemm_a_bt_relu_masked(a.view(), w.view(), c.view());
+    if (masked) {
+      state.PauseTiming();
+      c = activation;  // the mask is consumed in place each iteration
+      state.ResumeTiming();
+      dense::gemm_a_bt_relu_masked(g.view(), w.view(), c.view());
+    } else {
+      dense::gemm_a_bt(g.view(), w.view(), c.view());
+    }
     benchmark::DoNotOptimize(c.data());
   }
-  set_flops_counter(state, 2.0 * static_cast<double>(m * d * d));
+  set_flops_counter(state, 2.0 * static_cast<double>(m * k * n));
 }
 
 void register_policy_benchmarks() {
@@ -199,16 +216,36 @@ void register_policy_benchmarks() {
   for (const auto policy : kPolicies) {
     const std::string tag = dense::kernel_policy_name(policy);
     for (const std::int64_t d : kFeatureSweep) {
-      benchmark::RegisterBenchmark(
-          ("Gemm/" + tag + "/m:2048/d:" + std::to_string(d)).c_str(), bm_gemm,
-          policy, 2048, d);
-      benchmark::RegisterBenchmark(
-          ("GemmAtB/" + tag + "/m:2048/d:" + std::to_string(d)).c_str(),
-          bm_gemm_at_b, policy, 2048, d);
-      benchmark::RegisterBenchmark(
-          ("GemmABtMasked/" + tag + "/m:2048/d:" + std::to_string(d)).c_str(),
-          bm_gemm_a_bt_masked, policy, 2048, d);
+      const std::string shape = "/m:2048/d:" + std::to_string(d);
+      benchmark::RegisterBenchmark(("Gemm/" + tag + shape).c_str(), bm_gemm,
+                                   policy, 2048, d, d);
+      benchmark::RegisterBenchmark(("GemmAtB/" + tag + shape).c_str(),
+                                   bm_gemm_at_b, policy, 2048, d, d);
+      benchmark::RegisterBenchmark(("GemmABtMasked/" + tag + shape).c_str(),
+                                   bm_gemm_a_bt, policy, /*masked=*/true, 2048,
+                                   d, d);
     }
+    // One device's share of fullbatch-products (Products 1/48 over 4
+    // devices, Model 1: 104 -> 512 -> 47): the narrow n = 47 and short
+    // k = 47 products the square sweep above never reaches.
+    for (const auto& [in, out] : kFullbatchLayers) {
+      const std::string shape = "/m:" + std::to_string(kFullbatchRows) +
+                                "/in:" + std::to_string(in) +
+                                "/out:" + std::to_string(out);
+      benchmark::RegisterBenchmark(("Gemm/" + tag + shape).c_str(), bm_gemm,
+                                   policy, kFullbatchRows, in, out);
+      benchmark::RegisterBenchmark(("GemmAtB/" + tag + shape).c_str(),
+                                   bm_gemm_at_b, policy, kFullbatchRows, in,
+                                   out);
+    }
+    const std::string last = "/m:" + std::to_string(kFullbatchRows) +
+                             "/in:512/out:47";
+    benchmark::RegisterBenchmark(("GemmABt/" + tag + last).c_str(),
+                                 bm_gemm_a_bt, policy, /*masked=*/false,
+                                 kFullbatchRows, 512, 47);
+    benchmark::RegisterBenchmark(("GemmABtMasked/" + tag + last).c_str(),
+                                 bm_gemm_a_bt, policy, /*masked=*/true,
+                                 kFullbatchRows, 512, 47);
   }
 }
 

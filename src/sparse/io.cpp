@@ -140,9 +140,22 @@ Coo read_matrix_market(const std::string& path) {
   std::int64_t rows = 0, cols = 0, nnz = 0;
   MGGCN_CHECK_MSG(static_cast<bool>(sizes >> rows >> cols >> nnz),
                   "bad MatrixMarket size line in " + path);
+  // Indices are stored as u32, and the header's nnz counts distinct
+  // entries of a rows x cols matrix (computed without overflowing rows*cols).
+  constexpr std::int64_t kMaxDim = std::int64_t{1} << 32;
+  MGGCN_CHECK_MSG(rows >= 0 && cols >= 0 && nnz >= 0 && rows <= kMaxDim &&
+                      cols <= kMaxDim,
+                  "bad MatrixMarket sizes in " + path);
+  MGGCN_CHECK_MSG(
+      cols == 0 ? nnz == 0 : nnz / cols + (nnz % cols != 0 ? 1 : 0) <= rows,
+      "MatrixMarket nnz exceeds rows * cols in " + path);
 
+  // The header is not trusted with the allocation: reserve at most
+  // kMaxReserve entries up front and grow as entries actually arrive.
+  constexpr std::int64_t kMaxReserve = std::int64_t{1} << 20;
   Coo coo(rows, cols);
-  coo.reserve(static_cast<std::size_t>(symmetric ? 2 * nnz : nnz));
+  coo.reserve(static_cast<std::size_t>(std::min(nnz, kMaxReserve) *
+                                       (symmetric ? 2 : 1)));
   for (std::int64_t e = 0; e < nnz; ++e) {
     MGGCN_CHECK_MSG(static_cast<bool>(std::getline(is, line)),
                     "truncated MatrixMarket file: " + path);

@@ -4,10 +4,16 @@
 // tile), and CSR inputs with empty and high-degree rows; plus the
 // bit-for-bit beta == 0 SpMM agreement all three policies promise, and the
 // planned policy's one-time inspector accounting in the distributed
-// trainer's trace. The knob itself is covered by tests/test_util.cpp.
+// trainer's trace. The KernelPolicyParity tests hold the packed tiled
+// kernels to the unpacked ones they replaced, bit for bit (memcmp, not a
+// tolerance). The knob itself is covered by tests/test_util.cpp.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -22,6 +28,19 @@
 #include "util/rng.hpp"
 
 namespace mggcn {
+
+// The tiled kernels before B packing, verbatim: the bit-parity oracle
+// (tests/unpacked_tiled_kernels.cpp).
+namespace dense::unpacked_tiled {
+void gemm(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
+          float beta);
+void gemm_at_b(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
+               float beta);
+void gemm_a_bt(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
+               float beta);
+void gemm_a_bt_relu_masked(ConstMatrixView a, ConstMatrixView b, MatrixView c);
+}  // namespace dense::unpacked_tiled
+
 namespace {
 
 constexpr float kAlphas[] = {0.0f, 1.0f, 0.5f};
@@ -135,6 +154,207 @@ TEST(KernelPolicyProperty, TiledMaskedGemmMatchesNaive) {
     expect_close(c_naive.view(), c_tiled.view(), 1e-5,
                  case_name("masked", m, k, n, 1.0f, 0.0f));
   }
+}
+
+// --- bit parity with the unpacked tiled kernels ----------------------------
+
+/// m values straddling the kMr = 4 register tile and the 64-row cache
+/// block, n values straddling the kNr = 16 strip, the kW = 8 A * B^T strip
+/// and the 64-column block, and k values crossing the 8-wide short dot, the
+/// k = 128 switch to the long dot product and the kKc = 256 panel.
+constexpr std::int64_t kParityM[] = {1, 3, 5, 13, 70};
+constexpr std::int64_t kParityN[] = {1, 7, 16, 17, 47, 100};
+constexpr std::int64_t kParityK[] = {0,   1,   7,   8,   47, 127,
+                                     128, 255, 256, 257, 600};
+constexpr float kParityAlphas[] = {0.0f, 1.0f, -0.5f};
+
+bool same_bits(const dense::HostMatrix& a, const dense::HostMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+/// The starting C for a beta: NaN-filled when beta == 0, which must ignore
+/// it, random otherwise.
+dense::HostMatrix parity_c0(std::int64_t m, std::int64_t n, float beta,
+                            std::uint64_t seed) {
+  if (beta != 0.0f) return random_matrix(m, n, seed);
+  dense::HostMatrix c(m, n);
+  c.fill(std::numeric_limits<float>::quiet_NaN());
+  return c;
+}
+
+/// A ReLU activation used as the mask: random signs with exact 0, -0.0 and
+/// NaN entries mixed in, and every third row non-positive throughout so
+/// whole kW-column strips are inactive.
+dense::HostMatrix parity_mask(std::int64_t m, std::int64_t n,
+                              std::uint64_t seed) {
+  dense::HostMatrix c = random_matrix(m, n, seed);
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float& v = c.at(i, j);
+      if (i % 3 == 0) v = -std::fabs(v);
+      const std::int64_t e = i * n + j;
+      if (e % 5 == 1) v = 0.0f;
+      if (e % 7 == 2) v = -0.0f;
+      if (e % 11 == 3) v = std::numeric_limits<float>::quiet_NaN();
+    }
+  }
+  return c;
+}
+
+using GemmFn = void (*)(dense::ConstMatrixView, dense::ConstMatrixView,
+                        dense::MatrixView, float, float);
+
+/// Runs `tiled` and `oracle` from the same C over every parity shape and
+/// alpha/beta pair; A and B take the kernel's layout via `a_rows_k` (A is
+/// k x m) and `b_rows_n` (B is n x k).
+void expect_gemm_parity(const char* kernel, GemmFn tiled, GemmFn oracle,
+                        bool a_rows_k, bool b_rows_n) {
+  for (const std::int64_t m : kParityM) {
+    for (const std::int64_t n : kParityN) {
+      for (const std::int64_t k : kParityK) {
+        const dense::HostMatrix a = a_rows_k ? random_matrix(k, m, 20)
+                                             : random_matrix(m, k, 20);
+        const dense::HostMatrix b = b_rows_n ? random_matrix(n, k, 21)
+                                             : random_matrix(k, n, 21);
+        for (const float alpha : kParityAlphas) {
+          for (const float beta : kBetas) {
+            dense::HostMatrix c_tiled = parity_c0(m, n, beta, 22);
+            dense::HostMatrix c_oracle = c_tiled;
+            tiled(a.view(), b.view(), c_tiled.view(), alpha, beta);
+            oracle(a.view(), b.view(), c_oracle.view(), alpha, beta);
+            EXPECT_TRUE(same_bits(c_tiled, c_oracle))
+                << case_name(kernel, m, k, n, alpha, beta);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelPolicyParity, GemmBitIdenticalToUnpackedKernel) {
+  expect_gemm_parity("gemm", dense::tiled::gemm, dense::unpacked_tiled::gemm,
+                     /*a_rows_k=*/false, /*b_rows_n=*/false);
+}
+
+TEST(KernelPolicyParity, GemmAtBBitIdenticalToUnpackedKernel) {
+  expect_gemm_parity("gemm_at_b", dense::tiled::gemm_at_b,
+                     dense::unpacked_tiled::gemm_at_b, /*a_rows_k=*/true,
+                     /*b_rows_n=*/false);
+}
+
+TEST(KernelPolicyParity, GemmABtBitIdenticalToUnpackedKernel) {
+  expect_gemm_parity("gemm_a_bt", dense::tiled::gemm_a_bt,
+                     dense::unpacked_tiled::gemm_a_bt, /*a_rows_k=*/false,
+                     /*b_rows_n=*/true);
+}
+
+TEST(KernelPolicyParity, MaskedGemmBitIdenticalToUnpackedKernel) {
+  for (const std::int64_t m : kParityM) {
+    for (const std::int64_t n : kParityN) {
+      for (const std::int64_t k : kParityK) {
+        const dense::HostMatrix a = random_matrix(m, k, 23);
+        const dense::HostMatrix b = random_matrix(n, k, 24);
+        dense::HostMatrix c_tiled = parity_mask(m, n, 25);
+        dense::HostMatrix c_oracle = c_tiled;
+        dense::tiled::gemm_a_bt_relu_masked(a.view(), b.view(),
+                                            c_tiled.view());
+        dense::unpacked_tiled::gemm_a_bt_relu_masked(a.view(), b.view(),
+                                                     c_oracle.view());
+        EXPECT_TRUE(same_bits(c_tiled, c_oracle))
+            << case_name("masked", m, k, n, 1.0f, 0.0f);
+      }
+    }
+  }
+}
+
+TEST(KernelPolicyParity, ConcurrentCallsShareNoPackScratch) {
+  // Each thread packs into its own scratch buffer, grown on demand and
+  // reused: two threads interleaving calls with different (and growing,
+  // then shrinking) n must each match the oracle bit for bit. A shared
+  // buffer would be repacked (or reallocated) under the other thread.
+  std::atomic<int> ready{0};
+  auto worker = [&ready](std::int64_t n0, std::uint64_t seed,
+                         int* mismatches) {
+    ++ready;
+    while (ready.load() < 2) std::this_thread::yield();
+    for (int round = 0; round < 48; ++round) {
+      const std::int64_t n = n0 * (1 + round % 3) + round;
+      const std::int64_t m = 96, k = round % 2 == 0 ? 300 : 47;
+      const dense::HostMatrix a = random_matrix(m, k, seed + round);
+      const dense::HostMatrix b = random_matrix(k, n, seed + 100 + round);
+      const dense::HostMatrix bt = random_matrix(n, k, seed + 200 + round);
+      dense::HostMatrix c(m, n), c_oracle(m, n);
+      dense::tiled::gemm(a.view(), b.view(), c.view(), 1.0f, 0.0f);
+      dense::unpacked_tiled::gemm(a.view(), b.view(), c_oracle.view(), 1.0f,
+                                  0.0f);
+      *mismatches += same_bits(c, c_oracle) ? 0 : 1;
+      dense::tiled::gemm_a_bt(a.view(), bt.view(), c.view(), 1.0f, 0.0f);
+      dense::unpacked_tiled::gemm_a_bt(a.view(), bt.view(), c_oracle.view(),
+                                       1.0f, 0.0f);
+      *mismatches += same_bits(c, c_oracle) ? 0 : 1;
+    }
+  };
+  int mismatches0 = 0, mismatches1 = 0;
+  std::thread t0(worker, 16, 31, &mismatches0);
+  std::thread t1(worker, 45, 32, &mismatches1);
+  t0.join();
+  t1.join();
+  EXPECT_EQ(mismatches0, 0);
+  EXPECT_EQ(mismatches1, 0);
+}
+
+/// Floats in [-1, 1) with 24 significant bits from an integer LCG: no libm
+/// and no rounding, so the same matrix on every platform.
+dense::HostMatrix lcg_matrix(std::int64_t rows, std::int64_t cols,
+                             std::uint64_t state) {
+  dense::HostMatrix m(rows, cols);
+  for (std::int64_t i = 0; i < m.size(); ++i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const auto mantissa = static_cast<std::int32_t>(state >> 40) - (1 << 23);
+    m.data()[i] = static_cast<float>(mantissa) / static_cast<float>(1 << 23);
+  }
+  return m;
+}
+
+/// FNV-1a over the bit patterns of `m`, folded into `hash`.
+std::uint64_t fold_bits(std::uint64_t hash, const dense::HostMatrix& m) {
+  for (std::int64_t i = 0; i < m.size(); ++i) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, m.data() + i, sizeof(bits));
+    for (int byte = 0; byte < 4; ++byte) {
+      hash = (hash ^ ((bits >> (8 * byte)) & 0xffu)) * 1099511628211ULL;
+    }
+  }
+  return hash;
+}
+
+TEST(KernelPolicyParity, TiledOutputBitsArePinned) {
+  // Every multiply and add of the tiled kernels is a distinct IEEE operation
+  // in a fixed order (-ffp-contract=off, no reassociation), so their output
+  // bits are a function of the inputs alone: the same under every
+  // MGGCN_KERNEL_MARCH level, the baseline ISA included. The hash was
+  // recorded from the default x86-64-v3 build; a build whose kernels round
+  // differently fails here.
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const std::int64_t k : {47, 300}) {
+    const std::int64_t m = 37, n = 47;
+    const dense::HostMatrix a = lcg_matrix(m, k, 1);
+    const dense::HostMatrix at = lcg_matrix(k, m, 2);
+    const dense::HostMatrix b = lcg_matrix(k, n, 3);
+    const dense::HostMatrix bt = lcg_matrix(n, k, 4);
+    dense::HostMatrix c = lcg_matrix(m, n, 5);
+    dense::tiled::gemm(a.view(), b.view(), c.view(), 0.75f, 0.5f);
+    hash = fold_bits(hash, c);
+    dense::tiled::gemm_at_b(at.view(), b.view(), c.view(), -1.25f, 1.0f);
+    hash = fold_bits(hash, c);
+    dense::tiled::gemm_a_bt(a.view(), bt.view(), c.view(), 0.5f, 0.25f);
+    hash = fold_bits(hash, c);
+    dense::tiled::gemm_a_bt_relu_masked(a.view(), bt.view(), c.view());
+    hash = fold_bits(hash, c);
+  }
+  EXPECT_EQ(hash, 0x2810558918ab6dfcULL) << std::hex << hash;
 }
 
 /// CSR with forced empty rows, one dense (high-degree) row to exercise the

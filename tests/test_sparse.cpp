@@ -378,6 +378,39 @@ TEST(Io, MatrixMarketRejectsGarbage) {
   std::remove(path.c_str());
 }
 
+TEST(Io, MatrixMarketRejectsBadSizes) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "mggcn_test_sizes.mtx")
+          .string();
+  auto read_with_sizes = [&](const std::string& sizes,
+                             const std::string& entries) {
+    {
+      std::ofstream os(path, std::ios::trunc);
+      os << "%%MatrixMarket matrix coordinate real general\n"
+         << sizes << "\n"
+         << entries;
+    }
+    return read_matrix_market(path);
+  };
+  EXPECT_THROW((void)read_with_sizes("-1 3 0", ""), InvalidArgumentError);
+  EXPECT_THROW((void)read_with_sizes("3 -3 0", ""), InvalidArgumentError);
+  EXPECT_THROW((void)read_with_sizes("3 3 -1", ""), InvalidArgumentError);
+  EXPECT_THROW((void)read_with_sizes("3 3 10", ""), InvalidArgumentError);
+  EXPECT_THROW((void)read_with_sizes("0 3 1", "1 1 1.0\n"),
+               InvalidArgumentError);
+  EXPECT_THROW((void)read_with_sizes("8589934592 1 1", "1 1 1.0\n"),
+               InvalidArgumentError);
+  // A header claiming 2^40 entries of a 2^20 x 2^20 matrix, followed by two:
+  // the reader must not reserve for the claim, and fails as truncated.
+  EXPECT_THROW((void)read_with_sizes("1048576 1048576 1099511627776",
+                                     "1 2 1.0\n3 4 2.0\n"),
+               InvalidArgumentError);
+  // The boundary itself is legal: a full 2 x 2 matrix.
+  const Coo full = read_with_sizes("2 2 4", "1 1 1\n1 2 2\n2 1 3\n2 2 4\n");
+  EXPECT_EQ(full.nnz(), 4);
+  std::remove(path.c_str());
+}
+
 TEST(Io, EdgeListRoundTrip) {
   const Csr a = random_csr(12, 12, 0.3, 19);
   const std::string path =
