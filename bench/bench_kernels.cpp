@@ -14,6 +14,10 @@
 // fullbatch-products (".../m:13056/in:104/out:512" and in:512/out:47: the
 // forward, the weight gradient and, for the 47-wide layer, the plain and
 // ReLU-masked input gradient), where n or k is 47.
+// ReluForward and ReluBackward run out of place at the same share
+// (".../m:13056/d:512"), once as the library's loops (".../tiled/...") and
+// once as the branching loops the library used to build (".../naive/..."),
+// so the tiled-over-naive floor also guards the ReLU vectorization.
 // Planned SpMM rows additionally report plan_build_s (the one-time
 // inspector cost), and SpmmAmortized rows measure one inspection plus a
 // burst of executions — the shape a training run actually sees. SpmmSkew
@@ -189,6 +193,47 @@ void bm_gemm_a_bt(benchmark::State& state, dense::KernelPolicy policy,
   set_flops_counter(state, 2.0 * static_cast<double>(m * k * n));
 }
 
+/// The ReLU loops as the library built them before they moved to the
+/// kernel-flag translation unit: here, at the bench's default flags, the
+/// ternaries stay compare-and-branch loops. The `naive` ReLU twin rows.
+[[gnu::noinline]] void relu_forward_naive(const float* in, float* out,
+                                          std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) out[i] = in[i] > 0.0f ? in[i] : 0.0f;
+}
+
+[[gnu::noinline]] void relu_backward_naive(const float* grad_out,
+                                           const float* pre_activation,
+                                           float* grad_in, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    grad_in[i] = pre_activation[i] > 0.0f ? grad_out[i] : 0.0f;
+  }
+}
+
+/// ReLU forward (or backward) over a rows x cols activation, out of place
+/// from a fixed sign-random source: rectified in place, every iteration
+/// after the first would time input that is already non-negative.
+/// flops_per_s counts one compare per element.
+void bm_relu(benchmark::State& state, bool backward, bool naive,
+             std::int64_t rows, std::int64_t cols) {
+  const dense::HostMatrix pre = random_matrix(rows, cols);
+  dense::HostMatrix out(rows, cols);
+  const std::int64_t n = out.size();
+  for (auto _ : state) {
+    if (backward) {
+      // The gradient's values do not steer the select; `pre` serves.
+      (naive ? relu_backward_naive : dense::relu_backward)(
+          pre.data(), pre.data(), out.data(), n);
+    } else {
+      (naive ? relu_forward_naive : dense::relu_forward)(pre.data(),
+                                                         out.data(), n);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * n * (backward ? 12 : 8));
+  set_flops_counter(state, static_cast<double>(n));
+}
+
 void register_policy_benchmarks() {
   for (const auto policy : kSpmmPolicies) {
     const std::string tag = dense::kernel_policy_name(policy);
@@ -247,6 +292,19 @@ void register_policy_benchmarks() {
                                  bm_gemm_a_bt, policy, /*masked=*/true,
                                  kFullbatchRows, 512, 47);
   }
+  // The ReLU passes are policy-independent; their naive twins are the
+  // branching loops above, at the trainer's 512-wide hidden layer.
+  const std::string relu_shape =
+      "/m:" + std::to_string(kFullbatchRows) + "/d:512";
+  for (const bool naive : {true, false}) {
+    const std::string tag = naive ? "naive" : "tiled";
+    benchmark::RegisterBenchmark(("ReluForward/" + tag + relu_shape).c_str(),
+                                 bm_relu, /*backward=*/false, naive,
+                                 kFullbatchRows, 512);
+    benchmark::RegisterBenchmark(("ReluBackward/" + tag + relu_shape).c_str(),
+                                 bm_relu, /*backward=*/true, naive,
+                                 kFullbatchRows, 512);
+  }
 }
 
 // --- policy-independent kernels (sparse attention, elementwise, optimizer) --
@@ -278,15 +336,14 @@ void BM_EdgeSoftmax(benchmark::State& state) {
 BENCHMARK(BM_EdgeSoftmax)->Arg(4096)->Arg(16384);
 
 void BM_ReluForward(benchmark::State& state) {
-  const auto n = state.range(0);
-  dense::HostMatrix x = random_matrix(n, 64);
-  for (auto _ : state) {
-    dense::relu_forward(x.data(), x.data(), x.size());
-    benchmark::DoNotOptimize(x.data());
-  }
-  state.SetBytesProcessed(state.iterations() * x.size() * 8);
+  bm_relu(state, /*backward=*/false, /*naive=*/false, state.range(0), 64);
 }
 BENCHMARK(BM_ReluForward)->Arg(1 << 14)->Arg(1 << 17);
+
+void BM_ReluBackward(benchmark::State& state) {
+  bm_relu(state, /*backward=*/true, /*naive=*/false, state.range(0), 64);
+}
+BENCHMARK(BM_ReluBackward)->Arg(1 << 14)->Arg(1 << 17);
 
 void BM_SoftmaxXent(benchmark::State& state) {
   const auto n = state.range(0);

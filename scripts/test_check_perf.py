@@ -422,6 +422,19 @@ class GateTest(unittest.TestCase):
             with self.subTest(line=line):
                 self.assert_fails_with(self.run_gates({}, doc), line)
 
+    def test_relu_twin_floor(self) -> None:
+        # The ReLU rows have no policy of their own; their naive/tiled twins
+        # fall under the same tiled-over-naive floor as the GeMMs.
+        doc = kernels_doc()
+        doc["benchmarks"] += [
+            {"name": f"ReluForward/{tag}/m:13056/d:512",
+             "run_type": "iteration", "flops_per_s": rate}
+            for tag, rate in (("naive", 1e9), ("tiled", 1.1e9))]
+        self.assert_fails_with(
+            self.run_gates({}, doc),
+            "speedup below floor: ReluForward/tiled/m:13056/d:512 is 1.10x "
+            "over naive (required 1.20x)")
+
     def test_kernel_regression(self) -> None:
         baseline = {"benchmarks": {"Gemm/tiled/n:64": 4e9,
                                    "Gone/naive/n:1": 1e9}}

@@ -151,19 +151,6 @@ void gemm_a_bt_relu_masked(ConstMatrixView a, ConstMatrixView b,
   dense_kernels(kernel_policy()).gemm_a_bt_relu_masked(a, b, c);
 }
 
-void relu_forward(const float* in, float* out, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    out[i] = in[i] > 0.0f ? in[i] : 0.0f;
-  }
-}
-
-void relu_backward(const float* grad_out, const float* pre_activation,
-                   float* grad_in, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    grad_in[i] = pre_activation[i] > 0.0f ? grad_out[i] : 0.0f;
-  }
-}
-
 void fill(float* dst, std::int64_t n, float value) {
   std::fill(dst, dst + n, value);
 }

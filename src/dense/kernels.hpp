@@ -32,7 +32,7 @@ void gemm_a_bt(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
 void gemm_a_bt_relu_masked(ConstMatrixView a, ConstMatrixView b, MatrixView c);
 }  // namespace naive
 
-/// Register-tiled, k-panel cache-blocked, auto-vectorizable implementations.
+/// Register-tiled, k-panel cache-blocked, packed implementations.
 namespace tiled {
 void gemm(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
           float beta);
@@ -66,10 +66,16 @@ void gemm_a_bt(ConstMatrixView a, ConstMatrixView b, MatrixView c,
 void gemm_a_bt_relu_masked(ConstMatrixView a, ConstMatrixView b,
                            MatrixView c);
 
-/// out = max(in, 0), elementwise over n values (eq. (7)).
+/// out[i] = in[i] > 0 ? in[i] : +0.0, elementwise over n values (eq. (7)):
+/// max(in, 0), except that NaN (of either sign, any payload) and -0.0 both
+/// map to +0.0, and a positive input passes through with its exact bits.
+/// `out` may equal `in`.
 void relu_forward(const float* in, float* out, std::int64_t n);
 
-/// grad_in = grad_out where pre_activation > 0 else 0 (eq. (8)).
+/// grad_in[i] = pre_activation[i] > 0 ? grad_out[i] : +0.0 (eq. (8)): the
+/// gradient's exact bits (NaN payloads included) where the pre-activation
+/// is positive, +0.0 where it is not (NaN, +-0.0 and negatives).
+/// `grad_in` may equal `grad_out`.
 void relu_backward(const float* grad_out, const float* pre_activation,
                    float* grad_in, std::int64_t n);
 

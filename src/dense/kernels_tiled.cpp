@@ -1,72 +1,122 @@
 // Register-tiled, cache-blocked GeMM variants (the `tiled` kernel policy).
 //
-// Structure (what cuBLAS does on a GPU, translated to one host core):
-//   - A * B and A^T * B: the k dimension is blocked into kKc panels, and each
-//     B panel is packed into kNr-wide column strips (kKc x kNr floats =
-//     16 KiB, L1-resident), zero-padded past n, in a per-thread scratch
-//     buffer reused across calls. Every strip, the ragged last one included,
-//     runs the full kMr x kNr register tile: the accumulators live in vector
-//     registers across the panel, so the inner loop is one contiguous strip
-//     load + kMr broadcast-FMAs per k step. Only the m-tail rows (m % kMr)
-//     take a bounds-checked kernel; the last strip stores only its real
-//     columns. Packing also replaces the ldb-strided B walk, whose stride
-//     aliases L1 sets at power-of-two n;
+// Structure (the Goto/BLIS layering cuBLAS also follows, translated to one
+// host core):
+//   - A * B and A^T * B: the k dimension is blocked into kKc panels. Each B
+//     panel is packed into kNr-wide column strips (kc x kNr floats, L1-
+//     resident), zero-padded past n. Each kMr-row sliver of the A panel is
+//     packed (kc x kMr, zero-padded past m) into a stack buffer by the
+//     micro-kernel call of the panel's first strip, which reads A in place
+//     and prefetches ahead; the other strips read the sliver. Both layouts
+//     of A thus reach the inner loop as one contiguous stream, and A's
+//     memory traffic overlaps compute.
+//     The micro-kernel keeps its kMr x kNr tile of C in 2 * kMr vector
+//     registers across the whole panel: per k step it does two strip loads,
+//     kMr broadcasts and 2 * kMr multiplies and adds, and touches no memory
+//     for the accumulators. Every sliver and strip, the ragged ones
+//     included, runs this one kernel; only the stores skip the padding.
+//     Packing also replaces the ldb-strided B walk, whose stride aliases L1
+//     sets at power-of-two n;
 //   - beta is folded into the first k panel's store (no separate zeroing or
 //     scaling pass over C);
-//   - A * B^T with short k (k < 4 * kPr): B^T is packed into kW-column strips
-//     and each A row runs against one strip at a time, vectorized across the
-//     strip's kW output columns; rows are blocked so a strip stays in L1. The
-//     fused ReLU-masked variant skips a strip whose kW mask entries are all
-//     inactive. Longer k keeps the dot-product form (strip-mined partial
-//     sums along k) with A/B row blocks sized for L2.
+//   - A * B^T with short k (k < 4 * kPr): B^T is packed into kW-column
+//     strips and kRows A rows at a time run against one strip, vectorized
+//     across the strip's kW output columns. The rows are independent, so
+//     their ordered tails and partial-sum reductions (serial add chains)
+//     overlap. The fused ReLU-masked variant skips a group of rows whose
+//     mask entries on the strip are all inactive. Longer k keeps the
+//     dot-product form (strip-mined partial sums along k) with A/B row
+//     blocks sized for L2.
 //
 // Every output element sees the same sequence of IEEE operations as the
 // unpacked kernels these replaced (same k order, same partial sums, same
 // epilogue), so results are bit-identical to them; only the loop order
 // across independent elements changed.
 //
-// Everything is plain scalar C++ with __restrict and fixed trip counts —
-// the compiler's auto-vectorizer turns the fixed-width inner loops into
-// SIMD; no intrinsics and no alignment assumptions, so the kernels are
-// portable across ISAs.
+// The register tiles and the short dot products use GCC/Clang vector-
+// extension locals (`vf`, one register of floats): plain element-wise
+// arithmetic, not intrinsics, sized to the target ISA (ymm at x86-64-v3,
+// xmm on the baseline). The rest is scalar C++ with __restrict and fixed
+// trip counts that the auto-vectorizer handles; no alignment assumptions
+// anywhere.
 #include "dense/kernels.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 namespace mggcn::dense::tiled {
 
 namespace {
 
-/// Register-tile rows of C.
-constexpr std::int64_t kMr = 4;
-/// Register-tile columns of C (SIMD width times unroll); the packed B strip
-/// width.
-constexpr std::int64_t kNr = 16;
-/// k cache panel: a kKc x kNr packed B strip is 16 KiB, safely L1-resident.
+/// One vector register of floats: 8 (ymm) when the build targets AVX,
+/// else 4 (xmm). A vector type wider than the target's registers would be
+/// lowered through memory. Only ever a local: passed by value across a
+/// call it would change the psABI.
+#if defined(__AVX__)
+using vf = float __attribute__((vector_size(32)));
+#else
+using vf = float __attribute__((vector_size(16)));
+#endif
+/// Floats per vf.
+constexpr std::int64_t kV = sizeof(vf) / sizeof(float);
+
+inline void load(vf& v, const float* p) { std::memcpy(&v, p, sizeof v); }
+inline void store(float* p, const vf& v) { std::memcpy(p, &v, sizeof v); }
+
+/// Hints the cache line `ahead` floats past p into cache. The address is
+/// formed as an integer: it may lie past the end of the array, and a
+/// prefetch never faults.
+inline void prefetch(const float* p, std::int64_t ahead) {
+  __builtin_prefetch(reinterpret_cast<const void*>(
+      reinterpret_cast<std::uintptr_t>(p) +
+      static_cast<std::uintptr_t>(ahead) * sizeof(float)));
+}
+
+/// Register-tile rows of C: 2 * kMr accumulators + 2 strip vectors + 1
+/// broadcast fill the 16 vector registers.
+constexpr std::int64_t kMr = 6;
+/// Register-tile columns of C (two vectors); the packed B strip width.
+constexpr std::int64_t kNr = 2 * kV;
+/// k cache panel: a kKc x kNr packed B strip is at most 16 KiB, safely
+/// L1-resident.
 constexpr std::int64_t kKc = 256;
+/// k steps ahead that the packing micro-kernel prefetches A. Its loads
+/// would otherwise wait on memory with no other work in flight: at n = 47
+/// the whole product streams A (26.7 MB at Products scale) through three
+/// strips of compute.
+constexpr std::int64_t kPrefetchSteps = 32;
+/// The register tile of the unpacked kernels. Their m % kEdgeMr tail rows
+/// and n % kEdgeNr tail columns took the edge store (see store_row), so
+/// those elements still do. A strip is all edge or all interior.
+constexpr std::int64_t kEdgeMr = 4;
+constexpr std::int64_t kEdgeNr = 16;
+static_assert(kEdgeNr % kNr == 0);
 
 /// p-strip width for the long-k dot-product (A * B^T) kernel: 32 floats =
 /// four independent 8-wide accumulator vectors, enough to hide the FP add
 /// latency within a single stream. Below k = 4 * kPr the short form runs.
 constexpr std::int64_t kPr = 32;
-/// Partial sums of the short-k dot product, and columns per packed B^T
-/// strip (one 8-wide vector of outputs).
+/// Partial sums of the short-k dot product (part of its rounding), and
+/// columns per packed B^T strip.
 constexpr std::int64_t kW = 8;
-/// Row block of A swept against one packed strip (A * B, A^T * B, short-k
-/// A * B^T), so the strip stays L1-resident across the block. The long-k
-/// A * B^T kernel blocks kIb A rows x kJb B rows instead: without it every
-/// output row re-streams all of B from L3, while a 64-row B block
-/// (<= 128 KiB at k = 512) stays L2-resident across the i sweep.
+static_assert(kW % kV == 0);
+/// A rows the short-k A * B^T kernel interleaves against one strip.
+constexpr std::int64_t kRows = 4;
+/// Row block of A swept against one packed strip (short-k A * B^T), so the
+/// strip stays L1-resident across the block. The long-k A * B^T kernel
+/// blocks kIb A rows x kJb B rows instead: without it every output row
+/// re-streams all of B from L3, while a 64-row B block (<= 128 KiB at
+/// k = 512) stays L2-resident across the i sweep.
 constexpr std::int64_t kIb = 64;
 constexpr std::int64_t kJb = 64;
-static_assert(kIb % kMr == 0);
 /// Columns of C per step of the long-k A * B^T kernel.
 constexpr std::int64_t kJr = 4;
 
-/// Per-thread packing buffer of at least `floats` floats, reused across
-/// calls (it only grows). Its contents are scratch: callers pack before
-/// they read.
+/// Per-thread packing buffer for B of at least `floats` floats, reused
+/// across calls (it only grows). Its contents are scratch: callers pack
+/// before they read. A packed A sliver (kKc x kMr floats) lives on the
+/// stack.
 float* pack_scratch(std::int64_t floats) {
   thread_local std::vector<float> buffer;
   const auto size =
@@ -90,22 +140,36 @@ void scale_output(MatrixView c, float beta) {
 
 /// Packs the kc x n panel `b` (row stride ldb) into ceil(n / kNr) strips of
 /// kc x kNr floats, strip-major: out[s * kc * kNr + p * kNr + j] =
-/// b[p * ldb + s * kNr + j], zero past column n.
+/// b[p * ldb + s * kNr + j], zero past column n. Reads b row by row, so
+/// the hardware prefetcher streams it.
 void pack_b_panel(const float* __restrict b, std::int64_t ldb,
                   std::int64_t kc, std::int64_t n, float* __restrict out) {
-  for (std::int64_t j0 = 0; j0 < n; j0 += kNr) {
-    const std::int64_t nr = std::min(kNr, n - j0);
-    for (std::int64_t p = 0; p < kc; ++p) {
-      const float* src = b + p * ldb + j0;
-      float* dst = out + p * kNr;
-      if (nr == kNr) {
-        for (std::int64_t j = 0; j < kNr; ++j) dst[j] = src[j];
-      } else {
-        for (std::int64_t j = 0; j < nr; ++j) dst[j] = src[j];
-        for (std::int64_t j = nr; j < kNr; ++j) dst[j] = 0.0f;
-      }
+  const std::int64_t n_full = n - n % kNr;
+  for (std::int64_t p = 0; p < kc; ++p) {
+    const float* src = b + p * ldb;
+    float* dst = out + p * kNr;
+    for (std::int64_t j0 = 0; j0 < n_full; j0 += kNr) {
+      for (std::int64_t j = 0; j < kNr; ++j) dst[j0 * kc + j] = src[j0 + j];
     }
-    out += kc * kNr;
+    if (n_full < n) {
+      float* tail = dst + n_full * kc;
+      for (std::int64_t j = 0; j < n - n_full; ++j) tail[j] = src[n_full + j];
+      for (std::int64_t j = n - n_full; j < kNr; ++j) tail[j] = 0.0f;
+    }
+  }
+}
+
+/// Packs mr < kMr rows x kc columns of op(A), element (r, p) at
+/// a[r * a_r_stride + p * a_p_stride], into one kc x kMr sliver:
+/// out[p * kMr + r], zero past row mr. Full slivers are packed by the
+/// micro-kernel itself (kPackA).
+void pack_a_tail(const float* __restrict a, std::int64_t a_r_stride,
+                 std::int64_t a_p_stride, std::int64_t mr, std::int64_t kc,
+                 float* __restrict out) {
+  for (std::int64_t p = 0; p < kc; ++p) {
+    for (std::int64_t r = 0; r < kMr; ++r) {
+      out[p * kMr + r] = r < mr ? a[r * a_r_stride + p * a_p_stride] : 0.0f;
+    }
   }
 }
 
@@ -131,63 +195,48 @@ inline void store_row(const float (&acc)[kNr], float* __restrict cr,
   }
 }
 
-/// Full kMr-row register tile against one packed strip over a k panel of
-/// length kc, storing the strip's first nr columns. A is accessed as
-/// a[r * a_r_stride + p * a_p_stride] so the same kernel serves both the A
-/// and A^T layouts. Kept out of line: inlined into the driver loops, GCC
-/// allocates the tile's registers worse.
-[[gnu::noinline]] void micro_full(const float* __restrict a,
-                                  std::int64_t a_r_stride,
-                                  std::int64_t a_p_stride,
-                                  const float* __restrict bs,
-                                  float* __restrict c, std::int64_t ldc,
-                                  std::int64_t kc, std::int64_t nr,
-                                  float alpha, float beta, bool first_panel) {
-  // One named accumulator array per C row, not acc[kMr][kNr]: indexing the
-  // tile by a loop-variant row keeps it in stack memory (a read-modify-write
-  // per k step, ~10x slower), while distinct fixed-size arrays are promoted
-  // to vector registers after the j loops vectorize.
-  float acc0[kNr] = {}, acc1[kNr] = {}, acc2[kNr] = {}, acc3[kNr] = {};
-  static_assert(kMr == 4, "micro_full hand-unrolls the kMr accumulator rows");
+/// The kMr x kNr register tile against one packed B strip over a k panel of
+/// length kc, written to `tile`. With kPackA the kMr rows of op(A) are read
+/// in place, element (r, p) at a[r * a_r_stride + p * a_p_stride], and
+/// packed into the sliver `as` (as[p * kMr + r]) on the way: that is the
+/// panel's first strip, whose compute hides the loads of A. Later strips
+/// read the packed sliver. Kept out of line so the register allocator sees
+/// the accumulators alone.
+template <bool kPackA>
+[[gnu::noinline]] void micro_kernel(const float* __restrict a,
+                                    std::int64_t a_r_stride,
+                                    std::int64_t a_p_stride,
+                                    float* __restrict as,
+                                    const float* __restrict bs,
+                                    std::int64_t kc,
+                                    float (&tile)[kMr][kNr]) {
+  static_assert(kNr == 2 * kV, "micro_kernel holds two vectors per row");
+  vf acc[kMr][2] = {};
   for (std::int64_t p = 0; p < kc; ++p) {
-    const float* bp = bs + p * kNr;
-    const float* ap = a + p * a_p_stride;
-    const float av0 = ap[0];
-    const float av1 = ap[a_r_stride];
-    const float av2 = ap[2 * a_r_stride];
-    const float av3 = ap[3 * a_r_stride];
-    for (std::int64_t j = 0; j < kNr; ++j) {
-      acc0[j] += av0 * bp[j];
-      acc1[j] += av1 * bp[j];
-      acc2[j] += av2 * bp[j];
-      acc3[j] += av3 * bp[j];
+    vf b0, b1;
+    load(b0, bs);
+    load(b1, bs + kV);
+#pragma GCC unroll 16
+    for (std::int64_t r = 0; r < kMr; ++r) {
+      float av;
+      if constexpr (kPackA) {
+        const float* ar = a + r * a_r_stride + p * a_p_stride;
+        av = *ar;
+        as[r] = av;
+        prefetch(ar, kPrefetchSteps * a_p_stride);
+      } else {
+        av = as[r];
+      }
+      acc[r][0] += av * b0;
+      acc[r][1] += av * b1;
     }
+    as += kMr;
+    bs += kNr;
   }
-  const bool edge = nr < kNr;
-  store_row(acc0, c, nr, alpha, beta, first_panel, edge);
-  store_row(acc1, c + ldc, nr, alpha, beta, first_panel, edge);
-  store_row(acc2, c + 2 * ldc, nr, alpha, beta, first_panel, edge);
-  store_row(acc3, c + 3 * ldc, nr, alpha, beta, first_panel, edge);
-}
-
-/// Bounds-checked m-tail tile (mr < kMr rows) against one packed strip.
-inline void micro_rows(const float* __restrict a, std::int64_t a_r_stride,
-                       std::int64_t a_p_stride, const float* __restrict bs,
-                       float* __restrict c, std::int64_t ldc, std::int64_t mr,
-                       std::int64_t kc, std::int64_t nr, float alpha,
-                       float beta, bool first_panel) {
-  float acc[kMr][kNr] = {};
-  for (std::int64_t p = 0; p < kc; ++p) {
-    const float* bp = bs + p * kNr;
-    for (std::int64_t r = 0; r < mr; ++r) {
-      const float av = a[r * a_r_stride + p * a_p_stride];
-      float* accr = acc[r];
-      for (std::int64_t j = 0; j < kNr; ++j) accr[j] += av * bp[j];
-    }
-  }
-  for (std::int64_t r = 0; r < mr; ++r) {
-    store_row(acc[r], c + r * ldc, nr, alpha, beta, first_panel,
-              /*edge=*/true);
+#pragma GCC unroll 16
+  for (std::int64_t r = 0; r < kMr; ++r) {
+    store(tile[r], acc[r][0]);
+    store(tile[r] + kV, acc[r][1]);
   }
 }
 
@@ -205,29 +254,34 @@ void gemm_driver(const float* a, std::int64_t lda, bool a_trans,
   const std::int64_t a_r_stride = a_trans ? 1 : lda;
   const std::int64_t a_p_stride = a_trans ? lda : 1;
   const std::int64_t strips = (n + kNr - 1) / kNr;
-  float* packed = pack_scratch(std::min(k, kKc) * strips * kNr);
+  float* packed_b = pack_scratch(std::min(k, kKc) * strips * kNr);
+  float sliver[kKc * kMr];
+  const std::int64_t edge_rows_from = m - m % kEdgeMr;
+  const std::int64_t edge_cols_from = n - n % kEdgeNr;
 
   for (std::int64_t kk = 0; kk < k; kk += kKc) {
     const std::int64_t kc = std::min(kKc, k - kk);
     const bool first_panel = kk == 0;
-    pack_b_panel(b + kk * ldb, ldb, kc, n, packed);
-    for (std::int64_t ib = 0; ib < m; ib += kIb) {
-      const std::int64_t ib_end = std::min(ib + kIb, m);
+    pack_b_panel(b + kk * ldb, ldb, kc, n, packed_b);
+    for (std::int64_t i0 = 0; i0 < m; i0 += kMr) {
+      const std::int64_t mr = std::min(kMr, m - i0);
+      const float* ab = a + i0 * a_r_stride + kk * a_p_stride;
+      if (mr < kMr) pack_a_tail(ab, a_r_stride, a_p_stride, mr, kc, sliver);
       for (std::int64_t s = 0; s < strips; ++s) {
         const std::int64_t j0 = s * kNr;
         const std::int64_t nr = std::min(kNr, n - j0);
-        const float* bs = packed + s * kc * kNr;
-        for (std::int64_t i0 = ib; i0 < ib_end; i0 += kMr) {
-          const std::int64_t mr = std::min(kMr, m - i0);
-          const float* ab = a_trans ? a + kk * lda + i0 : a + i0 * lda + kk;
-          float* cb = c + i0 * ldc + j0;
-          if (mr == kMr) {
-            micro_full(ab, a_r_stride, a_p_stride, bs, cb, ldc, kc, nr, alpha,
-                       beta, first_panel);
-          } else {
-            micro_rows(ab, a_r_stride, a_p_stride, bs, cb, ldc, mr, kc, nr,
-                       alpha, beta, first_panel);
-          }
+        const float* bs = packed_b + s * kc * kNr;
+        float tile[kMr][kNr];
+        if (s == 0 && mr == kMr) {
+          micro_kernel<true>(ab, a_r_stride, a_p_stride, sliver, bs, kc,
+                             tile);
+        } else {
+          micro_kernel<false>(nullptr, 0, 0, sliver, bs, kc, tile);
+        }
+        for (std::int64_t r = 0; r < mr; ++r) {
+          store_row(tile[r], c + (i0 + r) * ldc + j0, nr, alpha, beta,
+                    first_panel,
+                    j0 >= edge_cols_from || i0 + r >= edge_rows_from);
         }
       }
     }
@@ -246,11 +300,11 @@ void check_gemm_shapes(std::int64_t am, std::int64_t ak, std::int64_t bk,
 /// so the reduction vectorizes without reassociation license. The final
 /// partial-sum reduction cannot be reassociated (no -ffast-math), so it
 /// runs as ordered scalar adds. Returns alpha * (a . b_j). Only for
-/// k >= 4 * kPr; shorter dots run dot8_short.
+/// k >= 4 * kPr; shorter dots run dots_short.
 inline float dot1(const float* __restrict ai, const float* __restrict bj,
                   std::int64_t k, float alpha) {
   // acc0..acc3 are the kPr partial sums in order, one named 8-wide array
-  // each (see micro_full) so they stay in vector registers.
+  // each, so they stay in vector registers.
   float acc0[kW] = {}, acc1[kW] = {}, acc2[kW] = {}, acc3[kW] = {};
   static_assert(kPr == 4 * kW, "dot1 hand-unrolls kPr / kW partial sums");
   std::int64_t p = 0;
@@ -289,53 +343,55 @@ void pack_bt(const float* __restrict b, std::int64_t k, std::int64_t n,
   }
 }
 
-/// kW short dot products of A row `ai` against one packed B^T strip,
-/// vectorized across the strip's columns. Each output keeps the per-element
-/// operation order of a kW-wide strip-mined dot: kW stride-kW partial sums
-/// over the whole kW blocks, then the k % kW tail summed in order from 0,
-/// then the partial sums added in order. out[j] = alpha * (a . b_j).
-inline void dot8_short(const float* __restrict ai, const float* __restrict bs,
-                       std::int64_t k, float alpha, float (&out)[kW]) {
-  // One named array per partial sum (see micro_full): each is one vector
-  // register across the k loop.
-  float acc0[kW] = {}, acc1[kW] = {}, acc2[kW] = {}, acc3[kW] = {};
-  float acc4[kW] = {}, acc5[kW] = {}, acc6[kW] = {}, acc7[kW] = {};
-  static_assert(kW == 8, "dot8_short hand-unrolls the kW partial sums");
-  std::int64_t p = 0;
-  for (; p + kW <= k; p += kW) {
-    const float a0 = ai[p], a1 = ai[p + 1], a2 = ai[p + 2], a3 = ai[p + 3];
-    const float a4 = ai[p + 4], a5 = ai[p + 5], a6 = ai[p + 6], a7 = ai[p + 7];
-    const float* bp = bs + p * kW;
-    for (std::int64_t j = 0; j < kW; ++j) {
-      acc0[j] += a0 * bp[j];
-      acc1[j] += a1 * bp[kW + j];
-      acc2[j] += a2 * bp[2 * kW + j];
-      acc3[j] += a3 * bp[3 * kW + j];
-      acc4[j] += a4 * bp[4 * kW + j];
-      acc5[j] += a5 * bp[5 * kW + j];
-      acc6[j] += a6 * bp[6 * kW + j];
-      acc7[j] += a7 * bp[7 * kW + j];
+/// kW short dot products for each of kRows A rows against one packed B^T
+/// strip, vectorized across the strip's columns: dots[r][j] =
+/// alpha * (rows[r] . b_j). Each output keeps the per-element operation
+/// order of a kW-wide strip-mined dot: partial sum l accumulates
+/// p = l, l + kW, ... over the whole kW blocks from 0.0f; the k % kW tail is
+/// summed in order from 0.0f; then partial sums 0..kW-1 are added to it in
+/// order. Partial sum l is built just before it is added, so only two
+/// vectors per row are live.
+[[gnu::noinline]] void dots_short(const float* const (&rows)[kRows],
+                                  const float* __restrict bs, std::int64_t k,
+                                  float alpha, float (&dots)[kRows][kW]) {
+  constexpr std::int64_t kH = kW / kV;  // vectors per row of outputs
+  const std::int64_t whole = k - k % kW;
+  vf sum[kRows][kH] = {};
+  for (std::int64_t p = whole; p < k; ++p) {
+#pragma GCC unroll 16
+    for (std::int64_t h = 0; h < kH; ++h) {
+      vf bp;
+      load(bp, bs + p * kW + h * kV);
+#pragma GCC unroll 16
+      for (std::int64_t r = 0; r < kRows; ++r) sum[r][h] += rows[r][p] * bp;
     }
   }
-  float sum[kW] = {};
-  // The tail has fewer than kW steps; saying so (the early-exit form) keeps
-  // the vectorizer from transposing it into a p-vectorized shuffle loop.
-  for (std::int64_t t = 0; t < kW - 1 && p < k; ++t, ++p) {
-    const float av = ai[p];
-    const float* bp = bs + p * kW;
-    for (std::int64_t j = 0; j < kW; ++j) sum[j] += av * bp[j];
+  for (std::int64_t l = 0; l < kW; ++l) {
+    vf part[kRows][kH] = {};
+    for (std::int64_t p = l; p < whole; p += kW) {
+#pragma GCC unroll 16
+      for (std::int64_t h = 0; h < kH; ++h) {
+        vf bp;
+        load(bp, bs + p * kW + h * kV);
+#pragma GCC unroll 16
+        for (std::int64_t r = 0; r < kRows; ++r) {
+          part[r][h] += rows[r][p] * bp;
+        }
+      }
+    }
+#pragma GCC unroll 16
+    for (std::int64_t r = 0; r < kRows; ++r) {
+#pragma GCC unroll 16
+      for (std::int64_t h = 0; h < kH; ++h) sum[r][h] += part[r][h];
+    }
   }
-  for (std::int64_t j = 0; j < kW; ++j) {
-    sum[j] += acc0[j];
-    sum[j] += acc1[j];
-    sum[j] += acc2[j];
-    sum[j] += acc3[j];
-    sum[j] += acc4[j];
-    sum[j] += acc5[j];
-    sum[j] += acc6[j];
-    sum[j] += acc7[j];
+#pragma GCC unroll 16
+  for (std::int64_t r = 0; r < kRows; ++r) {
+#pragma GCC unroll 16
+    for (std::int64_t h = 0; h < kH; ++h) {
+      store(dots[r] + h * kV, alpha * sum[r][h]);
+    }
   }
-  for (std::int64_t j = 0; j < kW; ++j) out[j] = alpha * sum[j];
 }
 
 /// Writes one A * B^T output from its dot product `dot` (alpha applied).
@@ -394,8 +450,60 @@ template <bool kReluMask>
   }
 }
 
-/// A * B^T for k < 4 * kPr: B^T packed into kW-column strips, kIb A rows
-/// swept against one strip at a time.
+/// Writes one row's kW A * B^T outputs from their dot products (alpha
+/// applied) into C row segment `ci` of nr columns, as store_dot does per
+/// element; a full segment as one vector.
+template <bool kReluMask>
+inline void store_dots(float* ci, const float (&dots)[kW], std::int64_t nr,
+                       float beta) {
+  if (nr < kW) {
+    for (std::int64_t j = 0; j < nr; ++j) {
+      store_dot<kReluMask>(ci + j, dots[j], beta);
+    }
+    return;
+  }
+  for (std::int64_t h = 0; h < kW; h += kV) {
+    vf dot, cv{}, out;
+    load(dot, dots + h);
+    if (kReluMask || beta != 0.0f) load(cv, ci + h);
+    if constexpr (kReluMask) {
+      out = cv > 0.0f ? dot : vf{};
+    } else {
+      out = beta == 0.0f ? dot + vf{} : dot + beta * cv;
+    }
+    store(ci + h, out);
+  }
+}
+
+/// Whether any of the ReLU mask entries in C rows `ci` (nr columns each)
+/// is active (> 0). A full segment is tested without branches: on
+/// sign-random activations an early-exit scan mispredicts.
+inline bool any_active(float* const (&ci)[kRows], std::int64_t rows,
+                       std::int64_t nr) {
+  int any = 0;
+  if (nr == kW) {
+    using vi = std::int32_t __attribute__((vector_size(sizeof(vf))));
+    vi active{};
+    for (std::int64_t r = 0; r < rows; ++r) {
+      for (std::int64_t h = 0; h < kW; h += kV) {
+        vf cv;
+        load(cv, ci[r] + h);
+        active |= cv > 0.0f;
+      }
+    }
+    for (std::int64_t j = 0; j < kV; ++j) any |= active[j];
+  } else {
+    for (std::int64_t r = 0; r < rows; ++r) {
+      for (std::int64_t j = 0; j < nr; ++j) any |= ci[r][j] > 0.0f;
+    }
+  }
+  return any != 0;
+}
+
+/// A * B^T for k < 4 * kPr: B^T packed into kW-column strips, the kIb A
+/// rows of a block swept against one strip at a time, kRows rows per
+/// dots_short call. The masked kernel skips a group of rows whose mask
+/// entries on the strip are all inactive.
 template <bool kReluMask>
 [[gnu::noinline]] void a_bt_short(ConstMatrixView a, ConstMatrixView b,
                                   MatrixView c, float alpha, float beta) {
@@ -409,23 +517,26 @@ template <bool kReluMask>
       const std::int64_t j0 = s * kW;
       const std::int64_t nr = std::min(kW, n - j0);
       const float* bs = packed + s * k * kW;
-      for (std::int64_t i = i0; i < i_end; ++i) {
-        float* ci = c.row(i) + j0;
-        if (kReluMask &&
-            std::none_of(ci, ci + nr, [](float v) { return v > 0.0f; })) {
-          std::fill(ci, ci + nr, 0.0f);
+      for (std::int64_t g = i0; g < i_end; g += kRows) {
+        // A short last group repeats its final row; the repeats are
+        // computed and dropped.
+        const std::int64_t rows = std::min(kRows, i_end - g);
+        const float* a_rows[kRows];
+        float* c_rows[kRows];
+        for (std::int64_t r = 0; r < kRows; ++r) {
+          a_rows[r] = a.row(g + std::min(r, rows - 1));
+          c_rows[r] = c.row(g + std::min(r, rows - 1)) + j0;
+        }
+        if (kReluMask && !any_active(c_rows, rows, nr)) {
+          for (std::int64_t r = 0; r < rows; ++r) {
+            std::fill(c_rows[r], c_rows[r] + nr, 0.0f);
+          }
           continue;
         }
-        float dots[kW];
-        dot8_short(a.row(i), bs, k, alpha, dots);
-        if (nr == kW) {
-          for (std::int64_t j = 0; j < kW; ++j) {
-            store_dot<kReluMask>(ci + j, dots[j], beta);
-          }
-        } else {
-          for (std::int64_t j = 0; j < nr; ++j) {
-            store_dot<kReluMask>(ci + j, dots[j], beta);
-          }
+        float dots[kRows][kW];
+        dots_short(a_rows, bs, k, alpha, dots);
+        for (std::int64_t r = 0; r < rows; ++r) {
+          store_dots<kReluMask>(c_rows[r], dots[r], nr, beta);
         }
       }
     }
@@ -457,9 +568,8 @@ void gemm(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
 
 void gemm_at_b(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
                float beta) {
-  // A is (k x m) and participates transposed: C(m x n) = A^T B. The driver
-  // reads the tile's A elements contiguously (a_r_stride = 1), so this
-  // layout is actually the friendlier one.
+  // A is (k x m) and participates transposed: C(m x n) = A^T B. Packing
+  // reads its sliver rows contiguously (a_r_stride = 1).
   check_gemm_shapes(a.cols, a.rows, b.rows, b.cols, c.rows, c.cols);
   gemm_driver(a.data, a.cols, /*a_trans=*/true, b.data, b.cols, c.data,
               c.cols, a.cols, b.cols, a.rows, alpha, beta);

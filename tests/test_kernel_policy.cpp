@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <thread>
 #include <tuple>
@@ -158,11 +159,14 @@ TEST(KernelPolicyProperty, TiledMaskedGemmMatchesNaive) {
 
 // --- bit parity with the unpacked tiled kernels ----------------------------
 
-/// m values straddling the kMr = 4 register tile and the 64-row cache
-/// block, n values straddling the kNr = 16 strip, the kW = 8 A * B^T strip
-/// and the 64-column block, and k values crossing the 8-wide short dot, the
-/// k = 128 switch to the long dot product and the kKc = 256 panel.
-constexpr std::int64_t kParityM[] = {1, 3, 5, 13, 70};
+/// m values covering every residue modulo the kMr = 6 register tile, the
+/// unpacked kernels' 4-row tile and the short A * B^T's 4-row groups, the
+/// 64-row cache block, and one m of many blocks and slivers (1031); n
+/// values straddling the kNr = 16 strip, the kW = 8 A * B^T strip and the
+/// 64-column block; and k values crossing the 8-wide short dot, the k = 128
+/// switch to the long dot product and the kKc = 256 panel, up to three
+/// panels (600 > 2 * kKc: repacked A slivers, beta in the first panel only).
+constexpr std::int64_t kParityM[] = {1, 2, 3, 5, 6, 8, 13, 70, 1031};
 constexpr std::int64_t kParityN[] = {1, 7, 16, 17, 47, 100};
 constexpr std::int64_t kParityK[] = {0,   1,   7,   8,   47, 127,
                                      128, 255, 256, 257, 600};
@@ -270,25 +274,33 @@ TEST(KernelPolicyParity, MaskedGemmBitIdenticalToUnpackedKernel) {
 }
 
 TEST(KernelPolicyParity, ConcurrentCallsShareNoPackScratch) {
-  // Each thread packs into its own scratch buffer, grown on demand and
-  // reused: two threads interleaving calls with different (and growing,
-  // then shrinking) n must each match the oracle bit for bit. A shared
-  // buffer would be repacked (or reallocated) under the other thread.
+  // Each thread packs B into its own scratch buffer, grown on demand and
+  // reused, and A into a sliver on its own stack: two threads interleaving
+  // calls with different (and growing, then shrinking) m, n and k must each
+  // match the oracle bit for bit, in both A layouts. A shared buffer would
+  // be repacked (or reallocated) under the other thread.
   std::atomic<int> ready{0};
   auto worker = [&ready](std::int64_t n0, std::uint64_t seed,
                          int* mismatches) {
     ++ready;
     while (ready.load() < 2) std::this_thread::yield();
+    constexpr std::int64_t kDepths[] = {300, 47, 600};
     for (int round = 0; round < 48; ++round) {
       const std::int64_t n = n0 * (1 + round % 3) + round;
-      const std::int64_t m = 96, k = round % 2 == 0 ? 300 : 47;
+      const std::int64_t m = 96 + (round * 5) % 13;
+      const std::int64_t k = kDepths[round % 3];
       const dense::HostMatrix a = random_matrix(m, k, seed + round);
+      const dense::HostMatrix at = random_matrix(k, m, seed + 300 + round);
       const dense::HostMatrix b = random_matrix(k, n, seed + 100 + round);
       const dense::HostMatrix bt = random_matrix(n, k, seed + 200 + round);
       dense::HostMatrix c(m, n), c_oracle(m, n);
       dense::tiled::gemm(a.view(), b.view(), c.view(), 1.0f, 0.0f);
       dense::unpacked_tiled::gemm(a.view(), b.view(), c_oracle.view(), 1.0f,
                                   0.0f);
+      *mismatches += same_bits(c, c_oracle) ? 0 : 1;
+      dense::tiled::gemm_at_b(at.view(), b.view(), c.view(), 1.0f, 0.0f);
+      dense::unpacked_tiled::gemm_at_b(at.view(), b.view(), c_oracle.view(),
+                                       1.0f, 0.0f);
       *mismatches += same_bits(c, c_oracle) ? 0 : 1;
       dense::tiled::gemm_a_bt(a.view(), bt.view(), c.view(), 1.0f, 0.0f);
       dense::unpacked_tiled::gemm_a_bt(a.view(), bt.view(), c_oracle.view(),
@@ -355,6 +367,109 @@ TEST(KernelPolicyParity, TiledOutputBitsArePinned) {
     hash = fold_bits(hash, c);
   }
   EXPECT_EQ(hash, 0x2810558918ab6dfcULL) << std::hex << hash;
+}
+
+// --- ReLU ----------------------------------------------------------------
+
+/// The ReLU contract as scalar ternaries, built with this file's flags: the
+/// oracle for dense::relu_forward / relu_backward, which build with the
+/// kernel flags.
+void relu_forward_oracle(const float* in, float* out, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) out[i] = in[i] > 0.0f ? in[i] : 0.0f;
+}
+
+void relu_backward_oracle(const float* grad_out, const float* pre,
+                          float* grad_in, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    grad_in[i] = pre[i] > 0.0f ? grad_out[i] : 0.0f;
+  }
+}
+
+float from_bits(std::uint32_t bits) {
+  float f = 0.0f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+/// n LCG floats (see lcg_matrix) with the special values mixed in at every
+/// fifth position: quiet NaNs of both signs, NaNs with payloads (one
+/// signaling), +-0, +-inf, denormals of both signs and +-FLT_MIN.
+dense::HostMatrix relu_input(std::int64_t n, std::uint64_t seed) {
+  static const float kSpecial[] = {
+      std::numeric_limits<float>::quiet_NaN(),
+      -std::numeric_limits<float>::quiet_NaN(),
+      from_bits(0x7fc0beefu),
+      from_bits(0xffc0beefu),
+      from_bits(0x7f800abcu),
+      0.0f,
+      -0.0f,
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(),
+      from_bits(0x007fffffu),
+      from_bits(0x807fffffu),
+      std::numeric_limits<float>::min(),
+      -std::numeric_limits<float>::min()};
+  constexpr std::int64_t kCount = std::size(kSpecial);
+  dense::HostMatrix m = lcg_matrix(1, n, seed);
+  for (std::int64_t i = 0; i < n; i += 5) {
+    m.data()[i] = kSpecial[(i / 5 + static_cast<std::int64_t>(seed)) % kCount];
+  }
+  return m;
+}
+
+bool same_bits(const float* a, const float* b, std::int64_t n) {
+  // memcmp must not see the null data() of an empty matrix.
+  return n == 0 ||
+         std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(float)) == 0;
+}
+
+TEST(KernelPolicyParity, ReluBitIdenticalToScalarTernary) {
+  // NaN and -0.0 both map to +0.0 forward, and a gradient passes through
+  // with its exact bits (NaN payloads included): the vectorized
+  // compare-and-mask must write what the scalar ternaries write, in place
+  // and out of place, at every vector-tail length.
+  for (const std::int64_t n : {0, 1, 7, 8, 9, 31, 33, 1000003}) {
+    const dense::HostMatrix pre = relu_input(n, 1);
+    const dense::HostMatrix grad = relu_input(n, 2);
+    dense::HostMatrix expect(1, n), out(1, n);
+
+    relu_forward_oracle(pre.data(), expect.data(), n);
+    dense::relu_forward(pre.data(), out.data(), n);
+    EXPECT_TRUE(same_bits(out.data(), expect.data(), n))
+        << "relu_forward out of place, n=" << n;
+    out = pre;
+    dense::relu_forward(out.data(), out.data(), n);
+    EXPECT_TRUE(same_bits(out.data(), expect.data(), n))
+        << "relu_forward in place, n=" << n;
+
+    relu_backward_oracle(grad.data(), pre.data(), expect.data(), n);
+    dense::relu_backward(grad.data(), pre.data(), out.data(), n);
+    EXPECT_TRUE(same_bits(out.data(), expect.data(), n))
+        << "relu_backward out of place, n=" << n;
+    out = grad;
+    dense::relu_backward(out.data(), pre.data(), out.data(), n);
+    EXPECT_TRUE(same_bits(out.data(), expect.data(), n))
+        << "relu_backward in place, n=" << n;
+  }
+}
+
+TEST(KernelPolicyParity, ReluOutputBitsArePinned) {
+  // ReLU only selects bits, so its output is the same under every
+  // MGGCN_KERNEL_MARCH level. The hash was recorded from the default
+  // x86-64-v3 build.
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const std::int64_t n : {1, 33, 1000}) {
+    const dense::HostMatrix pre = relu_input(n, 3);
+    const dense::HostMatrix grad = relu_input(n, 4);
+    dense::HostMatrix out(1, n);
+    dense::relu_forward(pre.data(), out.data(), n);
+    hash = fold_bits(hash, out);
+    dense::relu_backward(grad.data(), pre.data(), out.data(), n);
+    hash = fold_bits(hash, out);
+  }
+  EXPECT_EQ(hash, 0x8b1f1487a23210b4ULL) << std::hex << hash;
 }
 
 /// CSR with forced empty rows, one dense (high-degree) row to exercise the
