@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
+#include <exception>
+#include <thread>
 #include <utility>
 
 #include "core/gcn_kernels.hpp"
@@ -14,6 +16,38 @@
 #include "util/error.hpp"
 
 namespace mggcn::core {
+
+namespace {
+
+/// Runs body(r) for every rank r in [0, ranks): the calling thread takes
+/// rank 0 and helper threads the rest, at most hardware_concurrency()
+/// threads in all, each striding over the ranks when there are more ranks
+/// than threads. Returns once every thread has joined, rethrowing the
+/// lowest thread's exception if any body threw.
+template <typename Body>
+void for_each_rank(int ranks, const Body& body) {
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  const int threads = std::min(ranks, static_cast<int>(cores));
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(threads));
+  const auto run = [&](int t) {
+    try {
+      for (int r = t; r < ranks; r += threads) body(r);
+    } catch (...) {
+      errors[static_cast<std::size_t>(t)] = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> helpers;
+    helpers.reserve(static_cast<std::size_t>(threads));
+    for (int t = 1; t < threads; ++t) helpers.emplace_back(run, t);
+    run(0);
+  }  // joins the helpers
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+}
+
+}  // namespace
 
 /// Persistent per-device state: the owned feature shard, the feature cache,
 /// and the replicated model (weights + gradient + Adam moments per layer).
@@ -50,10 +84,11 @@ struct SampledPipeline::BatchState {
   /// Cache admissions this round: (gx row, cache slot) copy list.
   std::vector<std::pair<std::int64_t, std::int64_t>> admit_copies;
 
-  // Round scratch. Statically allocated in prepare_round under
-  // MGGCN_POOL=off (freed as a unit at retire); leased from the workspace
-  // pool otherwise, with dz/dh deferred to enqueue_train and every lease
-  // recycled as its last consumer is enqueued, so levels share blocks.
+  // Round scratch. Statically allocated in prepare_round when unpooled
+  // (freed as a unit at retire); leased from the workspace pool otherwise,
+  // with z/h/dz/dh deferred to enqueue_train and every lease recycled as
+  // its last consumer is enqueued, so levels share blocks. All of it is
+  // sim::Fill::kNone: each buffer's first writer overwrites it whole.
   mem::PooledBuffer gx;                ///< deepest frontier x d0
   std::vector<mem::PooledBuffer> rx;   ///< per owner: sendv landing buffer
   std::vector<mem::PooledBuffer> z;    ///< per level: block * h
@@ -263,145 +298,155 @@ SampledPipeline::MemoryBreakdown SampledPipeline::account_memory() const {
   return mem;
 }
 
+void SampledPipeline::prepare_batch(int round_index, int r,
+                                    BatchState& batch) {
+  RankState& state = *ranks_[static_cast<std::size_t>(r)];
+  const int P = machine_.num_devices();
+  const int layers = num_layers();
+
+  // Seeds: the next batch_size entries of this rank's shuffled shard,
+  // wrapping cyclically so every rank fields a batch every round.
+  std::vector<std::uint32_t> seeds;
+  seeds.reserve(static_cast<std::size_t>(options_.batch_size));
+  const std::size_t base = static_cast<std::size_t>(round_index) *
+                           static_cast<std::size_t>(options_.batch_size);
+  for (std::int64_t i = 0; i < options_.batch_size; ++i) {
+    seeds.push_back(
+        state.order[(base + static_cast<std::size_t>(i)) %
+                    state.order.size()]);
+  }
+  batch.sub = sampler_.sample(seeds, state.rng);
+
+  batch.blocks_t.resize(static_cast<std::size_t>(layers));
+  for (int l = 1; l < layers; ++l) {
+    batch.blocks_t[static_cast<std::size_t>(l)] =
+        batch.sub.blocks[static_cast<std::size_t>(layers - 1 - l)]
+            .transpose();
+  }
+
+  if (machine_.mode() == sim::ExecutionMode::kReal) {
+    const auto& seed_layer = batch.sub.layers.front();
+    batch.labels.resize(seed_layer.size());
+    for (std::size_t i = 0; i < seed_layer.size(); ++i) {
+      batch.labels[i] = dataset_.labels[seed_layer[i]];
+    }
+  }
+
+  // Split the deepest frontier into local rows, cache hits, and per-owner
+  // remote misses. The frontier is ascending, so per-owner lists come out
+  // ascending (sendv_rows' requirement) for free.
+  const auto& in = batch.sub.layers.back();
+  std::vector<std::uint32_t> remote;
+  std::vector<std::int64_t> remote_pos;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const std::uint32_t v = in[i];
+    if (v >= part_.begin(r) && v < part_.end(r)) {
+      batch.local_rows.push_back(v -
+                                 static_cast<std::uint32_t>(part_.begin(r)));
+      batch.local_dst.push_back(static_cast<std::int64_t>(i));
+    } else {
+      remote.push_back(v);
+      remote_pos.push_back(static_cast<std::int64_t>(i));
+    }
+  }
+
+  FeatureCache::Partition split = state.cache.lookup(remote);
+  batch.hit_slots = std::move(split.hit_slots);
+
+  // Hits and misses are order-preserving subsequences of `remote`, so one
+  // walk over it recovers each row's gx position.
+  batch.want_from.resize(static_cast<std::size_t>(P));
+  batch.want_dst.resize(static_cast<std::size_t>(P));
+  std::size_t next_hit = 0;
+  for (std::size_t i = 0; i < remote.size(); ++i) {
+    const std::uint32_t v = remote[i];
+    if (next_hit < split.hit_vertices.size() &&
+        split.hit_vertices[next_hit] == v) {
+      batch.hit_dst.push_back(remote_pos[i]);
+      ++next_hit;
+      continue;
+    }
+    const int owner = part_.part_of(v);
+    batch.want_from[static_cast<std::size_t>(owner)].push_back(
+        v - static_cast<std::uint32_t>(part_.begin(owner)));
+    batch.want_dst[static_cast<std::size_t>(owner)].push_back(remote_pos[i]);
+  }
+
+  for (const auto& [v, slot] : state.cache.admit(split.miss_vertices)) {
+    const auto pos = std::lower_bound(in.begin(), in.end(), v) - in.begin();
+    batch.admit_copies.emplace_back(pos, slot);
+  }
+}
+
 void SampledPipeline::prepare_round(RoundState& round) {
   const int P = machine_.num_devices();
   const std::int64_t d0 = dims_.front();
   const int layers = num_layers();
-  const bool real = machine_.mode() == sim::ExecutionMode::kReal;
   sim::PipelineCounters delta;
   delta.rounds = 1;
 
   round.batches.resize(static_cast<std::size_t>(P));
+  for_each_rank(P, [&](int r) {
+    prepare_batch(round.index, r, round.batches[static_cast<std::size_t>(r)]);
+  });
+
+  // Scratch buffers and counters, on this thread in rank order (the pool
+  // is single-threaded, and buffer ids and placement stay deterministic).
+  // Every buffer below is overwritten whole by its first writer (gx by the
+  // local/hit assembly plus the miss scatter, rx by sendv_rows, z/dh by a
+  // beta = 0 SpMM, h/dz by a beta = 0 GeMM), so none is zero-filled.
   for (int r = 0; r < P; ++r) {
-    RankState& state = *ranks_[static_cast<std::size_t>(r)];
     BatchState& batch = round.batches[static_cast<std::size_t>(r)];
     sim::Device& device = machine_.device(r);
+    const auto frontier = batch.sub.layers.back().size();
     delta.batches += 1;
+    delta.cache_hits += batch.hit_slots.size();
+    delta.cache_misses +=
+        frontier - batch.local_rows.size() - batch.hit_slots.size();
 
-    // Seeds: the next batch_size entries of this rank's shuffled shard,
-    // wrapping cyclically so every rank fields a batch every round.
-    std::vector<std::uint32_t> seeds;
-    seeds.reserve(static_cast<std::size_t>(options_.batch_size));
-    const std::size_t base = static_cast<std::size_t>(round.index) *
-                             static_cast<std::size_t>(options_.batch_size);
-    for (std::int64_t i = 0; i < options_.batch_size; ++i) {
-      seeds.push_back(
-          state.order[(base + static_cast<std::size_t>(i)) %
-                      state.order.size()]);
-    }
-    batch.sub = sampler_.sample(seeds, state.rng);
-
-    batch.blocks_t.resize(static_cast<std::size_t>(layers));
-    for (int l = 1; l < layers; ++l) {
-      batch.blocks_t[static_cast<std::size_t>(l)] =
-          batch.sub.blocks[static_cast<std::size_t>(layers - 1 - l)]
-              .transpose();
-    }
-
-    if (real) {
-      const auto& seed_layer = batch.sub.layers.front();
-      batch.labels.resize(seed_layer.size());
-      for (std::size_t i = 0; i < seed_layer.size(); ++i) {
-        batch.labels[i] = dataset_.labels[seed_layer[i]];
-      }
-    }
-
-    // Split the deepest frontier into local rows, cache hits, and per-owner
-    // remote misses. The frontier is ascending, so per-owner lists come out
-    // ascending (sendv_rows' requirement) for free.
-    const auto& in = batch.sub.layers.back();
-    std::vector<std::uint32_t> remote;
-    std::vector<std::int64_t> remote_pos;
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      const std::uint32_t v = in[i];
-      if (v >= part_.begin(r) && v < part_.end(r)) {
-        batch.local_rows.push_back(v -
-                                   static_cast<std::uint32_t>(part_.begin(r)));
-        batch.local_dst.push_back(static_cast<std::int64_t>(i));
-      } else {
-        remote.push_back(v);
-        remote_pos.push_back(static_cast<std::int64_t>(i));
-      }
-    }
-
-    FeatureCache::Partition split = state.cache.lookup(remote);
-    batch.hit_slots = std::move(split.hit_slots);
-
-    // Hits and misses are order-preserving subsequences of `remote`, so one
-    // walk over it recovers each row's gx position.
-    batch.want_from.resize(static_cast<std::size_t>(P));
-    batch.want_dst.resize(static_cast<std::size_t>(P));
-    std::size_t next_hit = 0;
-    for (std::size_t i = 0; i < remote.size(); ++i) {
-      const std::uint32_t v = remote[i];
-      if (next_hit < split.hit_vertices.size() &&
-          split.hit_vertices[next_hit] == v) {
-        batch.hit_dst.push_back(remote_pos[i]);
-        ++next_hit;
-        continue;
-      }
-      const int owner = part_.part_of(v);
-      batch.want_from[static_cast<std::size_t>(owner)].push_back(
-          v - static_cast<std::uint32_t>(part_.begin(owner)));
-      batch.want_dst[static_cast<std::size_t>(owner)].push_back(remote_pos[i]);
-    }
-
-    for (const auto& [v, slot] : state.cache.admit(split.miss_vertices)) {
-      const auto pos = std::lower_bound(in.begin(), in.end(), v) - in.begin();
-      batch.admit_copies.emplace_back(pos, slot);
-    }
-
-    delta.cache_hits += split.hit_vertices.size();
-    delta.cache_misses += split.miss_vertices.size();
-
-    // Scratch buffers for the round. Pooled, these lease recycled blocks;
-    // dz/dh are deferred to enqueue_train so backward temporaries can
-    // reuse the blocks freed by earlier levels of the same batch.
+    // Pooled, these lease recycled blocks; z/h and dz/dh are deferred to
+    // enqueue_train (level by level, right before their first writers) so
+    // a prepared-but-untrained round holds no activation scratch while the
+    // previous round trains, and backward temporaries reuse the blocks
+    // freed by earlier levels of the same batch.
     mem::WorkspacePool* pool = pool_ ? &pool_->pool(r) : nullptr;
     batch.gx = mem::acquire_or_alloc(
-        pool, device,
-        static_cast<std::size_t>(in.size()) * static_cast<std::size_t>(d0),
-        "SMB:gx");
+        pool, device, frontier * static_cast<std::size_t>(d0), "SMB:gx",
+        sim::Fill::kNone);
     batch.rx.resize(static_cast<std::size_t>(P));
     for (int o = 0; o < P; ++o) {
       const auto rows = batch.want_from[static_cast<std::size_t>(o)].size();
       if (rows == 0 || o == r) continue;
       batch.rx[static_cast<std::size_t>(o)] = mem::acquire_or_alloc(
-          pool, device, rows * static_cast<std::size_t>(d0), "SMB:rx");
+          pool, device, rows * static_cast<std::size_t>(d0), "SMB:rx",
+          sim::Fill::kNone);
     }
-    // Pooled, z/h are deferred to enqueue_train (level by level, right
-    // before their first writers) so a prepared-but-untrained round holds
-    // no activation scratch while the previous round trains — the same
-    // liveness trim dz/dh get below.
     batch.z.resize(static_cast<std::size_t>(layers));
     batch.h.resize(static_cast<std::size_t>(layers));
-    if (pool == nullptr) {
-      for (int l = 0; l < layers; ++l) {
-        const auto ll = static_cast<std::size_t>(l);
-        const sparse::Csr& block =
-            batch.sub.blocks[static_cast<std::size_t>(layers - 1 - l)];
-        batch.z[ll] = mem::PooledBuffer(
-            device, static_cast<std::size_t>(block.rows() * dims_[ll]),
-            "SMB:z");
-        batch.h[ll] = mem::PooledBuffer(
-            device, static_cast<std::size_t>(block.rows() * dims_[ll + 1]),
-            "SMB:h");
-      }
-    }
     batch.dz.resize(static_cast<std::size_t>(layers));
     batch.dh.resize(static_cast<std::size_t>(layers));
-    if (pool == nullptr) {
-      for (int l = 1; l < layers; ++l) {
-        const auto ll = static_cast<std::size_t>(l);
-        const sparse::Csr& block =
-            batch.sub.blocks[static_cast<std::size_t>(layers - 1 - l)];
-        batch.dz[ll] = mem::PooledBuffer(
-            device, static_cast<std::size_t>(block.rows() * dims_[ll]),
-            "SMB:dz");
-        batch.dh[ll] = mem::PooledBuffer(
-            device, static_cast<std::size_t>(block.cols() * dims_[ll]),
-            "SMB:dh");
-      }
+    if (pool != nullptr) continue;
+    for (int l = 0; l < layers; ++l) {
+      const auto ll = static_cast<std::size_t>(l);
+      const sparse::Csr& block =
+          batch.sub.blocks[static_cast<std::size_t>(layers - 1 - l)];
+      batch.z[ll] = mem::PooledBuffer(
+          device, static_cast<std::size_t>(block.rows() * dims_[ll]),
+          "SMB:z", sim::Fill::kNone);
+      batch.h[ll] = mem::PooledBuffer(
+          device, static_cast<std::size_t>(block.rows() * dims_[ll + 1]),
+          "SMB:h", sim::Fill::kNone);
+    }
+    for (int l = 1; l < layers; ++l) {
+      const auto ll = static_cast<std::size_t>(l);
+      const sparse::Csr& block =
+          batch.sub.blocks[static_cast<std::size_t>(layers - 1 - l)];
+      batch.dz[ll] = mem::PooledBuffer(
+          device, static_cast<std::size_t>(block.rows() * dims_[ll]),
+          "SMB:dz", sim::Fill::kNone);
+      batch.dh[ll] = mem::PooledBuffer(
+          device, static_cast<std::size_t>(block.cols() * dims_[ll]),
+          "SMB:dh", sim::Fill::kNone);
     }
   }
 
@@ -650,9 +695,11 @@ void SampledPipeline::enqueue_train(RoundState& round) {
         // backward scratch.
         mem::WorkspacePool& pool = pool_->pool(r);
         batch.z[ll] = pool.acquire(
-            static_cast<std::size_t>(block.rows() * dims_[ll]), "SMB:z");
+            static_cast<std::size_t>(block.rows() * dims_[ll]), "SMB:z",
+            sim::Fill::kNone);
         batch.h[ll] = pool.acquire(
-            static_cast<std::size_t>(block.rows() * dims_[ll + 1]), "SMB:h");
+            static_cast<std::size_t>(block.rows() * dims_[ll + 1]), "SMB:h",
+            sim::Fill::kNone);
       }
 
       sim::TaskDesc spmm;
@@ -777,9 +824,11 @@ void SampledPipeline::enqueue_train(RoundState& round) {
           // this level's z have been recycled, so these lease their blocks.
           mem::WorkspacePool& pool = pool_->pool(r);
           batch.dz[ll] = pool.acquire(
-              static_cast<std::size_t>(block.rows() * dims_[ll]), "SMB:dz");
+              static_cast<std::size_t>(block.rows() * dims_[ll]), "SMB:dz",
+              sim::Fill::kNone);
           batch.dh[ll] = pool.acquire(
-              static_cast<std::size_t>(block_t.rows() * dims_[ll]), "SMB:dh");
+              static_cast<std::size_t>(block_t.rows() * dims_[ll]), "SMB:dh",
+              sim::Fill::kNone);
         }
 
         sim::TaskDesc dz;

@@ -7,9 +7,12 @@
 // through three stages:
 //
 //   sample   (compute stream)  neighborhood expansion of the next batch's
-//                              seeds; the expansion itself runs host-side at
-//                              enqueue time (the kInspect pattern) so shapes
-//                              are known when the stage's tasks are priced;
+//                              seeds; the expansion itself runs host-side
+//                              before the round is enqueued (the kInspect
+//                              pattern) so shapes are known when the
+//                              stage's tasks are priced — every rank's
+//                              expansion concurrently, one host thread per
+//                              rank up to hardware_concurrency();
 //   extract  (comm stream)     assemble the batch's input rows: local rows
 //                              and feature-cache hits gather at HBM speed,
 //                              remote misses ride one Communicator::
@@ -79,7 +82,9 @@ class SampledPipeline {
     /// leased from the per-device pool and recycled as each level's last
     /// consumer is enqueued, so backward temporaries of different levels
     /// share blocks; kOff keeps the static per-round allocation bit for
-    /// bit. Numerics are identical in every mode.
+    /// bit. Either way the scratch is allocated sim::Fill::kNone (each
+    /// buffer's first writer overwrites it whole). Numerics are identical
+    /// in every mode.
     mem::PoolMode pool_mode = mem::pool_mode();
     /// Shared per-machine pools (mem::PoolSet::create) so the pipeline
     /// recycles one budget with other tenants (trainer, inference server).
@@ -148,11 +153,16 @@ class SampledPipeline {
   struct BatchState;
   struct RoundState;
 
-  /// Host-side work of one round: sampling, cache lookup/admission, split
-  /// of the input frontier into local / cached / per-owner remote rows, and
-  /// scratch-buffer allocation. Called for every rank in rank order so the
-  /// cache bookkeeping is deterministic and identical across schedules.
+  /// Host-side work of one round: prepare_batch for every rank in
+  /// parallel, then scratch-buffer allocation and the round's counters on
+  /// the calling thread in rank order, so buffer ids, pool placement and
+  /// the trace are deterministic and identical across schedules.
   void prepare_round(RoundState& round);
+  /// Rank r's host part of a round: sampling, cache lookup/admission, and
+  /// the split of the input frontier into local / cached / per-owner
+  /// remote rows. Touches only rank r's RankState and `batch` (the sampler
+  /// is const with thread-local scratch), so ranks run concurrently.
+  void prepare_batch(int round_index, int r, BatchState& batch);
   void enqueue_sample(RoundState& round);
   void enqueue_extract(RoundState& round);
   void enqueue_train(RoundState& round);

@@ -17,9 +17,10 @@
 //             suggests: pooling buys sharing, and sharing needs tenants.
 //
 // Every mode trains and serves bit-identically: recycled blocks are
-// re-zeroed before reuse, so a pooled buffer starts life exactly like a
-// fresh DeviceBuffer; only footprint and (slightly) the simulated schedule
-// of reuse edges differ.
+// re-zeroed before reuse (or NaN-poisoned, for a sim::Fill::kNone lease
+// under hazard checking), so a pooled buffer starts life like a fresh
+// DeviceBuffer; only footprint and (slightly) the simulated schedule of
+// reuse edges differ.
 //
 // pool_mode_knob.set() installs a mode programmatically; the MGGCN_POOL
 // environment variable ("off" | "on" | "auto") is read at first use and an

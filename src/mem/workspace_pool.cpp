@@ -71,8 +71,8 @@ struct WorkspacePool::Slab {
 // ----------------------------------------------------------- PooledBuffer --
 
 PooledBuffer::PooledBuffer(sim::Device& device, std::size_t elements,
-                           std::string name)
-    : view_(device, elements, std::move(name)) {}
+                           std::string name, sim::Fill fill)
+    : view_(device, elements, std::move(name), fill) {}
 
 PooledBuffer::~PooledBuffer() { reset(); }
 
@@ -163,7 +163,8 @@ std::uint64_t WorkspacePool::available_bytes() const {
              : 0;
 }
 
-PooledBuffer WorkspacePool::acquire(std::size_t elements, std::string name) {
+PooledBuffer WorkspacePool::acquire(std::size_t elements, std::string name,
+                                    sim::Fill fill) {
   PooledBuffer lease;
   if (elements == 0) {
     // Matches an empty DeviceBuffer: id 0, no reservation, nothing to
@@ -203,7 +204,7 @@ PooledBuffer WorkspacePool::acquire(std::size_t elements, std::string name) {
     auto slab = std::make_unique<Slab>();
     slab->seq = next_slab_seq_++;
     slab->storage =
-        sim::DeviceBuffer(device_, elements, "pool-slab:" + name);
+        sim::DeviceBuffer(device_, elements, "pool-slab:" + name, fill);
     slab->elements = elements;
     block = new Block();
     block->slab = slab.get();
@@ -228,15 +229,21 @@ PooledBuffer WorkspacePool::acquire(std::size_t elements, std::string name) {
   }
   if (device_.mode() == sim::ExecutionMode::kReal && reused) {
     // Stream-ordered handover: join the previous tenants' last consumers,
-    // then restore the fresh-buffer invariant (DeviceBuffers start zeroed)
-    // so numerics are bit-identical to the static scheme. The host wait
+    // then re-zero the block so numerics are bit-identical to the static
+    // scheme. Every recycled block is zeroed, Fill::kNone leases included,
+    // except that under hazard checking a kNone lease gets the quiet-NaN
+    // poison instead, like a fresh kNone DeviceBuffer. The host wait
     // deliberately does not join the hazard checker's host clock — the
     // *declared* ready() edge must carry the ordering, or the audit fires.
     for (const sim::Event& e : block->pending) {
       if (e.valid()) e.wait();
     }
     if (data != nullptr) {
-      std::memset(data, 0, to_bytes(block->elements));
+      if (fill == sim::Fill::kNone && device_.hazard() != nullptr) {
+        sim::fill_poison({data, block->elements});
+      } else {
+        std::memset(data, 0, to_bytes(block->elements));
+      }
     }
   }
   lease.pool_ = this;
@@ -489,12 +496,13 @@ std::shared_ptr<PoolSet> resolve_pool(std::shared_ptr<PoolSet> shared,
 }
 
 PooledBuffer acquire_or_alloc(WorkspacePool* pool, sim::Device& device,
-                              std::size_t elements, std::string name) {
+                              std::size_t elements, std::string name,
+                              sim::Fill fill) {
   if (pool != nullptr) {
     assert(&pool->device() == &device);
-    return pool->acquire(elements, std::move(name));
+    return pool->acquire(elements, std::move(name), fill);
   }
-  return PooledBuffer(device, elements, std::move(name));
+  return PooledBuffer(device, elements, std::move(name), fill);
 }
 
 void append_ready(std::vector<sim::Event>* waits, const PooledBuffer& lease) {

@@ -22,15 +22,20 @@
 //     independent of worker scheduling; the pool never consults
 //     Event::is_complete().
 //   - Stream-ordered reuse: a tenant records its last consumer's completion
-//     event when recycling (PooledBuffer::recycle(event)); the pool joins
-//     that event before handing the block's *data* to a new tenant
-//     (host-wait + re-zero, so a recycled block starts life bit-identical
-//     to a fresh DeviceBuffer) and before trimming the slab. The handle
-//     also exposes the events as ready(): the next tenant must put them in
-//     its first task's TaskDesc::waits. The block's hazard identity
-//     (BufferAccess id) is stable across reuse, so a consumer that skips
-//     the wait is flagged by MGGCN_HAZARD_CHECK — the recycling itself is
-//     audited, under schedule fuzzing like any other dependency.
+//     event when recycling (PooledBuffer::recycle(event)); the handle of
+//     the next tenant exposes the events as ready(), and that tenant must
+//     put them in its first task's TaskDesc::waits. The block's hazard
+//     identity (BufferAccess id) is stable across reuse, so a consumer
+//     that skips the wait is flagged by MGGCN_HAZARD_CHECK — the recycling
+//     itself is audited, under schedule fuzzing like any other dependency.
+//   - Fill contract (sim::Fill): the pool joins a recycled block's pending
+//     events on the host before re-issuing its data (and before trimming
+//     its slab), then re-zeroes it, so a lease starts life bit-identical
+//     to a fresh zeroed DeviceBuffer. A Fill::kNone lease (scratch its
+//     first writer overwrites whole) differs only in its fill: a fresh
+//     slab is left uninitialized, and under hazard checking its storage,
+//     fresh or recycled, is quiet NaN instead of zeros, so a
+//     read-before-write changes the numerics.
 //   - Loud OOM: exceeding the per-device budget (MGGCN_POOL_BUDGET, default
 //     the device capacity) throws OutOfMemoryError carrying the full pool
 //     ledger, after trimming.
@@ -89,7 +94,8 @@ class PooledBuffer {
  public:
   PooledBuffer() = default;
   /// Owning fallback: reserves `elements` floats directly on `device`.
-  PooledBuffer(sim::Device& device, std::size_t elements, std::string name);
+  PooledBuffer(sim::Device& device, std::size_t elements, std::string name,
+               sim::Fill fill = sim::Fill::kZero);
   ~PooledBuffer();
 
   PooledBuffer(PooledBuffer&& other) noexcept;
@@ -165,8 +171,10 @@ class WorkspacePool {
   /// (splitting larger blocks), else from a fresh exact-size slab after
   /// trimming wholly-free slabs; throws OutOfMemoryError (with the full
   /// pool ledger in the message) when the budget cannot fit the request.
-  /// Zero elements returns an empty lease that reserves nothing.
-  [[nodiscard]] PooledBuffer acquire(std::size_t elements, std::string name);
+  /// Zero elements returns an empty lease that reserves nothing. `fill`
+  /// follows the contract in the header comment.
+  [[nodiscard]] PooledBuffer acquire(std::size_t elements, std::string name,
+                                     sim::Fill fill = sim::Fill::kZero);
 
   [[nodiscard]] sim::Device& device() const { return device_; }
   [[nodiscard]] std::uint64_t budget_bytes() const { return budget_bytes_; }
@@ -234,10 +242,9 @@ class PoolSet {
 
 /// The engines' one-line migration shim: leases from `pool` when non-null,
 /// else allocates an owning DeviceBuffer exactly as the pre-pool code did.
-[[nodiscard]] PooledBuffer acquire_or_alloc(WorkspacePool* pool,
-                                            sim::Device& device,
-                                            std::size_t elements,
-                                            std::string name);
+[[nodiscard]] PooledBuffer acquire_or_alloc(
+    WorkspacePool* pool, sim::Device& device, std::size_t elements,
+    std::string name, sim::Fill fill = sim::Fill::kZero);
 
 /// Appends `lease.ready()` to `waits` — sugar for declaring the reuse edge
 /// on the first task that touches a freshly acquired lease.

@@ -336,15 +336,27 @@ std::uint64_t next_buffer_identity() {
   return next_buffer_id.fetch_add(1, std::memory_order_relaxed);
 }
 
+void fill_poison(std::span<float> data) {
+  std::fill(data.begin(), data.end(),
+            std::numeric_limits<float>::quiet_NaN());
+}
+
 DeviceBuffer::DeviceBuffer(Device& device, std::size_t elements,
-                           std::string name)
+                           std::string name, Fill fill)
     : device_(&device),
       elements_(elements),
       name_(std::move(name)),
       id_(next_buffer_identity()) {
   device_->reserve_memory(bytes(), name_);
   if (device_->mode() == ExecutionMode::kReal && elements_ > 0) {
-    storage_ = std::make_unique<float[]>(elements_);  // zero-initialized
+    if (fill == Fill::kZero) {
+      storage_ = std::make_unique<float[]>(elements_);  // all zeros
+    } else {
+      storage_ = std::make_unique_for_overwrite<float[]>(elements_);
+      if (device_->hazard() != nullptr) {
+        fill_poison({storage_.get(), elements_});
+      }
+    }
     data_ = storage_.get();
   }
 }

@@ -247,13 +247,32 @@ class Device {
 /// owned buffers share one hazard-audit namespace).
 [[nodiscard]] std::uint64_t next_buffer_identity();
 
+/// What a buffer holds before its first writer runs.
+enum class Fill {
+  /// All zeros, like cudaMemset after cudaMalloc. The default: gradient
+  /// accumulators, optimizer moments and partial sums rely on it.
+  kZero,
+  /// Unspecified: the caller promises its first task overwrites every
+  /// element, so fresh storage pays for no zeros nobody reads (a recycled
+  /// WorkspacePool block is still re-zeroed). On a machine with
+  /// a HazardChecker the storage is filled with quiet NaN instead, so a
+  /// read-before-write changes the numerics of a hazard-checked run.
+  kNone,
+};
+
+/// Fills `data` with quiet NaN: the poison Fill::kNone storage carries
+/// under hazard checking.
+void fill_poison(std::span<float> data);
+
 /// RAII simulated-device memory. In real mode it owns host storage for the
-/// floats; in phantom mode only the accounting happens. Element type is
-/// float throughout (the paper trains fp32).
+/// floats, initialized per `fill` (zeroed by default); in phantom mode only
+/// the accounting happens. Element type is float throughout (the paper
+/// trains fp32).
 class DeviceBuffer {
  public:
   DeviceBuffer() = default;
-  DeviceBuffer(Device& device, std::size_t elements, std::string name = {});
+  DeviceBuffer(Device& device, std::size_t elements, std::string name = {},
+               Fill fill = Fill::kZero);
   ~DeviceBuffer();
 
   /// A non-owning view over externally managed storage (a workspace-pool

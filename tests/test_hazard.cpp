@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "dense/kernels.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
+#include "mem/workspace_pool.hpp"
 #include "scoped_env.hpp"
 #include "sim/hazard.hpp"
 #include "sim/machine.hpp"
@@ -263,6 +265,40 @@ core::TrainConfig small_config() {
   config.hidden_dims = {16};
   config.seed = 3;
   return config;
+}
+
+TEST(HazardChecker, ReadOfUnwrittenNoFillStorageIsNonFinite) {
+  // No-fill storage promises a whole overwrite before any read; under
+  // hazard checking it starts as quiet NaN, so a task that reads it first
+  // poisons what it computes — fresh buffers and recycled leases alike.
+  sim::Machine machine = checked_machine(1);
+  sim::Device& device = machine.device(0);
+  mem::WorkspacePool pool(device);
+  mem::PooledBuffer dirty = pool.acquire(64, "dirty");
+  dirty.recycle();
+
+  sim::DeviceBuffer fresh(device, 64, "fresh", sim::Fill::kNone);
+  mem::PooledBuffer recycled = pool.acquire(64, "recycled", sim::Fill::kNone);
+  ASSERT_EQ(pool.stats().reuse_hits, 1u);
+  sim::DeviceBuffer sums(device, 2, "sums");
+  for (sim::DeviceBuffer* in : {&fresh, &recycled.buffer()}) {
+    sim::TaskDesc reader;  // the planted bug: no writer ran before it
+    reader.label = "read-before-write";
+    reader.reads.push_back(in->access());
+    reader.writes.push_back(sums.access());
+    const std::size_t slot = in == &fresh ? 0 : 1;
+    reader.body = [in, &sums, slot] {
+      float total = 0.0f;
+      for (const float x : in->span()) total += x;
+      sums.data()[slot] = total;
+    };
+    device.compute_stream().enqueue(std::move(reader));
+  }
+  machine.synchronize();
+  recycled.recycle();
+  EXPECT_FALSE(std::isfinite(sums.data()[0]));
+  EXPECT_FALSE(std::isfinite(sums.data()[1]));
+  EXPECT_EQ(machine.trace().hazard_count(), 0u);  // ordered, just unwritten
 }
 
 TEST(HazardChecker, TrainerPipelineIsClean) {

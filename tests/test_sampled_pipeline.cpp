@@ -1,10 +1,14 @@
 // Tests for the pipelined distributed mini-batch engine: bit-identical
 // numerics across pipeline on/off, cache modes, and fuzzed schedules;
-// hazard-clean overlapped execution; cache/pipeline counters; and the
-// persistent-memory accounting.
+// loss bits pinned at 1, 4 and 8 devices; hazard-clean overlapped
+// execution whose NaN-poisoned round scratch changes nothing; cache/
+// pipeline counters; and the persistent-memory accounting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sampled_pipeline.hpp"
@@ -40,8 +44,8 @@ SampledPipeline::Options small_options() {
 
 std::vector<double> run_losses(const graph::Dataset& ds,
                                SampledPipeline::Options options, int epochs,
-                               bool hazard_check = false) {
-  sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kReal,
+                               bool hazard_check = false, int devices = 4) {
+  sim::Machine machine(sim::dgx_v100(), devices, sim::ExecutionMode::kReal,
                        hazard_check);
   SampledPipeline pipeline(machine, ds, options);
   std::vector<double> losses;
@@ -78,6 +82,33 @@ TEST(SampledPipeline, PipelinedAndSerializedAreBitIdentical) {
   for (std::size_t e = 0; e < a.size(); ++e) {
     // Bit-identical: the pipeline changes only the simulated schedule.
     EXPECT_EQ(a[e], b[e]) << "epoch " << e;
+  }
+}
+
+TEST(SampledPipeline, LossBitsArePinned) {
+  // The pipelined/serialized parity above compares two modes of one build,
+  // so a change that shifts both together (a reordered RNG draw, a
+  // different frontier split, stale bytes read from round scratch) passes
+  // it. FNV-1a over the bit patterns of three epochs' losses pins the
+  // numerics themselves; 8 devices is more ranks than most hosts have
+  // cores, so the round preparation's helper threads stride. Under
+  // MGGCN_HAZARD_CHECK the no-fill round scratch is NaN-poisoned, so a
+  // read-before-write changes the hash too.
+  const graph::Dataset ds = sampled_dataset();
+  for (const auto& [devices, expected] :
+       {std::pair{1, 0x10156c83101209f9ULL},
+        std::pair{4, 0xd6ac77a3626c6a76ULL},
+        std::pair{8, 0x0b4ab1a9f07e14a4ULL}}) {
+    std::uint64_t hash = 14695981039346656037ULL;
+    for (const double loss : run_losses(ds, small_options(), 3,
+                                        sim::hazard_check_env(), devices)) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &loss, sizeof(bits));
+      for (int byte = 0; byte < 8; ++byte) {
+        hash = (hash ^ ((bits >> (8 * byte)) & 0xffu)) * 1099511628211ULL;
+      }
+    }
+    EXPECT_EQ(hash, expected) << devices << " devices: 0x" << std::hex << hash;
   }
 }
 
@@ -121,6 +152,11 @@ TEST(SampledPipeline, OverlappedScheduleIsHazardClean) {
   const auto losses = run_losses(ds, small_options(), 3,
                                  /*hazard_check=*/true);
   EXPECT_EQ(losses.size(), 3u);
+  // Hazard checking NaN-poisons the no-fill round scratch, so a row read
+  // before it is written changes the numerics (a ReLU turns the NaN into
+  // zeros, the weight gradient keeps it): the checked run must match an
+  // unchecked one bit for bit.
+  EXPECT_EQ(losses, run_losses(ds, small_options(), 3));
 }
 
 TEST(SampledPipeline, SchedFuzzIsBitIdenticalAcrossSeeds) {

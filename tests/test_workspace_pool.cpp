@@ -1,14 +1,21 @@
 // Workspace-pool tests: allocator edge cases (zero-byte, budget-exact,
 // split/coalesce round-trips), stream-ordered reuse under the hazard
 // checker (including the negative case: an omitted ready() wait is
-// flagged), the Device::release_memory underflow counter, the documented
+// flagged), the sim::Fill contract (zeros by default and for every
+// recycled block; no-fill storage NaN-poisoned under hazard checking), the
+// Device::release_memory underflow counter, the documented
 // L+3 memory slope under MGGCN_POOL=off vs the pooled reduction, elastic
 // 4→3 recovery returning every block, and bit-identical numerics across
 // MGGCN_POOL=off|on|auto × sched-fuzz seeds for all three tenants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <memory>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/elastic.hpp"
@@ -200,6 +207,106 @@ TEST(WorkspacePool, CrossStreamReuseWithoutDeclaredWaitIsFlagged) {
 
   machine.synchronize();
   EXPECT_GE(machine.trace().hazard_count(), 1u);
+}
+
+// --- fill contract ---------------------------------------------------------
+
+bool all_zero(std::span<const float> data) {
+  return std::all_of(data.begin(), data.end(),
+                     [](float x) { return x == 0.0f; });
+}
+
+bool all_nan(std::span<const float> data) {
+  return std::all_of(data.begin(), data.end(),
+                     [](float x) { return std::isnan(x); });
+}
+
+TEST(FillContract, DefaultAllocationsReadBackZeroFreshAndRecycled) {
+  for (const bool hazard_check : {false, true}) {
+    sim::Machine machine(sim::dgx_v100(), 1, sim::ExecutionMode::kReal,
+                         hazard_check);
+    sim::Device& device = machine.device(0);
+    const sim::DeviceBuffer owned(device, 300, "owned");
+    EXPECT_TRUE(all_zero(owned.span())) << "hazard_check " << hazard_check;
+
+    mem::WorkspacePool pool(device);
+    mem::PooledBuffer first = pool.acquire(300, "first");
+    EXPECT_TRUE(all_zero(first.span())) << "hazard_check " << hazard_check;
+    std::fill(first.span().begin(), first.span().end(), 7.0f);
+    first.recycle();  // nothing enqueued: no last-use event needed
+
+    // A default lease of a dirty recycled block is re-zeroed, so it starts
+    // life like a fresh DeviceBuffer.
+    mem::PooledBuffer second = pool.acquire(300, "second");
+    EXPECT_EQ(pool.stats().reuse_hits, 1u);
+    EXPECT_TRUE(all_zero(second.span())) << "hazard_check " << hazard_check;
+    second.recycle();
+  }
+}
+
+TEST(FillContract, NoFillStorageIsPoisonedUnderHazardCheck) {
+  sim::Machine machine(sim::dgx_v100(), 1, sim::ExecutionMode::kReal,
+                       /*hazard_check=*/true);
+  sim::Device& device = machine.device(0);
+  const sim::DeviceBuffer owned(device, 300, "owned", sim::Fill::kNone);
+  EXPECT_TRUE(all_nan(owned.span()));
+  const mem::PooledBuffer fallback(device, 300, "fallback", sim::Fill::kNone);
+  EXPECT_TRUE(all_nan(fallback.span()));
+
+  mem::WorkspacePool pool(device);
+  mem::PooledBuffer fresh = pool.acquire(300, "fresh", sim::Fill::kNone);
+  EXPECT_TRUE(all_nan(fresh.span()));
+  sim::TaskDesc writer;
+  writer.label = "writer";
+  writer.writes.push_back(fresh.access());
+  writer.body = [&fresh] {
+    std::fill(fresh.span().begin(), fresh.span().end(), 7.0f);
+  };
+  fresh.recycle(device.compute_stream().enqueue(std::move(writer)));
+
+  // The recycled lease is host-waited on the writer, then poisoned.
+  mem::PooledBuffer recycled = pool.acquire(300, "recycled", sim::Fill::kNone);
+  EXPECT_EQ(pool.stats().reuse_hits, 1u);
+  EXPECT_TRUE(all_nan(recycled.span()));
+  recycled.recycle();
+
+  // A default lease of a poisoned block is still re-zeroed.
+  mem::PooledBuffer zeroed = pool.acquire(300, "zeroed");
+  EXPECT_TRUE(all_zero(zeroed.span()));
+  zeroed.recycle();
+  machine.synchronize();
+}
+
+TEST(FillContract, RecycledNoFillLeaseIsHostWaitedAndZeroed) {
+  // Off the hazard checker a recycled kNone lease is treated like a default
+  // one: the pool joins the previous tenant's still-running writer on the
+  // host before handing the block over, and re-zeroes it. So a lease
+  // dropped before any task waited on its ready() loses no pending event.
+  sim::Machine machine(sim::dgx_v100(), 1, sim::ExecutionMode::kReal,
+                       /*hazard_check=*/false);
+  sim::Device& device = machine.device(0);
+  mem::WorkspacePool pool(device);
+  mem::PooledBuffer first = pool.acquire(300, "first");
+  sim::TaskDesc writer;
+  writer.label = "slow-writer";
+  writer.writes.push_back(first.access());
+  writer.body = [&first] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::fill(first.span().begin(), first.span().end(), 7.0f);
+  };
+  const sim::Event written = device.compute_stream().enqueue(std::move(writer));
+  first.recycle(written);
+
+  mem::PooledBuffer second = pool.acquire(300, "second", sim::Fill::kNone);
+  EXPECT_EQ(pool.stats().reuse_hits, 1u);
+  EXPECT_TRUE(written.is_complete());
+  EXPECT_TRUE(all_zero(second.span()));
+  second.recycle();  // no task consumed ready(): nothing left to wait on
+
+  mem::PooledBuffer third = pool.acquire(300, "third");
+  EXPECT_TRUE(all_zero(third.span()));
+  third.recycle();
+  machine.synchronize();
 }
 
 // --- satellite: release_memory underflow surfaces in the trace -----------
