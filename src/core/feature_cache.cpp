@@ -112,6 +112,7 @@ void FeatureCache::prefill(std::span<const std::uint32_t> vertices,
       freq_[vertices[i]] = static_cast<std::uint64_t>(
           std::max<std::int64_t>(scores[i], 0));
     }
+    rebuild_victims();
   }
 }
 
@@ -139,6 +140,40 @@ FeatureCache::Partition FeatureCache::lookup(
   return part;
 }
 
+bool FeatureCache::hotter(const Victim& a, const Victim& b) {
+  if (a.freq != b.freq) return a.freq > b.freq;
+  return a.vertex < b.vertex;
+}
+
+void FeatureCache::push_victim(std::uint32_t v) {
+  victims_.push_back(Victim{freq_[v], v});
+  std::push_heap(victims_.begin(), victims_.end(), hotter);
+}
+
+std::uint32_t FeatureCache::coldest_pinned() {
+  for (;;) {
+    MGGCN_CHECK_MSG(!victims_.empty(), "victim heap lost a pinned row");
+    const Victim top = victims_.front();
+    if (slot_of_[top.vertex] != kNoSlot && top.freq == freq_[top.vertex]) {
+      // Every other entry's key is at or below its live frequency, so no
+      // pinned vertex is colder than this one.
+      return top.vertex;
+    }
+    std::pop_heap(victims_.begin(), victims_.end(), hotter);
+    victims_.pop_back();
+    // Unpinned: drop. Pinned under a stale key: re-push under the live one.
+    if (slot_of_[top.vertex] != kNoSlot) push_victim(top.vertex);
+  }
+}
+
+void FeatureCache::rebuild_victims() {
+  victims_.clear();
+  for (const std::uint32_t v : slot_vertex_) {
+    victims_.push_back(Victim{freq_[v], v});
+  }
+  std::make_heap(victims_.begin(), victims_.end(), hotter);
+}
+
 std::vector<std::pair<std::uint32_t, std::int64_t>> FeatureCache::admit(
     std::span<const std::uint32_t> missed) {
   std::vector<std::pair<std::uint32_t, std::int64_t>> placements;
@@ -148,9 +183,9 @@ std::vector<std::pair<std::uint32_t, std::int64_t>> FeatureCache::admit(
   cover(missed);
 
   // The admission order is total: by frequency, ties broken by vertex id.
-  // Misses are taken hottest first (ties: lower id) and pinned rows are
-  // displaced coldest first (ties: higher id evicted first). Heaps yield
-  // both orders exactly, but pay only for the rows actually placed.
+  // Misses are taken hottest first (ties: lower id) off a per-call heap, and
+  // pinned rows are displaced coldest first (ties: higher id evicted first)
+  // off the persistent victim heap (see hotter()).
   const auto colder = [this](std::uint32_t a, std::uint32_t b) {
     const auto fa = freq_[a], fb = freq_[b];
     if (fa != fb) return fa < fb;
@@ -166,38 +201,40 @@ std::vector<std::pair<std::uint32_t, std::int64_t>> FeatureCache::admit(
     const std::int64_t slot = occupancy();
     slot_of_[v] = slot;
     slot_vertex_.push_back(v);
+    push_victim(v);  // a fill placement may be displaced by this same call
     ++stats_.inserts;
     placements.emplace_back(v, slot);
   }
-  if (hottest.empty()) return placements;
 
-  // Cache full: displace pinned rows with strictly lower frequency.
-  const auto hotter_slot = [this, &colder](std::int64_t a, std::int64_t b) {
-    return colder(slot_vertex_[static_cast<std::size_t>(b)],
-                  slot_vertex_[static_cast<std::size_t>(a)]);
-  };
-  std::vector<std::int64_t> slots(slot_vertex_.size());
-  std::iota(slots.begin(), slots.end(), std::int64_t{0});
-  std::priority_queue<std::int64_t, std::vector<std::int64_t>,
-                      decltype(hotter_slot)>
-      coldest(hotter_slot, std::move(slots));
-
-  while (!hottest.empty() && !coldest.empty()) {
+  // Cache full: displace pinned rows with strictly lower frequency. Only the
+  // rows pinned when the loop starts are candidates (as with a heap built
+  // over them), so the loop's placements are installed after it: until then
+  // an incoming vertex looks unpinned, and any heap entry left from an
+  // earlier pinning of it is dropped instead of offered as a victim.
+  const std::size_t first = placements.size();
+  const std::size_t candidates = slot_vertex_.size();
+  while (!hottest.empty() && placements.size() - first < candidates) {
     const std::uint32_t incoming = hottest.top();
-    const std::int64_t slot = coldest.top();
-    const std::uint32_t outgoing =
-        slot_vertex_[static_cast<std::size_t>(slot)];
+    const std::uint32_t outgoing = coldest_pinned();
     if (freq_[incoming] <= freq_[outgoing]) break;
-    // Pop before the slot changes hands: the heap orders by its vertex.
     hottest.pop();
-    coldest.pop();
+    std::pop_heap(victims_.begin(), victims_.end(), hotter);
+    victims_.pop_back();
+    const std::int64_t slot = slot_of_[outgoing];
     slot_of_[outgoing] = kNoSlot;
-    slot_of_[incoming] = slot;
-    slot_vertex_[static_cast<std::size_t>(slot)] = incoming;
     ++stats_.evictions;
     ++stats_.inserts;
     placements.emplace_back(incoming, slot);
   }
+  for (std::size_t i = first; i < placements.size(); ++i) {
+    const auto [v, slot] = placements[i];
+    slot_of_[v] = slot;
+    slot_vertex_[static_cast<std::size_t>(slot)] = v;
+    push_victim(v);
+  }
+  // Dead entries (invalidated or displaced vertices) only leave the heap when
+  // they surface; bound them by the live ones.
+  if (victims_.size() > 2 * slot_vertex_.size()) rebuild_victims();
   return placements;
 }
 

@@ -112,7 +112,10 @@ class FeatureCache {
   /// misses, then displaces pinned rows whose frequency is strictly lower.
   /// Returns the (vertex, slot) placements so the caller can enqueue the
   /// row copies; bookkeeping (inserts/evictions counters, slot tables) is
-  /// updated immediately.
+  /// updated immediately. Host cost is O(m log m) in the m misses plus
+  /// O(log capacity) per displaced row and per stale victim-heap entry
+  /// surfaced (amortized over the lookups that made it stale) — never a
+  /// pass over every pinned row.
   [[nodiscard]] std::vector<std::pair<std::uint32_t, std::int64_t>> admit(
       std::span<const std::uint32_t> missed);
 
@@ -155,8 +158,25 @@ class FeatureCache {
  private:
   static constexpr std::int64_t kNoSlot = -1;
 
+  /// A victim-heap entry: a pinned vertex under its frequency when pushed.
+  struct Victim {
+    std::uint64_t freq = 0;
+    std::uint32_t vertex = 0;
+  };
+
+  /// Victim-heap order for the std heap algorithms: "less" is hotter, so
+  /// the coldest entry (lowest frequency, ties: higher id) sits on top.
+  static bool hotter(const Victim& a, const Victim& b);
+
   /// Sizes the per-vertex tables to cover every id in `vertices`.
   void cover(std::span<const std::uint32_t> vertices);
+  void push_victim(std::uint32_t v);
+  /// Settles the victim heap until its top is a pinned vertex under its
+  /// live frequency, and returns that vertex (the coldest pinned row).
+  /// Requires at least one pinned row.
+  [[nodiscard]] std::uint32_t coldest_pinned();
+  /// Rebuilds the victim heap from the pinned rows under their live keys.
+  void rebuild_victims();
 
   CacheMode mode_ = CacheMode::kOff;
   std::int64_t d_ = 0;
@@ -172,6 +192,12 @@ class FeatureCache {
   /// kFreq: lookup counts per vertex (seeded by prefill scores; empty
   /// under the other modes).
   std::vector<std::uint64_t> freq_;
+  /// kFreq: persistent lazy min-heap of eviction candidates, coldest on top
+  /// (by frequency, ties: higher id first). Every pinned vertex has at
+  /// least one entry; frequencies only grow, so an entry's key never
+  /// exceeds its vertex's live frequency. Entries of unpinned vertices are
+  /// dropped and stale keys re-pushed when they surface.
+  std::vector<Victim> victims_;
 };
 
 }  // namespace mggcn::core

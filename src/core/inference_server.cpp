@@ -84,6 +84,8 @@ InferenceServer::InferenceServer(sim::Machine& machine, MgGcnTrainer& trainer,
                               ? dataset.adjacency
                               : dataset.adjacency.permute_symmetric(perm_);
   a_hat_t_ = adj.normalize_gcn().transpose();
+  frontier_pos_.assign(static_cast<std::size_t>(a_hat_t_.cols()), 0);
+  frontier_stamp_.assign(static_cast<std::size_t>(a_hat_t_.cols()), 0);
 
   comm_ = std::make_unique<comm::Communicator>(machine_);
   pool_ = mem::resolve_pool(options_.pool, machine_, options_.pool_mode);
@@ -327,17 +329,25 @@ void InferenceServer::plan_frontier(Batch* batch,
   const auto col_idx = a_hat_t_.col_idx();
   const auto values = a_hat_t_.values();
 
+  // Dedupe the batch's neighbor columns with a per-batch stamp, then sort:
+  // the same ascending union a sort + unique of every edge would give.
+  if (++stamp_ == 0) {
+    std::fill(frontier_stamp_.begin(), frontier_stamp_.end(), 0);
+    stamp_ = 1;
+  }
   std::vector<std::uint32_t>& frontier = batch->frontier;
   for (const std::int64_t id : batch->request_ids) {
     const std::uint32_t g =
         perm_[requests[static_cast<std::size_t>(id)].vertex];
     for (std::int64_t e = row_ptr[g]; e < row_ptr[g + 1]; ++e) {
-      frontier.push_back(col_idx[static_cast<std::size_t>(e)]);
+      const std::uint32_t c = col_idx[static_cast<std::size_t>(e)];
+      if (frontier_stamp_[c] == stamp_) continue;
+      frontier_stamp_[c] = stamp_;
+      frontier.push_back(c);
     }
   }
   std::sort(frontier.begin(), frontier.end());
-  frontier.erase(std::unique(frontier.begin(), frontier.end()),
-                 frontier.end());
+  mark_frontier(frontier);
 
   // The batch adjacency with columns compacted to frontier positions. The
   // remap is monotone, so each output element accumulates its edges in the
@@ -352,9 +362,7 @@ void InferenceServer::plan_frontier(Batch* batch,
     const std::uint32_t g =
         perm_[requests[static_cast<std::size_t>(id)].vertex];
     for (std::int64_t e = row_ptr[g]; e < row_ptr[g + 1]; ++e) {
-      const auto it = std::lower_bound(frontier.begin(), frontier.end(),
-                                       col_idx[static_cast<std::size_t>(e)]);
-      bc.push_back(static_cast<std::uint32_t>(it - frontier.begin()));
+      bc.push_back(frontier_pos_[col_idx[static_cast<std::size_t>(e)]]);
       bv.push_back(values[static_cast<std::size_t>(e)]);
     }
     bp.push_back(static_cast<std::int64_t>(bc.size()));
@@ -362,6 +370,12 @@ void InferenceServer::plan_frontier(Batch* batch,
   batch->adj = sparse::Csr(static_cast<std::int64_t>(batch->request_ids.size()),
                            static_cast<std::int64_t>(frontier.size()),
                            std::move(bp), std::move(bc), std::move(bv));
+}
+
+void InferenceServer::mark_frontier(std::span<const std::uint32_t> frontier) {
+  for (std::size_t pos = 0; pos < frontier.size(); ++pos) {
+    frontier_pos_[frontier[pos]] = static_cast<std::uint32_t>(pos);
+  }
 }
 
 sim::Event InferenceServer::enqueue_batch(const Batch& batch, double base,
@@ -382,7 +396,6 @@ sim::Event InferenceServer::enqueue_batch(const Batch& batch, double base,
   };
   std::vector<RowCopy> local_copies;
   std::vector<std::uint32_t> remote;
-  std::vector<std::int64_t> remote_pos;
   for (std::size_t pos = 0; pos < batch.frontier.size(); ++pos) {
     const std::uint32_t g = batch.frontier[pos];
     if (g >= partition_.begin(r) && g < partition_.end(r)) {
@@ -390,7 +403,6 @@ sim::Event InferenceServer::enqueue_batch(const Batch& batch, double base,
                               static_cast<std::int64_t>(pos)});
     } else {
       remote.push_back(g);
-      remote_pos.push_back(static_cast<std::int64_t>(pos));
     }
   }
 
@@ -398,10 +410,11 @@ sim::Event InferenceServer::enqueue_batch(const Batch& batch, double base,
   stats->serve_cache_hits += part.hit_vertices.size();
   stats->serve_cache_misses += part.miss_vertices.size();
 
-  const auto frontier_pos = [&](std::uint32_t g) {
-    const auto it = std::lower_bound(batch.frontier.begin(),
-                                     batch.frontier.end(), g);
-    return static_cast<std::int64_t>(it - batch.frontier.begin());
+  // Batches are planned ahead of enqueueing, so the position table still
+  // holds the last planned batch's frontier: re-mark this one.
+  mark_frontier(batch.frontier);
+  const auto frontier_pos = [this](std::uint32_t g) {
+    return static_cast<std::int64_t>(frontier_pos_[g]);
   };
 
   // 1. Remote misses: one priced pull per owner on the comm stream, charged
@@ -652,6 +665,21 @@ ServeStats InferenceServer::serve(std::span<const serve::Request> requests,
   for (const auto& req : requests) {
     MGGCN_CHECK_MSG(req.vertex < perm_.size(),
                     "serve request vertex out of range");
+  }
+  // The batch/update merge below relies on time order, and invalidation
+  // maps every touched vertex through perm_.
+  MGGCN_CHECK_MSG(
+      std::is_sorted(updates.begin(), updates.end(),
+                     [](const serve::GraphUpdate& a,
+                        const serve::GraphUpdate& b) {
+                       return a.time < b.time;
+                     }),
+      "serve graph updates must be time-ordered");
+  for (const auto& update : updates) {
+    for (const std::uint32_t v : update.vertices) {
+      MGGCN_CHECK_MSG(v < perm_.size(),
+                      "serve graph-update vertex out of range");
+    }
   }
 
   auto batches = plan_batches(requests);

@@ -145,7 +145,9 @@ class InferenceServer {
   /// graph-update events), drains the machine, and returns the latency /
   /// throughput accounting. Arrival times are relative to the machine's
   /// clock at the call. Callable repeatedly; each call starts a fresh
-  /// latency ledger but keeps the warmed embedding cache.
+  /// latency ledger but keeps the warmed embedding cache. Throws
+  /// InvalidArgumentError for out-of-order requests or updates and for
+  /// request or update vertices outside the graph.
   ServeStats serve(std::span<const serve::Request> requests,
                    std::span<const serve::GraphUpdate> updates = {});
 
@@ -192,7 +194,13 @@ class InferenceServer {
   void build_caches();
   [[nodiscard]] std::vector<Batch> plan_batches(
       std::span<const serve::Request> requests);
+  /// Fills batch->frontier and batch->adj. Host cost is O(e + f log f)
+  /// for a batch of e neighbor edges and f distinct frontier rows (one
+  /// sort of the deduplicated frontier; every column maps through
+  /// frontier_pos_).
   void plan_frontier(Batch* batch, std::span<const serve::Request> requests);
+  /// Points frontier_pos_ at `frontier`'s positions.
+  void mark_frontier(std::span<const std::uint32_t> frontier);
   /// Enqueues one batch's pull/gather/infer/admit tasks; returns the
   /// completion event and accumulates cost seconds into the counters.
   sim::Event enqueue_batch(const Batch& batch, double base,
@@ -214,6 +222,13 @@ class InferenceServer {
   bool spmm_first_ = false;   ///< last layer's §4.4 order
   dense::HostMatrix store_;   ///< n x d_store, permuted order (real mode)
   dense::HostMatrix weight_;  ///< last W (spmm-first, real mode)
+
+  /// Planning tables over Â's columns (permuted vertex ids): the vertex's
+  /// position in the most recently marked frontier, and the stamp of the
+  /// last batch whose frontier took it (the dedupe before the sort).
+  std::vector<std::uint32_t> frontier_pos_;
+  std::vector<std::uint32_t> frontier_stamp_;
+  std::uint32_t stamp_ = 0;
 
   ServeCacheMode cache_mode_used_ = ServeCacheMode::kOff;
   double est_batch_seconds_ = 0.0;

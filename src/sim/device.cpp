@@ -411,9 +411,12 @@ DeviceBuffer& DeviceBuffer::operator=(DeviceBuffer&& other) noexcept {
 }
 
 BufferAccess DeviceBuffer::access() const {
-  return BufferAccess{
-      id_, name_ + "@gpu" +
-               std::to_string(device_ != nullptr ? device_->rank() : -1)};
+  // Only the hazard checker reads the label, so an unchecked machine skips
+  // building it (access() runs several times per enqueued task).
+  if (device_ == nullptr || device_->hazard() == nullptr) {
+    return BufferAccess{id_, {}};
+  }
+  return BufferAccess{id_, name_ + "@gpu" + std::to_string(device_->rank())};
 }
 
 std::span<float> DeviceBuffer::span() {

@@ -299,7 +299,9 @@ class DeviceBuffer {
   /// across moves, 0 for a default-constructed/released buffer.
   [[nodiscard]] std::uint64_t id() const { return id_; }
 
-  /// This buffer's declared-access record for TaskDesc::reads/writes.
+  /// This buffer's declared-access record for TaskDesc::reads/writes. The
+  /// `name@gpuN` label is filled only when the device has a hazard checker
+  /// (its only reader); otherwise it is empty.
   [[nodiscard]] BufferAccess access() const;
 
   /// Host storage view; empty span in phantom mode.

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -251,6 +253,15 @@ class ReferenceLfu {
 
   const std::vector<std::uint32_t>& pinned() const { return slots_; }
 
+  std::uint64_t max_pinned_freq() const {
+    std::uint64_t hottest = 0;
+    for (const std::uint32_t v : slots_) {
+      const auto it = freq_.find(v);
+      if (it != freq_.end()) hottest = std::max(hottest, it->second);
+    }
+    return hottest;
+  }
+
  private:
   std::int64_t capacity_;
   std::unordered_map<std::uint32_t, std::int64_t> slot_of_;
@@ -260,75 +271,118 @@ class ReferenceLfu {
 
 TEST_F(FeatureCacheTest, FreqBookkeepingMatchesHashMapReference) {
   // Skewed lookups over a growing id range (ids beyond the prefill), with
-  // graph-update invalidations in between: every partition, placement,
-  // relocation and the pinned set must match the reference step by step.
-  for (const bool prefilled : {true, false}) {
-    constexpr std::int64_t kCapacity = 40;
-    FeatureCache cache(machine_.device(0), 4, kCapacity, CacheMode::kFreq);
-    ReferenceLfu reference(kCapacity);
-    util::Rng rng(prefilled ? 51 : 52);
-    if (prefilled) {
-      std::vector<std::uint32_t> vertices;
-      std::vector<std::int64_t> scores;
-      for (std::uint32_t v = 0; v < 300; v += 2) {
-        vertices.push_back(v);
-        scores.push_back(static_cast<std::int64_t>(rng.uniform_index(20)));
-      }
-      cache.prefill(vertices, scores);
-      reference.prefill(vertices, scores);
-    }
-    int displaced = 0;
-    for (int round = 0; round < 60; ++round) {
-      const std::uint64_t range = 200 + 10 * static_cast<std::uint64_t>(round);
-      std::vector<std::uint32_t> frontier;
-      for (int i = 0; i < 80; ++i) {
-        // Squaring a uniform draw skews accesses towards low ids.
-        const double u = rng.uniform();
-        frontier.push_back(
-            static_cast<std::uint32_t>(u * u * static_cast<double>(range)));
-      }
-      std::sort(frontier.begin(), frontier.end());
-      frontier.erase(std::unique(frontier.begin(), frontier.end()),
-                     frontier.end());
-
-      const FeatureCache::Partition got = cache.lookup(frontier);
-      const FeatureCache::Partition want = reference.lookup(frontier);
-      ASSERT_EQ(got.hit_vertices, want.hit_vertices) << "round " << round;
-      ASSERT_EQ(got.hit_slots, want.hit_slots) << "round " << round;
-      ASSERT_EQ(got.miss_vertices, want.miss_vertices) << "round " << round;
-      const std::int64_t occupied = cache.occupancy();
-      const auto placements = cache.admit(got.miss_vertices);
-      ASSERT_EQ(placements, reference.admit(want.miss_vertices))
-          << "round " << round;
-      for (const auto& placement : placements) {
-        if (placement.second < occupied) ++displaced;
-      }
-
-      if (round % 7 == 3) {
-        std::vector<std::uint32_t> touched;
-        for (int i = 0; i < 12; ++i) {
-          touched.push_back(static_cast<std::uint32_t>(
-              rng.uniform_index(range + 50)));
+  // graph-update invalidations in between and, every 97 rounds, a burst of
+  // fresh vertices looked up until they outrank every pinned row, so one
+  // admit displaces the whole cache: every partition, placement, relocation
+  // and the pinned set must match the reference step by step, from a
+  // single slot up. Evicted and invalidated rows come back later, which is
+  // where a victim heap with stale entries would go wrong.
+  constexpr int kRounds = 600;
+  constexpr std::uint32_t kBurstBase = 7000;  // above every round's range
+  for (const std::int64_t capacity : {1, 3, 40}) {
+    for (const bool prefilled : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "capacity " << capacity
+                                        << (prefilled ? " prefilled" : ""));
+      FeatureCache cache(machine_.device(0), 4, capacity, CacheMode::kFreq);
+      ReferenceLfu reference(capacity);
+      util::Rng rng(prefilled ? 51 : 52);
+      if (prefilled) {
+        std::vector<std::uint32_t> vertices;
+        std::vector<std::int64_t> scores;
+        for (std::uint32_t v = 0; v < 300; v += 2) {
+          vertices.push_back(v);
+          scores.push_back(static_cast<std::int64_t>(rng.uniform_index(20)));
         }
-        const auto a = cache.invalidate(touched);
-        const auto b = reference.invalidate(touched);
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          EXPECT_EQ(a[i].vertex, b[i].vertex);
-          EXPECT_EQ(a[i].from_slot, b[i].from_slot);
-          EXPECT_EQ(a[i].to_slot, b[i].to_slot);
-        }
+        cache.prefill(vertices, scores);
+        reference.prefill(vertices, scores);
       }
-      ASSERT_TRUE(std::equal(cache.pinned().begin(), cache.pinned().end(),
-                             reference.pinned().begin(),
-                             reference.pinned().end()))
-          << "round " << round;
+      int displaced = 0;
+      int whole_cache = 0;
+      int readmitted = 0;
+      std::set<std::uint32_t> dropped;  // ever evicted or invalidated
+      std::uint32_t burst_next = kBurstBase;
+      for (int round = 0; round < kRounds; ++round) {
+        const std::uint64_t range =
+            200 + 10 * static_cast<std::uint64_t>(round);
+        std::vector<std::uint32_t> frontier;
+        for (int i = 0; i < 80; ++i) {
+          // Squaring a uniform draw skews accesses towards low ids.
+          const double u = rng.uniform();
+          frontier.push_back(
+              static_cast<std::uint32_t>(u * u * static_cast<double>(range)));
+        }
+        if (round % 97 == 50) {
+          std::vector<std::uint32_t> burst(static_cast<std::size_t>(capacity));
+          std::iota(burst.begin(), burst.end(), burst_next);
+          burst_next += static_cast<std::uint32_t>(capacity);
+          const std::uint64_t target = reference.max_pinned_freq() + 1;
+          for (std::uint64_t i = 0; i < target; ++i) {
+            (void)cache.lookup(burst);
+            (void)reference.lookup(burst);
+          }
+          frontier.insert(frontier.end(), burst.begin(), burst.end());
+        }
+        std::sort(frontier.begin(), frontier.end());
+        frontier.erase(std::unique(frontier.begin(), frontier.end()),
+                       frontier.end());
+
+        const FeatureCache::Partition got = cache.lookup(frontier);
+        const FeatureCache::Partition want = reference.lookup(frontier);
+        ASSERT_EQ(got.hit_vertices, want.hit_vertices) << "round " << round;
+        ASSERT_EQ(got.hit_slots, want.hit_slots) << "round " << round;
+        ASSERT_EQ(got.miss_vertices, want.miss_vertices) << "round " << round;
+        const std::vector<std::uint32_t> before(cache.pinned().begin(),
+                                                cache.pinned().end());
+        const auto placements = cache.admit(got.miss_vertices);
+        ASSERT_EQ(placements, reference.admit(want.miss_vertices))
+            << "round " << round;
+        std::size_t displaced_now = 0;
+        for (const auto& [v, slot] : placements) {
+          if (dropped.count(v) != 0) ++readmitted;
+          if (slot < static_cast<std::int64_t>(before.size())) {
+            ++displaced_now;
+            dropped.insert(before[static_cast<std::size_t>(slot)]);
+          }
+        }
+        displaced += static_cast<int>(displaced_now);
+        if (!before.empty() && displaced_now == before.size()) ++whole_cache;
+
+        if (round % 7 == 3) {
+          std::vector<std::uint32_t> touched;
+          for (int i = 0; i < 12; ++i) {
+            touched.push_back(static_cast<std::uint32_t>(
+                rng.uniform_index(range + 50)));
+          }
+          for (const std::uint32_t v : touched) {
+            if (std::find(cache.pinned().begin(), cache.pinned().end(), v) !=
+                cache.pinned().end()) {
+              dropped.insert(v);
+            }
+          }
+          const auto a = cache.invalidate(touched);
+          const auto b = reference.invalidate(touched);
+          ASSERT_EQ(a.size(), b.size());
+          for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].vertex, b[i].vertex);
+            EXPECT_EQ(a[i].from_slot, b[i].from_slot);
+            EXPECT_EQ(a[i].to_slot, b[i].to_slot);
+          }
+        }
+        ASSERT_TRUE(std::equal(cache.pinned().begin(), cache.pinned().end(),
+                               reference.pinned().begin(),
+                               reference.pinned().end()))
+            << "round " << round;
+      }
+      // The workload reached LFU displacement, displaced a whole cache in
+      // one admit, and re-admitted rows that had been dropped before.
+      EXPECT_GT(displaced, 0);
+      EXPECT_GT(whole_cache, 0);
+      EXPECT_GT(readmitted, 0);
+      const auto& stats = cache.stats();
+      EXPECT_EQ(static_cast<std::int64_t>(stats.inserts) -
+                    static_cast<std::int64_t>(stats.evictions),
+                cache.occupancy() - (prefilled ? capacity : 0));
     }
-    EXPECT_GT(displaced, 0);  // the workload reached LFU displacement
-    const auto& stats = cache.stats();
-    EXPECT_EQ(static_cast<std::int64_t>(stats.inserts) -
-                  static_cast<std::int64_t>(stats.evictions),
-              cache.occupancy() - (prefilled ? kCapacity : 0));
   }
 }
 

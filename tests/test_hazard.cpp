@@ -75,6 +75,21 @@ TEST(HazardChecker, UnorderedCrossStreamAccessIsReported) {
   EXPECT_NE(records.front().buffer.find("buf"), std::string::npos);
 }
 
+TEST(HazardChecker, UncheckedMachineLeavesAccessLabelEmpty) {
+  // The label exists only for hazard reports; without a checker access()
+  // must not pay for building it, but the identity is still declared.
+  sim::Machine machine(sim::dgx_v100(), 1, sim::ExecutionMode::kReal,
+                       /*hazard_check=*/false);
+  sim::DeviceBuffer buf(machine.device(0), 64, "buf");
+  const sim::BufferAccess access = buf.access();
+  EXPECT_EQ(access.buffer, buf.id());
+  EXPECT_TRUE(access.name.empty());
+
+  sim::Machine checked = checked_machine(1);
+  sim::DeviceBuffer named(checked.device(0), 64, "buf");
+  EXPECT_EQ(named.access().name, "buf@gpu0");
+}
+
 TEST(HazardChecker, EventEdgeOrdersAccesses) {
   sim::Machine machine = checked_machine(1);
   sim::Device& device = machine.device(0);

@@ -4,6 +4,7 @@
 // batcher/cache accounting must reconcile.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -204,6 +205,97 @@ TEST(InferenceServer, BitIdenticalUnderSchedulingFuzz) {
     expect_bit_identical(server.predictions(), logits, requests);
     if (baseline.rows() == 0) baseline = server.predictions();
   }
+}
+
+TEST(InferenceServer, ServeStatsArePinned) {
+  // The bit-identity tests above compare predictions with the trainer, so a
+  // change to cache admission, frontier planning or the batch/update merge
+  // that shifts only the accounting passes them. FNV-1a over three warm
+  // serve() calls — every counter, the simulated gather/infer seconds, the
+  // p50/p99 latencies and every prediction bit — pins all of it. Under
+  // MGGCN_HAZARD_CHECK the machine runs the hazard checker too.
+  const graph::Dataset ds = small_dataset();
+  sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kReal);
+  core::MgGcnTrainer trainer(machine, ds, small_config());
+  trainer.train(1);
+  trainer.run_forward();
+
+  core::ServeOptions options;
+  options.cache_mode = core::ServeCacheMode::kEmbed;
+  core::InferenceServer server(machine, trainer, ds, options);
+
+  std::uint64_t hash = 14695981039346656037ULL;
+  const auto mix = [&hash](const auto value) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(value));
+    for (std::size_t byte = 0; byte < sizeof(value); ++byte) {
+      hash = (hash ^ ((bits >> (8 * byte)) & 0xffu)) * 1099511628211ULL;
+    }
+  };
+  for (std::uint64_t call = 0; call < 3; ++call) {
+    serve::WorkloadOptions wl = load_options();
+    wl.skew = serve::QuerySkew::kZipf;
+    wl.update_rate = 5000.0;
+    wl.update_touch = 40;
+    wl.seed = 11 + call;
+    serve::WorkloadGen gen(ds.n(), wl);
+    const auto requests = gen.generate(200);
+    const auto updates = gen.generate_updates(requests.back().arrival);
+    const core::ServeStats stats = server.serve(requests, updates);
+    for (const std::int64_t counter :
+         {stats.serve_requests, stats.serve_batches,
+          stats.serve_graph_updates, stats.serve_invalidations}) {
+      mix(counter);
+    }
+    mix(stats.serve_cache_hits);
+    mix(stats.serve_cache_misses);
+    for (const double seconds :
+         {stats.serve_gather_seconds, stats.serve_infer_seconds,
+          stats.serve_p50_latency, stats.serve_p99_latency}) {
+      mix(seconds);
+    }
+    const dense::HostMatrix& predictions = server.predictions();
+    for (std::int64_t i = 0; i < predictions.rows(); ++i) {
+      for (std::int64_t c = 0; c < predictions.cols(); ++c) {
+        mix(predictions.at(i, c));
+      }
+    }
+  }
+  EXPECT_EQ(hash, 0x8b326b2dccf233c9ULL) << "0x" << std::hex << hash;
+  EXPECT_EQ(machine.trace().hazard_count(), 0u);
+}
+
+TEST(InferenceServer, RejectsOutOfRangeUpdateVertices) {
+  const graph::Dataset ds = small_dataset();
+  sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kPhantom);
+  core::MgGcnTrainer trainer(machine, ds, small_config());
+  trainer.run_forward();
+  core::ServeOptions options;
+  options.cache_mode = core::ServeCacheMode::kEmbed;
+  core::InferenceServer server(machine, trainer, ds, options);
+
+  serve::WorkloadGen gen(ds.n(), load_options());
+  const auto requests = gen.generate(32);
+  const std::vector<serve::GraphUpdate> updates = {
+      {requests.front().arrival,
+       {0, static_cast<std::uint32_t>(ds.n())}}};
+  EXPECT_THROW(server.serve(requests, updates), InvalidArgumentError);
+}
+
+TEST(InferenceServer, RejectsUpdatesOutOfTimeOrder) {
+  const graph::Dataset ds = small_dataset();
+  sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kPhantom);
+  core::MgGcnTrainer trainer(machine, ds, small_config());
+  trainer.run_forward();
+  core::ServeOptions options;
+  options.cache_mode = core::ServeCacheMode::kEmbed;
+  core::InferenceServer server(machine, trainer, ds, options);
+
+  serve::WorkloadGen gen(ds.n(), load_options());
+  const auto requests = gen.generate(32);
+  const std::vector<serve::GraphUpdate> updates = {
+      {requests.back().arrival, {1, 2}}, {requests.front().arrival, {3}}};
+  EXPECT_THROW(server.serve(requests, updates), InvalidArgumentError);
 }
 
 TEST(InferenceServer, PhantomModeAccountsWithoutValues) {
