@@ -47,8 +47,7 @@ struct RunResult {
   std::uint64_t peak = 0;  ///< max device-ledger high water (replica scale)
   std::vector<double> losses;
   dense::HostMatrix predictions;  ///< combined cells only
-  std::uint64_t reuse_hits = 0;
-  double fragmentation = 0.0;
+  mem::PoolStats pool;            ///< the cell's pools (zero when static)
   bool hazard_clean = true;
 };
 
@@ -61,11 +60,18 @@ struct CellParams {
   int epochs = 2;
 };
 
-void finish(sim::Machine& machine, RunResult* out) {
+/// A tenant cell's pools: kOn cells build the set and pass it in, like
+/// run_combined; kOff/kAuto cells keep none, so the tenant resolves exactly
+/// as a default-wired engine would (static allocation).
+std::shared_ptr<mem::PoolSet> cell_pools(sim::Machine& machine,
+                                         mem::PoolMode mode) {
+  return mode == mem::PoolMode::kOn ? mem::PoolSet::create(machine) : nullptr;
+}
+
+void finish(sim::Machine& machine, const mem::PoolSet* pools,
+            RunResult* out) {
   out->peak = machine.max_memory_peak();
-  const sim::PoolCounters pool = machine.trace().pool_counters();
-  out->reuse_hits = pool.reuse_hits;
-  out->fragmentation = pool.fragmentation_peak;
+  if (pools != nullptr) out->pool = pools->stats();
   out->hazard_clean = machine.trace().hazard_count() == 0;
 }
 
@@ -75,15 +81,17 @@ RunResult run_trainer(const graph::Dataset& ds,
   RunResult out;
   sim::Machine machine(profile, p.gpus, sim::ExecutionMode::kReal,
                        /*hazard_check=*/true);
+  const std::shared_ptr<mem::PoolSet> pools = cell_pools(machine, mode);
   core::TrainConfig config;
   config.hidden_dims.assign(static_cast<std::size_t>(p.layers - 1), p.hidden);
   config.seed = 7;
   config.pool_mode = mode;
+  config.pool = pools;
   core::MgGcnTrainer trainer(machine, ds, config);
   for (const auto& stats : trainer.train(p.epochs)) {
     out.losses.push_back(stats.loss);
   }
-  finish(machine, &out);
+  finish(machine, pools.get(), &out);
   return out;
 }
 
@@ -93,17 +101,19 @@ RunResult run_pipeline(const graph::Dataset& ds,
   RunResult out;
   sim::Machine machine(profile, p.gpus, sim::ExecutionMode::kReal,
                        /*hazard_check=*/true);
+  const std::shared_ptr<mem::PoolSet> pools = cell_pools(machine, mode);
   core::SampledPipeline::Options options;
   options.hidden_dims.assign(static_cast<std::size_t>(p.layers - 1), p.hidden);
   options.fanout.assign(static_cast<std::size_t>(p.layers), 10);
   options.batch_size = p.batch;
   options.seed = 3;
   options.pool_mode = mode;
+  options.pool = pools;
   core::SampledPipeline pipeline(machine, ds, options);
   for (const auto& stats : pipeline.train(p.epochs)) {
     out.losses.push_back(stats.loss);
   }
-  finish(machine, &out);
+  finish(machine, pools.get(), &out);
   return out;
 }
 
@@ -163,7 +173,7 @@ RunResult run_combined(const graph::Dataset& ds,
   out.predictions = server.predictions();
 
   machine.synchronize();
-  finish(machine, &out);
+  finish(machine, pools.get(), &out);
   return out;
 }
 
@@ -295,7 +305,7 @@ int main(int argc, char** argv) {
                          util::format_bytes(static_peak),
                          util::format_bytes(pooled_peak),
                          util::format_double(reduction, 2) + "x",
-                         std::to_string(on.reuse_hits),
+                         std::to_string(on.pool.reuse_hits),
                          parity ? "yes" : "NO",
                          hazard_clean ? "clean" : "DIRTY"});
 
@@ -307,8 +317,8 @@ int main(int argc, char** argv) {
                     << ", \"static_peak_bytes\": " << static_peak
                     << ", \"pooled_peak_bytes\": " << pooled_peak
                     << ", \"reduction\": " << reduction
-                    << ", \"reuse_hits\": " << on.reuse_hits
-                    << ", \"fragmentation\": " << on.fragmentation
+                    << ", \"reuse_hits\": " << on.pool.reuse_hits
+                    << ", \"fragmentation\": " << on.pool.fragmentation_peak
                     << ", \"fuzz_seeds\": " << fuzz_seeds.size()
                     << ", \"parity\": " << (parity ? "true" : "false")
                     << ", \"hazard_clean\": "

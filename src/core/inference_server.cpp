@@ -655,7 +655,6 @@ void InferenceServer::enqueue_invalidate(const serve::GraphUpdate& update,
 ServeStats InferenceServer::serve(std::span<const serve::Request> requests,
                                   std::span<const serve::GraphUpdate> updates) {
   ServeStats stats;
-  if (requests.empty()) return stats;
   MGGCN_CHECK_MSG(
       std::is_sorted(requests.begin(), requests.end(),
                      [](const serve::Request& a, const serve::Request& b) {
@@ -680,6 +679,16 @@ ServeStats InferenceServer::serve(std::span<const serve::Request> requests,
       MGGCN_CHECK_MSG(v < perm_.size(),
                       "serve graph-update vertex out of range");
     }
+  }
+
+  if (requests.empty()) {
+    // An update-only window: its invalidations still reach the caches, but
+    // there is nothing to batch and no latency to report.
+    const double base = machine_.align_clocks();
+    for (const auto& update : updates) enqueue_invalidate(update, base, &stats);
+    machine_.synchronize();
+    predictions_ = dense::HostMatrix();
+    return stats;
   }
 
   auto batches = plan_batches(requests);
@@ -779,19 +788,6 @@ ServeStats InferenceServer::serve(std::span<const serve::Request> requests,
           ? static_cast<double>(stats.serve_cache_hits) /
                 static_cast<double>(looked_up)
           : 0.0;
-
-  sim::ServeCounters counters;
-  counters.requests = static_cast<std::uint64_t>(stats.serve_requests);
-  counters.batches = static_cast<std::uint64_t>(stats.serve_batches);
-  counters.cache_hits = stats.serve_cache_hits;
-  counters.cache_misses = stats.serve_cache_misses;
-  counters.graph_updates =
-      static_cast<std::uint64_t>(stats.serve_graph_updates);
-  counters.invalidations =
-      static_cast<std::uint64_t>(stats.serve_invalidations);
-  counters.gather_seconds = stats.serve_gather_seconds;
-  counters.infer_seconds = stats.serve_infer_seconds;
-  machine_.trace().record_serve(counters);
 
   // Hand the gather scratch back between serve() calls so a co-resident
   // trainer or pipeline can reuse the blocks. The machine was synchronized

@@ -147,7 +147,8 @@ class InferenceServer {
   /// clock at the call. Callable repeatedly; each call starts a fresh
   /// latency ledger but keeps the warmed embedding cache. Throws
   /// InvalidArgumentError for out-of-order requests or updates and for
-  /// request or update vertices outside the graph.
+  /// request or update vertices outside the graph. A call without requests
+  /// still applies its updates; only the update counters are reported.
   ServeStats serve(std::span<const serve::Request> requests,
                    std::span<const serve::GraphUpdate> updates = {});
 

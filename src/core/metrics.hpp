@@ -7,6 +7,14 @@
 
 #include "sim/trace.hpp"
 
+namespace mggcn::sim {
+class Machine;
+}
+
+namespace mggcn::mem {
+class PoolSet;
+}
+
 namespace mggcn::core {
 
 struct EpochStats {
@@ -53,7 +61,7 @@ struct EpochStats {
   int plan_decisions = 0;
   int plan_fallbacks = 0;
 
-  /// Sampled-pipeline counters this epoch (sim::PipelineCounters deltas;
+  /// Sampled-pipeline counters this epoch (counted by SampledPipeline;
   /// zero for the full-batch trainer). cache_* are the per-device feature
   /// caches' extraction outcomes; pipe_*_seconds are the cost-model-priced
   /// busy seconds per stage summed over devices; pipe_occupancy is the
@@ -70,12 +78,13 @@ struct EpochStats {
   double pipe_train_seconds = 0.0;
   double pipe_occupancy = 0.0;
 
-  /// Workspace-pool counters this epoch (sim::PoolCounters; all zero when
-  /// MGGCN_POOL resolves to the static path). pool_peak_bytes is the
-  /// high-water pooled reservation over devices (an absolute snapshot, not
-  /// a delta); pool_reuse_hits counts acquires served by recycling instead
-  /// of a fresh device reservation; pool_fragmentation is the high-water
-  /// unusable-free fraction of the reservation.
+  /// The engine's workspace-pool counters (mem::PoolSet::stats of its
+  /// pools; all zero when MGGCN_POOL resolves to the static path).
+  /// pool_peak_bytes is the high-water pooled reservation over devices (an
+  /// absolute snapshot, not a delta); pool_reuse_hits counts this epoch's
+  /// acquires served by recycling instead of a fresh device reservation;
+  /// pool_fragmentation is the high-water unusable-free fraction of the
+  /// reservation.
   std::uint64_t pool_peak_bytes = 0;
   std::uint64_t pool_reuse_hits = 0;
   double pool_fragmentation = 0.0;
@@ -90,5 +99,25 @@ struct EpochStats {
   double part_avg_ghost_density = 0.0;
   double part_imbalance = 1.0;
 };
+
+/// The machine-wide counters at an epoch's start, which fill_epoch_stats
+/// reports the epoch's deltas against.
+struct EpochMark {
+  double sim_time = 0.0;
+  sim::CommVolume comm;
+  std::uint64_t pool_reuse_hits = 0;
+};
+
+/// Aligns the machine's clocks and takes the epoch's start marks; `pools`
+/// is the engine's pool set (null on the static path).
+[[nodiscard]] EpochMark mark_epoch(sim::Machine& machine,
+                                   const mem::PoolSet* pools);
+
+/// Fills the fields both training engines share from the synchronized
+/// machine: simulated seconds and busy split since `mark`, peak device
+/// memory, comm retries of `stats->epoch`, the comm volume deltas and the
+/// pool_* counters of `pools`.
+void fill_epoch_stats(sim::Machine& machine, const EpochMark& mark,
+                      const mem::PoolSet* pools, EpochStats* stats);
 
 }  // namespace mggcn::core

@@ -286,15 +286,9 @@ SampledPipeline::MemoryBreakdown SampledPipeline::account_memory() const {
     mem.cache_bytes = std::max(mem.cache_bytes, state->cache.bytes());
   }
   mem.model_bytes = replicated_state_bytes(dims_);
-  if (pool_ != nullptr) {
-    for (int r = 0; r < pool_->size(); ++r) {
-      const mem::PoolStats& stats = pool_->pool(r).stats();
-      mem.pool_reserved_bytes =
-          std::max(mem.pool_reserved_bytes, stats.reserved_bytes);
-      mem.pool_in_use_bytes =
-          std::max(mem.pool_in_use_bytes, stats.in_use_bytes);
-    }
-  }
+  const mem::PoolStats pool = pool_ ? pool_->stats() : mem::PoolStats{};
+  mem.pool_reserved_bytes = pool.reserved_bytes;
+  mem.pool_in_use_bytes = pool.in_use_bytes;
   return mem;
 }
 
@@ -382,16 +376,14 @@ void SampledPipeline::prepare_round(RoundState& round) {
   const int P = machine_.num_devices();
   const std::int64_t d0 = dims_.front();
   const int layers = num_layers();
-  sim::PipelineCounters delta;
-  delta.rounds = 1;
 
   round.batches.resize(static_cast<std::size_t>(P));
   for_each_rank(P, [&](int r) {
     prepare_batch(round.index, r, round.batches[static_cast<std::size_t>(r)]);
   });
 
-  // Scratch buffers and counters, on this thread in rank order (the pool
-  // is single-threaded, and buffer ids and placement stay deterministic).
+  // Scratch buffers, on this thread in rank order (the pool is
+  // single-threaded, and buffer ids and placement stay deterministic).
   // Every buffer below is overwritten whole by its first writer (gx by the
   // local/hit assembly plus the miss scatter, rx by sendv_rows, z/dh by a
   // beta = 0 SpMM, h/dz by a beta = 0 GeMM), so none is zero-filled.
@@ -399,10 +391,6 @@ void SampledPipeline::prepare_round(RoundState& round) {
     BatchState& batch = round.batches[static_cast<std::size_t>(r)];
     sim::Device& device = machine_.device(r);
     const auto frontier = batch.sub.layers.back().size();
-    delta.batches += 1;
-    delta.cache_hits += batch.hit_slots.size();
-    delta.cache_misses +=
-        frontier - batch.local_rows.size() - batch.hit_slots.size();
 
     // Pooled, these lease recycled blocks; z/h and dz/dh are deferred to
     // enqueue_train (level by level, right before their first writers) so
@@ -449,19 +437,10 @@ void SampledPipeline::prepare_round(RoundState& round) {
           "SMB:dh", sim::Fill::kNone);
     }
   }
-
-  // Eviction counters are monotone per cache; the round's delta is the
-  // difference against the previous prepare's machine-wide total.
-  std::uint64_t evictions = 0;
-  for (const auto& state : ranks_) evictions += state->cache.stats().evictions;
-  delta.cache_evictions = evictions - evictions_seen_;
-  evictions_seen_ = evictions;
-
-  machine_.trace().record_pipeline(delta);
 }
 
 void SampledPipeline::enqueue_sample(RoundState& round) {
-  sim::PipelineCounters delta;
+  double seconds = 0.0;
   for (int r = 0; r < machine_.num_devices(); ++r) {
     BatchState& batch = round.batches[static_cast<std::size_t>(r)];
     sim::Device& device = machine_.device(r);
@@ -477,18 +456,17 @@ void SampledPipeline::enqueue_sample(RoundState& round) {
         static_cast<double>(batch.sub.total_edges()) * 16.0 +
         static_cast<double>(batch.sub.total_vertices()) * 8.0;
     task.cost.launches = sampler_.hops();
-    delta.sample_seconds +=
-        sim::CostModel::seconds(task.cost, device.profile());
+    seconds += sim::CostModel::seconds(task.cost, device.profile());
     batch.sample_done = device.compute_stream().enqueue(std::move(task));
   }
-  machine_.trace().record_pipeline(delta);
+  stage_seconds_.sample += seconds;
 }
 
 void SampledPipeline::enqueue_extract(RoundState& round) {
   const int P = machine_.num_devices();
   const std::int64_t d0 = dims_.front();
   const auto row_bytes = static_cast<std::uint64_t>(d0) * sizeof(float);
-  sim::PipelineCounters delta;
+  double seconds = 0.0;
   sim::CommVolume volume;
 
   // Stage 1 (per rank): assemble local rows and cache hits into gx.
@@ -527,8 +505,7 @@ void SampledPipeline::enqueue_extract(RoundState& round) {
                     static_cast<std::size_t>(d0) * sizeof(float));
       }
     };
-    delta.extract_seconds +=
-        sim::CostModel::seconds(task.cost, device.profile());
+    seconds += sim::CostModel::seconds(task.cost, device.profile());
     device.comm_stream().enqueue(std::move(task));
 
     // The no-cache baseline would pull every remote row (hits included)
@@ -575,8 +552,7 @@ void SampledPipeline::enqueue_extract(RoundState& round) {
     volume.packs += static_cast<std::uint64_t>(shape.messages());
     volume.compact_stages += 1;
     // The collective occupies every rank's comm stream for its duration.
-    delta.extract_seconds +=
-        comm_.sendv_rows_seconds(shape) * static_cast<double>(P);
+    seconds += comm_.sendv_rows_seconds(shape) * static_cast<double>(P);
 
     std::vector<sim::Event> events = comm_.sendv_rows(
         std::move(parts), std::move(rows), d0, o, comm::StreamChoice::kComm,
@@ -642,8 +618,7 @@ void SampledPipeline::enqueue_extract(RoundState& round) {
                     static_cast<std::size_t>(d0) * sizeof(float));
       }
     };
-    delta.extract_seconds +=
-        sim::CostModel::seconds(task.cost, device.profile());
+    seconds += sim::CostModel::seconds(task.cost, device.profile());
     batch.extract_done = device.comm_stream().enqueue(std::move(task));
 
     // The scatter is the landing buffers' last consumer: hand the blocks
@@ -653,14 +628,14 @@ void SampledPipeline::enqueue_extract(RoundState& round) {
     }
   }
 
-  machine_.trace().record_pipeline(delta);
+  stage_seconds_.extract += seconds;
   machine_.trace().record_comm_volume(volume);
 }
 
 void SampledPipeline::enqueue_train(RoundState& round) {
   const int P = machine_.num_devices();
   const int layers = num_layers();
-  sim::PipelineCounters delta;
+  double seconds = 0.0;
 
   std::int64_t global_seeds = 0;
   for (const auto& batch : round.batches) {
@@ -678,7 +653,7 @@ void SampledPipeline::enqueue_train(RoundState& round) {
     sim::Device& device = machine_.device(r);
     sim::Stream& stream = device.compute_stream();
     const auto price = [&](const sim::KernelCost& cost) {
-      delta.train_seconds += sim::CostModel::seconds(cost, device.profile());
+      seconds += sim::CostModel::seconds(cost, device.profile());
     };
 
     // Forward.
@@ -944,15 +919,14 @@ void SampledPipeline::enqueue_train(RoundState& round) {
                     step, options_.learning_rate, options_.beta1,
                     options_.beta2, options_.epsilon);
       };
-      delta.train_seconds +=
-          sim::CostModel::seconds(adam.cost, device.profile());
+      seconds += sim::CostModel::seconds(adam.cost, device.profile());
       device.compute_stream().enqueue(std::move(adam));
     }
     round.batches[static_cast<std::size_t>(r)].train_done =
         device.compute_stream().record_event();
   }
 
-  machine_.trace().record_pipeline(delta);
+  stage_seconds_.train += seconds;
 }
 
 void SampledPipeline::retire_round(RoundState& round) {
@@ -970,10 +944,19 @@ void SampledPipeline::retire_round(RoundState& round) {
 }
 
 EpochStats SampledPipeline::train_epoch() {
-  const double mark = machine_.align_clocks();
-  const sim::CommVolume volume_mark = machine_.trace().comm_volume();
-  const sim::PipelineCounters pipe_mark = machine_.trace().pipeline_counters();
-  const sim::PoolCounters pool_mark = machine_.trace().pool_counters();
+  // The caches count their own lookups and evictions.
+  const auto cache_totals = [this] {
+    FeatureCache::Stats total;
+    for (const auto& state : ranks_) {
+      total.hits += state->cache.stats().hits;
+      total.misses += state->cache.stats().misses;
+      total.evictions += state->cache.stats().evictions;
+    }
+    return total;
+  };
+  const EpochMark mark = mark_epoch(machine_, pool_.get());
+  const FeatureCache::Stats cache_start = cache_totals();
+  const StageSeconds seconds_start = stage_seconds_;
   machine_.begin_epoch(epoch_);
 
   epoch_loss_sum_ = 0.0;
@@ -1029,44 +1012,23 @@ EpochStats SampledPipeline::train_epoch() {
 
   EpochStats stats;
   stats.epoch = epoch_++;
-  stats.sim_seconds = machine_.sim_time() - mark;
-  stats.busy_by_kind = machine_.trace().busy_by_kind(mark);
-  stats.peak_memory_bytes = machine_.max_memory_peak();
-  stats.comm_retries = static_cast<int>(machine_.trace().fault_count(
-      sim::FaultEventKind::kCommRetry, stats.epoch));
-  const sim::CommVolume volume = machine_.trace().comm_volume();
-  stats.comm_wire_bytes = volume.wire_bytes - volume_mark.wire_bytes;
-  stats.comm_wire_bytes_inter =
-      volume.wire_bytes_inter - volume_mark.wire_bytes_inter;
-  stats.comm_bytes_saved = volume.bytes_saved() - volume_mark.bytes_saved();
-  stats.comm_packs = volume.packs - volume_mark.packs;
-  stats.comm_compact_stages =
-      static_cast<int>(volume.compact_stages - volume_mark.compact_stages);
-  stats.comm_dense_stages =
-      static_cast<int>(volume.dense_stages - volume_mark.dense_stages);
-
-  const sim::PoolCounters pool = machine_.trace().pool_counters();
-  stats.pool_peak_bytes = pool.reserved_peak_bytes;  // absolute high-water
-  stats.pool_reuse_hits = pool.reuse_hits - pool_mark.reuse_hits;
-  stats.pool_fragmentation = pool.fragmentation_peak;
-
-  const sim::PipelineCounters pipe = machine_.trace().pipeline_counters();
-  stats.pipe_rounds = static_cast<int>(pipe.rounds - pipe_mark.rounds);
-  stats.cache_hits =
-      static_cast<std::int64_t>(pipe.cache_hits - pipe_mark.cache_hits);
+  fill_epoch_stats(machine_, mark, pool_.get(), &stats);
+  stats.pipe_rounds = rounds_per_epoch_;
+  const FeatureCache::Stats cache = cache_totals();
+  stats.cache_hits = static_cast<std::int64_t>(cache.hits - cache_start.hits);
   stats.cache_misses =
-      static_cast<std::int64_t>(pipe.cache_misses - pipe_mark.cache_misses);
-  stats.cache_evictions = static_cast<std::int64_t>(pipe.cache_evictions -
-                                                    pipe_mark.cache_evictions);
+      static_cast<std::int64_t>(cache.misses - cache_start.misses);
+  stats.cache_evictions =
+      static_cast<std::int64_t>(cache.evictions - cache_start.evictions);
   const std::int64_t lookups = stats.cache_hits + stats.cache_misses;
   stats.cache_hit_rate =
       lookups > 0 ? static_cast<double>(stats.cache_hits) /
                         static_cast<double>(lookups)
                   : 0.0;
-  stats.pipe_sample_seconds = pipe.sample_seconds - pipe_mark.sample_seconds;
+  stats.pipe_sample_seconds = stage_seconds_.sample - seconds_start.sample;
   stats.pipe_extract_seconds =
-      pipe.extract_seconds - pipe_mark.extract_seconds;
-  stats.pipe_train_seconds = pipe.train_seconds - pipe_mark.train_seconds;
+      stage_seconds_.extract - seconds_start.extract;
+  stats.pipe_train_seconds = stage_seconds_.train - seconds_start.train;
   const double stream_seconds =
       2.0 * static_cast<double>(machine_.num_devices()) * stats.sim_seconds;
   stats.pipe_occupancy =

@@ -154,9 +154,9 @@ class SampledPipeline {
   struct RoundState;
 
   /// Host-side work of one round: prepare_batch for every rank in
-  /// parallel, then scratch-buffer allocation and the round's counters on
-  /// the calling thread in rank order, so buffer ids, pool placement and
-  /// the trace are deterministic and identical across schedules.
+  /// parallel, then scratch-buffer allocation on the calling thread in
+  /// rank order, so buffer ids and pool placement are deterministic and
+  /// identical across schedules.
   void prepare_round(RoundState& round);
   /// Rank r's host part of a round: sampling, cache lookup/admission, and
   /// the split of the input frontier into local / cached / per-owner
@@ -185,8 +185,16 @@ class SampledPipeline {
   int rounds_per_epoch_ = 0;
   int epoch_ = 0;
   int adam_step_ = 0;
-  /// Machine-wide eviction total at the last prepare (per-round deltas).
-  std::uint64_t evictions_seen_ = 0;
+  /// Cost-model-priced busy seconds per stage since construction, summed
+  /// over devices by the enqueue_* stages on the enqueueing thread (so
+  /// they do not depend on worker scheduling); train_epoch reports the
+  /// epoch's difference as EpochStats::pipe_*_seconds.
+  struct StageSeconds {
+    double sample = 0.0;
+    double extract = 0.0;
+    double train = 0.0;
+  };
+  StageSeconds stage_seconds_;
 
   // Epoch accumulators (reset by train_epoch, filled by retire_round).
   double epoch_loss_sum_ = 0.0;

@@ -629,10 +629,8 @@ void MgGcnTrainer::enqueue_backward(std::vector<sim::Event> grad_ready) {
 }
 
 EpochStats MgGcnTrainer::train_epoch() {
-  const double mark = machine_.align_clocks();
-  const sim::CommVolume volume_mark = machine_.trace().comm_volume();
+  const EpochMark mark = mark_epoch(machine_, pool_.get());
   const sim::PlanCounters plan_mark = machine_.trace().plan_counters();
-  const sim::PoolCounters pool_mark = machine_.trace().pool_counters();
   machine_.begin_epoch(epoch_);
   rank_loss_.assign(ranks_.size(), LossResult{});
 
@@ -644,22 +642,7 @@ EpochStats MgGcnTrainer::train_epoch() {
 
   EpochStats stats;
   stats.epoch = epoch_++;
-  stats.sim_seconds = machine_.sim_time() - mark;
-  stats.busy_by_kind = machine_.trace().busy_by_kind(mark);
-  stats.peak_memory_bytes = machine_.max_memory_peak();
-  stats.comm_retries = static_cast<int>(machine_.trace().fault_count(
-      sim::FaultEventKind::kCommRetry, stats.epoch));
-  const sim::CommVolume volume = machine_.trace().comm_volume();
-  stats.comm_wire_bytes = volume.wire_bytes - volume_mark.wire_bytes;
-  stats.comm_wire_bytes_inter =
-      volume.wire_bytes_inter - volume_mark.wire_bytes_inter;
-  stats.comm_bytes_saved =
-      volume.bytes_saved() - volume_mark.bytes_saved();
-  stats.comm_packs = volume.packs - volume_mark.packs;
-  stats.comm_compact_stages =
-      static_cast<int>(volume.compact_stages - volume_mark.compact_stages);
-  stats.comm_dense_stages =
-      static_cast<int>(volume.dense_stages - volume_mark.dense_stages);
+  fill_epoch_stats(machine_, mark, pool_.get(), &stats);
   const sim::PlanCounters plans = machine_.trace().plan_counters();
   stats.plan_products_1d =
       static_cast<int>(plans.products_1d - plan_mark.products_1d);
@@ -671,10 +654,6 @@ EpochStats MgGcnTrainer::train_epoch() {
       static_cast<int>(plans.decisions - plan_mark.decisions);
   stats.plan_fallbacks =
       static_cast<int>(plans.fallbacks - plan_mark.fallbacks);
-  const sim::PoolCounters pool = machine_.trace().pool_counters();
-  stats.pool_peak_bytes = pool.reserved_peak_bytes;  // absolute high-water
-  stats.pool_reuse_hits = pool.reuse_hits - pool_mark.reuse_hits;
-  stats.pool_fragmentation = pool.fragmentation_peak;
   stats.part_cut_edges = part_stats_.cut_edges;
   stats.part_inter_node_cut_edges = part_stats_.inter_node_cut_edges;
   stats.part_ghost_rows = part_stats_.ghost_rows;

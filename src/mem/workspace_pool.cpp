@@ -174,7 +174,6 @@ PooledBuffer WorkspacePool::acquire(std::size_t elements, std::string name,
     return lease;
   }
 
-  sim::PoolCounters delta;
   Block* block = find_fit(elements);
   bool reused = block != nullptr;
   if (reused) {
@@ -183,10 +182,8 @@ PooledBuffer WorkspacePool::acquire(std::size_t elements, std::string name,
       Block* remainder = split(block, elements);
       bin_insert(remainder);
       ++stats_.splits;
-      ++delta.splits;
     }
     ++stats_.reuse_hits;
-    ++delta.reuse_hits;
   } else {
     // The free lists cannot serve the request: give back every wholly-free
     // slab first so the grow below never stacks idle reservations on top
@@ -215,7 +212,6 @@ PooledBuffer WorkspacePool::acquire(std::size_t elements, std::string name,
     slabs_.push_back(std::move(slab));
     stats_.reserved_bytes += bytes;
     ++stats_.slab_allocs;
-    ++delta.slab_allocs;
   }
 
   block->free = false;
@@ -253,7 +249,6 @@ PooledBuffer WorkspacePool::acquire(std::size_t elements, std::string name,
   lease.view_ = sim::DeviceBuffer::view(device_, block->elements, data,
                                         std::move(name), block->id);
   note_extremes();
-  publish(delta);
   return lease;
 }
 
@@ -323,7 +318,6 @@ WorkspacePool::Block* WorkspacePool::split(Block* block, std::size_t elements) {
 
 void WorkspacePool::release_block(Block* block, sim::Event last_use) {
   assert(!block->free);
-  sim::PoolCounters delta;
   block->free = true;
   if (last_use.valid()) block->pending.push_back(std::move(last_use));
   stats_.in_use_bytes -= to_bytes(block->elements);
@@ -343,7 +337,6 @@ void WorkspacePool::release_block(Block* block, sim::Event last_use) {
     delete block;
     block = prev;
     ++stats_.coalesces;
-    ++delta.coalesces;
   }
   if (Block* next = block->next; next != nullptr && next->free) {
     bin_remove(next);
@@ -356,11 +349,9 @@ void WorkspacePool::release_block(Block* block, sim::Event last_use) {
     block->id = sim::next_buffer_identity();
     delete next;
     ++stats_.coalesces;
-    ++delta.coalesces;
   }
   bin_insert(block);
   note_extremes();
-  publish(delta);
 }
 
 void WorkspacePool::trim_free_slabs() {
@@ -380,7 +371,6 @@ void WorkspacePool::trim_free_slabs() {
     bin_remove(head);
     stats_.reserved_bytes -= to_bytes(slab.elements);
     ++stats_.trims;
-    publish(sim::PoolCounters{.trims = 1});
     it = slabs_.erase(it);  // releases the device reservation
   }
 }
@@ -402,17 +392,6 @@ void WorkspacePool::note_extremes() {
                                   static_cast<double>(stats_.free_bytes);
     stats_.fragmentation_peak = std::max(stats_.fragmentation_peak, frag);
   }
-}
-
-void WorkspacePool::publish(const sim::PoolCounters& delta) {
-  sim::Trace* trace = device_.trace();
-  if (trace == nullptr) return;
-  sim::PoolCounters out = delta;
-  // Peaks merge by max in Trace, so publish current absolutes every time.
-  out.reserved_peak_bytes = stats_.reserved_peak_bytes;
-  out.in_use_peak_bytes = stats_.in_use_peak_bytes;
-  out.fragmentation_peak = stats_.fragmentation_peak;
-  trace->record_pool(out);
 }
 
 std::string WorkspacePool::ledger_string() const {
@@ -480,6 +459,29 @@ std::shared_ptr<PoolSet> PoolSet::create(sim::Machine& machine,
 
 WorkspacePool& PoolSet::pool(int rank) {
   return *pools_.at(static_cast<std::size_t>(rank));
+}
+
+PoolStats PoolSet::stats() const {
+  PoolStats out;
+  for (const auto& pool : pools_) {
+    const PoolStats& s = pool->stats();
+    out.reserved_bytes = std::max(out.reserved_bytes, s.reserved_bytes);
+    out.in_use_bytes = std::max(out.in_use_bytes, s.in_use_bytes);
+    out.free_bytes = std::max(out.free_bytes, s.free_bytes);
+    out.reserved_peak_bytes =
+        std::max(out.reserved_peak_bytes, s.reserved_peak_bytes);
+    out.in_use_peak_bytes =
+        std::max(out.in_use_peak_bytes, s.in_use_peak_bytes);
+    out.reuse_hits += s.reuse_hits;
+    out.slab_allocs += s.slab_allocs;
+    out.splits += s.splits;
+    out.coalesces += s.coalesces;
+    out.trims += s.trims;
+    out.live_buffers += s.live_buffers;
+    out.fragmentation_peak =
+        std::max(out.fragmentation_peak, s.fragmentation_peak);
+  }
+  return out;
 }
 
 std::shared_ptr<PoolSet> resolve_pool(std::shared_ptr<PoolSet> shared,

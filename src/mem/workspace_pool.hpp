@@ -199,7 +199,6 @@ class WorkspacePool {
   /// static scheme would have reserved.
   void trim_free_slabs();
   void note_extremes();
-  void publish(const sim::PoolCounters& delta);
   [[nodiscard]] std::string ledger_string() const;
 
   sim::Device& device_;
@@ -221,6 +220,11 @@ class PoolSet {
 
   [[nodiscard]] WorkspacePool& pool(int rank);
   [[nodiscard]] sim::Machine* machine() const { return machine_; }
+  /// Every device's PoolStats in one record: event counts (reuse hits,
+  /// slab allocs, splits, coalesces, trims, live leases) sum over devices;
+  /// byte levels, their peaks and fragmentation_peak take the max over
+  /// devices, since each device has its own budget.
+  [[nodiscard]] PoolStats stats() const;
   [[nodiscard]] int size() const { return static_cast<int>(pools_.size()); }
 
  private:

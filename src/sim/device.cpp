@@ -287,17 +287,15 @@ void Device::release_memory(std::uint64_t bytes) noexcept {
   std::lock_guard lock(memory_mutex_);
   if (bytes > memory_used_) {
     // A double release would silently corrupt the ledger; surface it. The
-    // trace counter propagates the error to benches and tests (the log
-    // alone is invisible to automated accounting checks), the debug assert
-    // keeps it fatal where a debugger is attached, and release builds clamp
-    // so accounting stays monotone instead of wrapping.
+    // counter propagates the error to benches and tests (the log alone is
+    // invisible to automated accounting checks), the debug assert keeps it
+    // fatal where a debugger is attached, and release builds clamp so
+    // accounting stays monotone instead of wrapping.
     MGGCN_LOG(kError) << "device " << rank_ << " memory release underflow: "
                       << "releasing " << util::format_bytes(bytes)
                       << " with only " << util::format_bytes(memory_used_)
                       << " in use";
-    if (trace_ != nullptr) {
-      trace_->record_pool(PoolCounters{.release_underflows = 1});
-    }
+    ++release_underflows_;
     assert(false && "device memory release underflow");
     memory_used_ = 0;
     return;
@@ -313,6 +311,11 @@ std::uint64_t Device::memory_used() const {
 std::uint64_t Device::memory_peak() const {
   std::lock_guard lock(memory_mutex_);
   return memory_peak_;
+}
+
+std::uint64_t Device::release_underflows() const {
+  std::lock_guard lock(memory_mutex_);
+  return release_underflows_;
 }
 
 void Device::reset_memory_peak() {

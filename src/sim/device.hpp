@@ -220,6 +220,9 @@ class Device {
   [[nodiscard]] std::uint64_t memory_used() const;
   [[nodiscard]] std::uint64_t memory_peak() const;
   void reset_memory_peak();
+  /// release_memory calls that released more than was in use (a double
+  /// release or a leaked ledger); benches and tests assert it stays 0.
+  [[nodiscard]] std::uint64_t release_underflows() const;
 
   /// Drains both streams.
   void synchronize();
@@ -238,6 +241,7 @@ class Device {
   mutable std::mutex memory_mutex_;
   std::uint64_t memory_used_ = 0;
   std::uint64_t memory_peak_ = 0;
+  std::uint64_t release_underflows_ = 0;
 
   std::vector<std::unique_ptr<Stream>> streams_;
 };

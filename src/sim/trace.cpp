@@ -5,7 +5,9 @@
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <tuple>
 
+#include "util/error.hpp"
 #include "util/format.hpp"
 
 namespace mggcn::sim {
@@ -81,36 +83,6 @@ PlanCounters Trace::plan_counters() const {
   return plan_counters_;
 }
 
-void Trace::record_pipeline(const PipelineCounters& delta) {
-  std::lock_guard lock(mutex_);
-  pipeline_counters_ += delta;
-}
-
-PipelineCounters Trace::pipeline_counters() const {
-  std::lock_guard lock(mutex_);
-  return pipeline_counters_;
-}
-
-void Trace::record_serve(const ServeCounters& delta) {
-  std::lock_guard lock(mutex_);
-  serve_counters_ += delta;
-}
-
-ServeCounters Trace::serve_counters() const {
-  std::lock_guard lock(mutex_);
-  return serve_counters_;
-}
-
-void Trace::record_pool(const PoolCounters& delta) {
-  std::lock_guard lock(mutex_);
-  pool_counters_ += delta;
-}
-
-PoolCounters Trace::pool_counters() const {
-  std::lock_guard lock(mutex_);
-  return pool_counters_;
-}
-
 void Trace::clear() {
   std::lock_guard lock(mutex_);
   records_.clear();
@@ -118,9 +90,6 @@ void Trace::clear() {
   hazard_records_.clear();
   comm_volume_ = CommVolume{};
   plan_counters_ = PlanCounters{};
-  pipeline_counters_ = PipelineCounters{};
-  serve_counters_ = ServeCounters{};
-  pool_counters_ = PoolCounters{};
 }
 
 std::vector<HazardRecord> Trace::hazard_records() const {
@@ -131,11 +100,6 @@ std::vector<HazardRecord> Trace::hazard_records() const {
 std::size_t Trace::hazard_count() const {
   std::lock_guard lock(mutex_);
   return hazard_records_.size();
-}
-
-std::vector<FaultRecord> Trace::fault_records() const {
-  std::lock_guard lock(mutex_);
-  return fault_records_;
 }
 
 std::size_t Trace::fault_count(FaultEventKind kind, int epoch) const {
@@ -153,12 +117,18 @@ std::vector<TraceRecord> Trace::records() const {
 }
 
 std::map<TaskKind, double> Trace::busy_by_kind(double since) const {
+  // Stream workers append records in completion order, which differs from
+  // run to run, while each stream's own records keep its program order.
+  // Summing per (kind, device, stream) first and then in key order makes
+  // the floating-point total independent of how the streams interleaved.
   std::lock_guard lock(mutex_);
-  std::map<TaskKind, double> out;
+  std::map<std::tuple<TaskKind, int, int>, double> per_stream;
   for (const auto& rec : records_) {
     if (rec.t_begin < since) continue;
-    out[rec.kind] += rec.duration();
+    per_stream[{rec.kind, rec.device, rec.stream}] += rec.duration();
   }
+  std::map<TaskKind, double> out;
+  for (const auto& [key, busy] : per_stream) out[std::get<0>(key)] += busy;
   return out;
 }
 
@@ -202,7 +172,7 @@ std::string json_escape(std::string_view s) {
 
 void Trace::export_chrome_json(const std::string& path) const {
   std::ofstream os(path, std::ios::trunc);
-  if (!os.is_open()) return;
+  MGGCN_CHECK_MSG(os.is_open(), "cannot open for writing: " + path);
   os << "[\n";
   bool first = true;
   for (const auto& rec : records()) {
@@ -219,6 +189,8 @@ void Trace::export_chrome_json(const std::string& path) const {
     os << '}';
   }
   os << "\n]\n";
+  os.flush();
+  MGGCN_CHECK_MSG(static_cast<bool>(os), "write failed: " + path);
 }
 
 std::string Trace::render_timeline(double t0, double t1, int width) const {

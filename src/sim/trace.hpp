@@ -4,7 +4,6 @@
 // rendered straight from these records.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -128,113 +127,6 @@ struct PlanCounters {
   }
 };
 
-/// Aggregate sampled-pipeline counters (core::SampledPipeline records one
-/// delta per round at enqueue time, like CommVolume, so the counters are
-/// deterministic regardless of worker scheduling). `*_seconds` are the
-/// cost-model-priced busy seconds of each stage summed over devices — the
-/// per-stage occupancy the bench --json artifacts report; cache_* count the
-/// per-device feature-cache outcomes of the extraction stage.
-struct PipelineCounters {
-  /// Pipeline rounds executed (one mini-batch per device per round).
-  std::uint64_t rounds = 0;
-  /// Per-device mini-batches trained (rounds * devices).
-  std::uint64_t batches = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  double sample_seconds = 0.0;
-  double extract_seconds = 0.0;
-  double train_seconds = 0.0;
-
-  PipelineCounters& operator+=(const PipelineCounters& o) {
-    rounds += o.rounds;
-    batches += o.batches;
-    cache_hits += o.cache_hits;
-    cache_misses += o.cache_misses;
-    cache_evictions += o.cache_evictions;
-    sample_seconds += o.sample_seconds;
-    extract_seconds += o.extract_seconds;
-    train_seconds += o.train_seconds;
-    return *this;
-  }
-};
-
-/// Aggregate inference-serving counters (core::InferenceServer records one
-/// delta per micro-batch at enqueue time, like PipelineCounters, so the
-/// counters are deterministic regardless of worker scheduling). Latency
-/// percentiles are computed by the server from per-request completion
-/// times; these totals feed the EpochStats-style serve_* fields and the
-/// bench --json artifacts.
-struct ServeCounters {
-  /// Queries served (one node-classification request each).
-  std::uint64_t requests = 0;
-  /// Micro-batches executed.
-  std::uint64_t batches = 0;
-  /// Embedding-tier cache outcomes of the gather stage.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  /// Simulated graph-update events processed, and cached rows they evicted.
-  std::uint64_t graph_updates = 0;
-  std::uint64_t invalidations = 0;
-  /// Cost-model-priced busy seconds of the gather (local + cache + remote
-  /// pull) and inference (SpMM/GeMM) stages, summed over batches.
-  double gather_seconds = 0.0;
-  double infer_seconds = 0.0;
-
-  ServeCounters& operator+=(const ServeCounters& o) {
-    requests += o.requests;
-    batches += o.batches;
-    cache_hits += o.cache_hits;
-    cache_misses += o.cache_misses;
-    graph_updates += o.graph_updates;
-    invalidations += o.invalidations;
-    gather_seconds += o.gather_seconds;
-    infer_seconds += o.infer_seconds;
-    return *this;
-  }
-};
-
-/// Aggregate workspace-pool counters (mem::WorkspacePool records one delta
-/// per allocator operation at enqueue time, like PipelineCounters, so the
-/// counters are deterministic regardless of worker scheduling). Sums
-/// accumulate; the *_peak fields and fragmentation_peak are high-water
-/// marks and merge by max. release_underflows counts Device::release_memory
-/// accounting underflows (a double release / leaked ledger) so benches and
-/// tests can assert the books balanced.
-struct PoolCounters {
-  /// High-water of device bytes reserved by pool slabs (max over devices).
-  std::uint64_t reserved_peak_bytes = 0;
-  /// High-water of bytes inside live PooledBuffer leases (max over devices).
-  std::uint64_t in_use_peak_bytes = 0;
-  /// Acquires served from the free lists instead of a fresh slab.
-  std::uint64_t reuse_hits = 0;
-  std::uint64_t slab_allocs = 0;
-  std::uint64_t splits = 0;
-  std::uint64_t coalesces = 0;
-  /// Wholly-free slabs released back to the device ledger before growing.
-  std::uint64_t trims = 0;
-  /// High-water of the unusable-free fraction: free bytes outside the
-  /// largest free block, over all free bytes (0 = every free byte is one
-  /// contiguous block per slab).
-  double fragmentation_peak = 0.0;
-  /// Device::release_memory underflows (accounting corruption; see the
-  /// device ledger satellite).
-  std::uint64_t release_underflows = 0;
-
-  PoolCounters& operator+=(const PoolCounters& o) {
-    reserved_peak_bytes = std::max(reserved_peak_bytes, o.reserved_peak_bytes);
-    in_use_peak_bytes = std::max(in_use_peak_bytes, o.in_use_peak_bytes);
-    reuse_hits += o.reuse_hits;
-    slab_allocs += o.slab_allocs;
-    splits += o.splits;
-    coalesces += o.coalesces;
-    trims += o.trims;
-    fragmentation_peak = std::max(fragmentation_peak, o.fragmentation_peak);
-    release_underflows += o.release_underflows;
-    return *this;
-  }
-};
-
 struct TraceRecord {
   int device = 0;
   int stream = 0;
@@ -259,19 +151,9 @@ class Trace {
   void record_comm_volume(const CommVolume& delta);
   /// Accumulates one distributed product's strategy-selection counters.
   void record_plan(const PlanCounters& delta);
-  /// Accumulates one sampled-pipeline round's stage/cache counters.
-  void record_pipeline(const PipelineCounters& delta);
-  /// Accumulates one served micro-batch's request/cache counters.
-  void record_serve(const ServeCounters& delta);
-  /// Accumulates one workspace-pool operation's counters (sums add,
-  /// high-water fields merge by max).
-  void record_pool(const PoolCounters& delta);
   void clear();
 
   [[nodiscard]] std::vector<TraceRecord> records() const;
-
-  /// All fault/recovery events recorded so far, in firing order.
-  [[nodiscard]] std::vector<FaultRecord> fault_records() const;
 
   /// Hazards reported by the machine's HazardChecker, in detection order.
   [[nodiscard]] std::vector<HazardRecord> hazard_records() const;
@@ -285,23 +167,12 @@ class Trace {
   /// difference two snapshots).
   [[nodiscard]] PlanCounters plan_counters() const;
 
-  /// Running sampled-pipeline totals (snapshot; per-epoch figures
-  /// difference two snapshots).
-  [[nodiscard]] PipelineCounters pipeline_counters() const;
-
-  /// Running inference-serving totals (snapshot; per-window stats
-  /// difference two snapshots).
-  [[nodiscard]] ServeCounters serve_counters() const;
-
-  /// Running workspace-pool totals (snapshot; per-epoch stats difference
-  /// the additive fields and read the high-water fields directly).
-  [[nodiscard]] PoolCounters pool_counters() const;
-
   /// Number of fault events of `kind` (optionally restricted to one epoch).
   [[nodiscard]] std::size_t fault_count(FaultEventKind kind,
                                         int epoch = -1) const;
 
   /// Total simulated busy time per kind, over records with t_begin >= since.
+  /// Bit-identical across runs whatever the worker interleaving.
   [[nodiscard]] std::map<TaskKind, double> busy_by_kind(
       double since = 0.0) const;
 
@@ -326,9 +197,6 @@ class Trace {
   std::vector<HazardRecord> hazard_records_;
   CommVolume comm_volume_;
   PlanCounters plan_counters_;
-  PipelineCounters pipeline_counters_;
-  ServeCounters serve_counters_;
-  PoolCounters pool_counters_;
 };
 
 /// Escapes `s` for embedding inside a JSON string literal: quotes,

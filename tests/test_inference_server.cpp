@@ -4,7 +4,6 @@
 // batcher/cache accounting must reconcile.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <set>
 #include <vector>
 
@@ -15,6 +14,7 @@
 #include "graph/datasets.hpp"
 #include "scoped_env.hpp"
 #include "sim/machine.hpp"
+#include "stats_hash.hpp"
 #include "util/error.hpp"
 
 namespace mggcn {
@@ -213,10 +213,15 @@ TEST(InferenceServer, ServeStatsArePinned) {
   // that shifts only the accounting passes them. FNV-1a over three warm
   // serve() calls — every counter, the simulated gather/infer seconds, the
   // p50/p99 latencies and every prediction bit — pins all of it. Under
-  // MGGCN_HAZARD_CHECK the machine runs the hazard checker too.
+  // MGGCN_HAZARD_CHECK the machine runs the hazard checker too. The
+  // trainer's partitioner and planner are pinned: the MGGCN_PART and
+  // MGGCN_PLAN axes reorder its reductions, which moves prediction bits.
   const graph::Dataset ds = small_dataset();
   sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kReal);
-  core::MgGcnTrainer trainer(machine, ds, small_config());
+  core::TrainConfig config = small_config();
+  config.part_mode = core::PartMode::kRandom;
+  config.plan_mode = core::PlanMode::kAuto;
+  core::MgGcnTrainer trainer(machine, ds, config);
   trainer.train(1);
   trainer.run_forward();
 
@@ -224,14 +229,7 @@ TEST(InferenceServer, ServeStatsArePinned) {
   options.cache_mode = core::ServeCacheMode::kEmbed;
   core::InferenceServer server(machine, trainer, ds, options);
 
-  std::uint64_t hash = 14695981039346656037ULL;
-  const auto mix = [&hash](const auto value) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(value));
-    for (std::size_t byte = 0; byte < sizeof(value); ++byte) {
-      hash = (hash ^ ((bits >> (8 * byte)) & 0xffu)) * 1099511628211ULL;
-    }
-  };
+  testing::Fnv1a hash;
   for (std::uint64_t call = 0; call < 3; ++call) {
     serve::WorkloadOptions wl = load_options();
     wl.skew = serve::QuerySkew::kZipf;
@@ -245,23 +243,24 @@ TEST(InferenceServer, ServeStatsArePinned) {
     for (const std::int64_t counter :
          {stats.serve_requests, stats.serve_batches,
           stats.serve_graph_updates, stats.serve_invalidations}) {
-      mix(counter);
+      hash.mix(counter);
     }
-    mix(stats.serve_cache_hits);
-    mix(stats.serve_cache_misses);
+    hash.mix(stats.serve_cache_hits);
+    hash.mix(stats.serve_cache_misses);
     for (const double seconds :
          {stats.serve_gather_seconds, stats.serve_infer_seconds,
           stats.serve_p50_latency, stats.serve_p99_latency}) {
-      mix(seconds);
+      hash.mix(seconds);
     }
     const dense::HostMatrix& predictions = server.predictions();
     for (std::int64_t i = 0; i < predictions.rows(); ++i) {
       for (std::int64_t c = 0; c < predictions.cols(); ++c) {
-        mix(predictions.at(i, c));
+        hash.mix(predictions.at(i, c));
       }
     }
   }
-  EXPECT_EQ(hash, 0x8b326b2dccf233c9ULL) << "0x" << std::hex << hash;
+  EXPECT_EQ(hash.value(), 0x8b326b2dccf233c9ULL)
+      << "0x" << std::hex << hash.value();
   EXPECT_EQ(machine.trace().hazard_count(), 0u);
 }
 
@@ -280,6 +279,53 @@ TEST(InferenceServer, RejectsOutOfRangeUpdateVertices) {
       {requests.front().arrival,
        {0, static_cast<std::uint32_t>(ds.n())}}};
   EXPECT_THROW(server.serve(requests, updates), InvalidArgumentError);
+  // An update-only window is validated too.
+  EXPECT_THROW(server.serve({}, updates), InvalidArgumentError);
+}
+
+TEST(InferenceServer, UpdateOnlyWindowInvalidatesLikeLeadingUpdates) {
+  // serve({}, updates) then serve(requests) must drop the same cached rows
+  // as one serve(requests, updates) whose updates all precede the first
+  // arrival: an update window without requests is applied, not dropped.
+  const graph::Dataset ds = small_dataset();
+  serve::WorkloadOptions wl = load_options();
+  wl.skew = serve::QuerySkew::kZipf;
+  wl.update_rate = 5000.0;
+  wl.update_touch = 200;
+  serve::WorkloadGen gen(ds.n(), wl);
+  const auto warmup = gen.generate(200);
+  auto updates = gen.generate_updates(warmup.back().arrival);
+  ASSERT_FALSE(updates.empty());
+  for (auto& update : updates) update.time = 0.0;
+  auto requests = gen.generate(200);
+  for (auto& request : requests) request.arrival += 1e-3;
+
+  std::vector<core::ServeStats> split;
+  std::vector<core::ServeStats> joint;
+  for (const bool update_only : {true, false}) {
+    sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kReal);
+    core::MgGcnTrainer trainer(machine, ds, small_config());
+    trainer.train(1);
+    trainer.run_forward();
+    core::ServeOptions options;
+    options.cache_mode = core::ServeCacheMode::kEmbed;
+    core::InferenceServer server(machine, trainer, ds, options);
+    server.serve(warmup);
+    if (update_only) {
+      split.push_back(server.serve({}, updates));
+      split.push_back(server.serve(requests));
+    } else {
+      joint.push_back(server.serve(requests, updates));
+    }
+  }
+  EXPECT_EQ(split[0].serve_requests, 0);
+  EXPECT_EQ(split[0].serve_graph_updates,
+            static_cast<std::int64_t>(updates.size()));
+  EXPECT_GT(split[0].serve_invalidations, 0);
+  EXPECT_EQ(split[0].serve_invalidations + split[1].serve_invalidations,
+            joint[0].serve_invalidations);
+  EXPECT_EQ(split[1].serve_cache_hits, joint[0].serve_cache_hits);
+  EXPECT_EQ(split[1].serve_cache_misses, joint[0].serve_cache_misses);
 }
 
 TEST(InferenceServer, RejectsUpdatesOutOfTimeOrder) {

@@ -6,15 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/sampled_pipeline.hpp"
+#include "dense/kernel_policy.hpp"
 #include "graph/datasets.hpp"
 #include "scoped_env.hpp"
 #include "sim/machine.hpp"
+#include "stats_hash.hpp"
 
 namespace mggcn::core {
 namespace {
@@ -99,16 +100,34 @@ TEST(SampledPipeline, LossBitsArePinned) {
        {std::pair{1, 0x10156c83101209f9ULL},
         std::pair{4, 0xd6ac77a3626c6a76ULL},
         std::pair{8, 0x0b4ab1a9f07e14a4ULL}}) {
-    std::uint64_t hash = 14695981039346656037ULL;
+    testing::Fnv1a hash;
     for (const double loss : run_losses(ds, small_options(), 3,
                                         sim::hazard_check_env(), devices)) {
-      std::uint64_t bits = 0;
-      std::memcpy(&bits, &loss, sizeof(bits));
-      for (int byte = 0; byte < 8; ++byte) {
-        hash = (hash ^ ((bits >> (8 * byte)) & 0xffu)) * 1099511628211ULL;
-      }
+      hash.mix(loss);
     }
-    EXPECT_EQ(hash, expected) << devices << " devices: 0x" << std::hex << hash;
+    EXPECT_EQ(hash.value(), expected)
+        << devices << " devices: 0x" << std::hex << hash.value();
+  }
+}
+
+TEST(SampledPipeline, EpochStatsArePinned) {
+  // LossBitsArePinned pins the numerics only. FNV-1a over the bits of every
+  // EpochStats field of three epochs also pins the accounting: the cache
+  // and per-stage counters, the comm deltas, the busy split and the pool
+  // high-water marks, statically allocated and pooled.
+  const util::Knob<dense::KernelPolicy>::Scoped kernels(
+      dense::kernel_policy_knob, dense::KernelPolicy::kPlanned);
+  const graph::Dataset ds = sampled_dataset();
+  for (const auto& [mode, expected] :
+       {std::pair{mem::PoolMode::kOff, 0xf3697d658287f518ULL},
+        std::pair{mem::PoolMode::kOn, 0xa39af7120aa705c5ULL}}) {
+    SampledPipeline::Options options = small_options();
+    options.pool_mode = mode;
+    sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kReal);
+    SampledPipeline pipeline(machine, ds, options);
+    const std::uint64_t hash = testing::hash_epoch_stats(pipeline.train(3));
+    EXPECT_EQ(hash, expected) << mem::pool_mode_name(mode) << ": 0x"
+                              << std::hex << hash;
   }
 }
 

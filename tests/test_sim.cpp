@@ -260,6 +260,14 @@ TEST(Trace, ChromeJsonExport) {
   EXPECT_NE(json.find("\"stage\": 1"), std::string::npos);
 }
 
+TEST(Trace, ChromeJsonExportFailsLoudlyOnUnwritablePath) {
+  Machine machine = make_machine(1);
+  const auto path = (std::filesystem::temp_directory_path() /
+                     "mggcn_no_such_dir" / "trace.json")
+                        .string();
+  EXPECT_THROW(machine.trace().export_chrome_json(path), InvalidArgumentError);
+}
+
 TEST(Trace, JsonEscape) {
   EXPECT_EQ(json_escape("plain"), "plain");
   EXPECT_EQ(json_escape("a\"b"), "a\\\"b");

@@ -151,6 +151,40 @@ TEST(WorkspacePool, TrimReturnsWhollyFreeSlabsBeforeGrowing) {
   large.recycle();
 }
 
+TEST(PoolSet, StatsSumEventCountsAndTakeMaxLevels) {
+  sim::Machine machine(sim::dgx_v100(), 2, sim::ExecutionMode::kReal);
+  auto pools = mem::PoolSet::create(machine);
+
+  // Device 0: one slab, reused once.
+  pools->pool(0).acquire(1024, "first").recycle();
+  pools->pool(0).acquire(1024, "again").recycle();
+  // Device 1: two live leases force two slabs; freeing both leaves the
+  // free bytes split across them (fragmented).
+  {
+    mem::PooledBuffer big = pools->pool(1).acquire(4096, "big");
+    mem::PooledBuffer small = pools->pool(1).acquire(256, "small");
+  }
+
+  const mem::PoolStats& d0 = pools->pool(0).stats();
+  const mem::PoolStats& d1 = pools->pool(1).stats();
+  ASSERT_EQ(d0.reuse_hits, 1u);
+  ASSERT_EQ(d1.slab_allocs, 2u);
+  ASSERT_GT(d1.fragmentation_peak, 0.0);
+
+  const mem::PoolStats merged = pools->stats();
+  EXPECT_EQ(merged.reuse_hits, d0.reuse_hits + d1.reuse_hits);
+  EXPECT_EQ(merged.slab_allocs, d0.slab_allocs + d1.slab_allocs);
+  EXPECT_EQ(merged.splits, d0.splits + d1.splits);
+  EXPECT_EQ(merged.coalesces, d0.coalesces + d1.coalesces);
+  EXPECT_EQ(merged.trims, d0.trims + d1.trims);
+  EXPECT_EQ(merged.live_buffers, 0u);
+  EXPECT_EQ(merged.reserved_bytes, (4096 + 256) * kF);
+  EXPECT_EQ(merged.reserved_peak_bytes, (4096 + 256) * kF);
+  EXPECT_EQ(merged.in_use_peak_bytes, (4096 + 256) * kF);
+  EXPECT_EQ(merged.in_use_bytes, 0u);
+  EXPECT_EQ(merged.fragmentation_peak, d1.fragmentation_peak);
+}
+
 // --- stream-ordered reuse under the hazard checker -----------------------
 
 TEST(WorkspacePool, CrossStreamReuseWithDeclaredWaitIsHazardClean) {
@@ -309,7 +343,7 @@ TEST(FillContract, RecycledNoFillLeaseIsHostWaitedAndZeroed) {
   machine.synchronize();
 }
 
-// --- satellite: release_memory underflow surfaces in the trace -----------
+// --- release_memory underflows are counted by the device -----------------
 
 // An underflow is fatal in debug builds (the assert in release_memory) and
 // counted-and-clamped in release builds.
@@ -319,11 +353,11 @@ TEST(DeviceLedgerDeathTest, ReleaseUnderflowIsCounted) {
   sim::Machine machine(sim::dgx_v100(), 1, sim::ExecutionMode::kPhantom);
   sim::Device& device = machine.device(0);
   device.reserve_memory(128, "probe");
-  EXPECT_EQ(machine.trace().pool_counters().release_underflows, 0u);
+  EXPECT_EQ(device.release_underflows(), 0u);
   // More than reserved: an accounting leak.
   EXPECT_DEBUG_DEATH(device.release_memory(4096), "underflow");
 #ifdef NDEBUG
-  EXPECT_EQ(machine.trace().pool_counters().release_underflows, 1u);
+  EXPECT_EQ(device.release_underflows(), 1u);
   EXPECT_EQ(device.memory_used(), 0u);  // clamped, not wrapped
 #endif
 }
