@@ -25,8 +25,11 @@
 // regime the degree-binned executors are built for. NeighborSample rows
 // time the mini-batch sampler on the Products replica (1/48, 10,10 fanout)
 // in sampled edges per second, and CacheAdmit rows one round of LFU
-// feature-cache lookup + admission at the sampled pipeline's shape. Emit
-// JSON with
+// feature-cache lookup + admission at the sampled pipeline's shape. The
+// graph-preparation rows (PermuteSymmetric, MakeTileGrid, TransposeTileGrid,
+// BuildTilePlans) time each step of a trainer's one-time preprocessing on
+// the same replica, permuted and cut for 4 devices, in nonzeros per second.
+// Emit JSON with
 //   bench_kernels --benchmark_format=json --benchmark_out=kernels.json
 #include <benchmark/benchmark.h>
 
@@ -37,6 +40,7 @@
 
 #include "core/feature_cache.hpp"
 #include "core/gcn_kernels.hpp"
+#include "core/partition.hpp"
 #include "dense/kernel_policy.hpp"
 #include "dense/kernels.hpp"
 #include "graph/datasets.hpp"
@@ -437,6 +441,93 @@ void BM_CacheAdmit(benchmark::State& state) {
                           static_cast<std::int64_t>(frontiers[0].size()));
 }
 BENCHMARK(BM_CacheAdmit);
+
+// --- graph preparation (the one-time work of every trainer set-up) --------
+
+/// The Products replica prepared as MgGcnTrainer prepares it for 4
+/// devices: a random symmetric permutation, GCN normalization, and the
+/// uniform 4-way tiling of Â.
+struct PreparedReplica {
+  std::vector<std::uint32_t> perm;
+  core::PartitionVector partition;
+  core::TileGrid a_hat;
+};
+
+const PreparedReplica& prepared_replica() {
+  static const PreparedReplica prepared = [] {
+    const sparse::Csr& adjacency = products_replica();
+    PreparedReplica p;
+    p.perm = util::Rng(3).permutation<std::uint32_t>(
+        static_cast<std::size_t>(adjacency.rows()));
+    p.partition = core::PartitionVector::uniform(adjacency.rows(), 4);
+    p.a_hat = core::make_tile_grid(
+        adjacency.permute_symmetric(p.perm).normalize_gcn(), p.partition);
+    return p;
+  }();
+  return prepared;
+}
+
+void set_nnz_rate(benchmark::State& state, std::int64_t nnz) {
+  state.counters["nnz_per_s"] = benchmark::Counter(
+      static_cast<double>(nnz) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+
+void BM_PermuteSymmetric(benchmark::State& state) {
+  const sparse::Csr& adjacency = products_replica();
+  const PreparedReplica& prepared = prepared_replica();
+  for (auto _ : state) {
+    const sparse::Csr permuted = adjacency.permute_symmetric(prepared.perm);
+    benchmark::DoNotOptimize(permuted.values().data());
+  }
+  set_nnz_rate(state, adjacency.nnz());
+}
+BENCHMARK(BM_PermuteSymmetric)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_MakeTileGrid(benchmark::State& state) {
+  const PreparedReplica& prepared = prepared_replica();
+  const sparse::Csr a_hat = core::assemble_tile_grid(prepared.a_hat);
+  for (auto _ : state) {
+    const core::TileGrid grid = core::make_tile_grid(a_hat, prepared.partition);
+    benchmark::DoNotOptimize(grid.tile(0, 0).values().data());
+  }
+  set_nnz_rate(state, a_hat.nnz());
+}
+BENCHMARK(BM_MakeTileGrid)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+std::int64_t grid_nnz(const core::TileGrid& grid) {
+  std::int64_t nnz = 0;
+  for (int i = 0; i < grid.parts(); ++i) nnz += grid.row_nnz(i);
+  return nnz;
+}
+
+void BM_TransposeTileGrid(benchmark::State& state) {
+  const PreparedReplica& prepared = prepared_replica();
+  for (auto _ : state) {
+    const core::TileGrid grid = core::transpose_tile_grid(prepared.a_hat);
+    benchmark::DoNotOptimize(grid.tile(0, 0).values().data());
+  }
+  set_nnz_rate(state, grid_nnz(prepared.a_hat));
+}
+BENCHMARK(BM_TransposeTileGrid)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_BuildTilePlans(benchmark::State& state) {
+  // Every iteration inspects all 16 tiles of a grid with an empty plan
+  // cache: the tiles are copied untimed into a fresh TileGrid, which owns
+  // a fresh cache.
+  const PreparedReplica& prepared = prepared_replica();
+  for (auto _ : state) {
+    state.PauseTiming();
+    core::TileGrid grid;
+    grid.partition = prepared.partition;
+    grid.tiles = prepared.a_hat.tiles;
+    state.ResumeTiming();
+    grid.build_plans();
+    benchmark::DoNotOptimize(&grid.plan(0, 0));
+  }
+  set_nnz_rate(state, grid_nnz(prepared.a_hat));
+}
+BENCHMARK(BM_BuildTilePlans)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

@@ -102,24 +102,36 @@ DistSpmm::Result DistSpmm::run(const Io& io) {
   result.input_released.resize(np);
 
   // Under the planned kernel policy every tile executes through its cached
-  // SpmmPlan. Plans are resolved here on the enqueue thread (TileGrid's lazy
-  // build is not thread-safe) and the one-time inspector cost is charged to
-  // the owning device's compute stream the first time a tile's plan is
-  // built — every later product reuses the plan for free. The compacted
-  // exchange also needs the plans (their ghost sets drive the packing and
-  // the per-stage dense/compact decision), so compact and auto modes
-  // resolve them under every kernel policy — but only compact-path
-  // *execution* goes through the plan then; dense-path SpMMs keep the
-  // policy-dispatched kernels.
+  // SpmmPlan. Plans are resolved here on the enqueue thread and the
+  // one-time inspector cost is charged to the owning device's compute
+  // stream the first time a tile's plan is built — every later product
+  // reuses the plan for free. The compacted exchange also needs the plans
+  // (their ghost sets drive the packing and the per-stage dense/compact
+  // decision), so compact and auto modes resolve them under every kernel
+  // policy — but only compact-path *execution* goes through the plan then;
+  // dense-path SpMMs keep the policy-dispatched kernels. The first product
+  // builds all missing plans at once, in parallel on the host; which tiles
+  // lacked a plan is noted before that, so resolve_plan still charges each
+  // tile's inspector task once, at the tile's first use.
   const bool policy_plans =
       dense::kernel_policy() == dense::KernelPolicy::kPlanned;
   const bool compact_capable = mode_ != comm::CommMode::kDense && p > 1;
   const bool use_plans = policy_plans || compact_capable;
+  std::vector<bool> first_use(np * np, false);
+  if (use_plans) {
+    for (int r = 0; r < p; ++r) {
+      for (int s = 0; s < p; ++s) {
+        first_use[static_cast<std::size_t>(r) * np +
+                  static_cast<std::size_t>(s)] = !grid_.plan_ready(r, s);
+      }
+    }
+    grid_.build_plans();
+  }
   auto resolve_plan = [&](int r, int s) -> const sparse::SpmmPlan* {
     if (!use_plans) return nullptr;
-    const bool first_use = !grid_.plan_ready(r, s);
     const sparse::SpmmPlan* plan = &grid_.plan(r, s);
-    if (first_use) {
+    if (first_use[static_cast<std::size_t>(r) * np +
+                  static_cast<std::size_t>(s)]) {
       const sparse::Csr& tile = grid_.tile(r, s);
       sim::TaskDesc inspect;
       inspect.label = "spmm_inspect";

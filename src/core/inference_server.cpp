@@ -77,13 +77,11 @@ InferenceServer::InferenceServer(sim::Machine& machine, MgGcnTrainer& trainer,
   spmm_first_ = trainer.layer_spmm_first(num_layers - 1);
   d_store_ = spmm_first_ ? d_in : d_out_;
 
-  // Reproduce the trainer's preprocessing sequence exactly, so the serving
-  // forward operator is the trainer's Â^T bit for bit.
-  const bool identity_perm = std::is_sorted(perm_.begin(), perm_.end());
-  const sparse::Csr adj = identity_perm
-                              ? dataset.adjacency
-                              : dataset.adjacency.permute_symmetric(perm_);
-  a_hat_t_ = adj.normalize_gcn().transpose();
+  // The serving forward operator is the trainer's Â^T, reassembled from
+  // its forward tiles.
+  a_hat_t_ = assemble_tile_grid(trainer.forward_planner().grid());
+  MGGCN_CHECK_MSG(a_hat_t_.rows() == dataset.n(),
+                  "serving dataset does not match the trainer's graph");
   frontier_pos_.assign(static_cast<std::size_t>(a_hat_t_.cols()), 0);
   frontier_stamp_.assign(static_cast<std::size_t>(a_hat_t_.cols()), 0);
 

@@ -133,7 +133,10 @@ class InferenceServer {
   /// hold a completed forward pass (call run_forward() first) — the store
   /// is built from its penultimate activations and last weight matrix. In
   /// phantom mode only shapes/costs are materialized (no values, no
-  /// predictions). `trainer` is only used during construction.
+  /// predictions). `trainer` is only used during construction: the
+  /// serving operator Â^T is assembled from its forward tiles, so the
+  /// graph is not prepared a second time. `dataset` must be the graph the
+  /// trainer was built on.
   InferenceServer(sim::Machine& machine, MgGcnTrainer& trainer,
                   const graph::Dataset& dataset, ServeOptions options = {});
   ~InferenceServer();
@@ -168,6 +171,11 @@ class InferenceServer {
   /// the deadline policy prices waiting against).
   [[nodiscard]] double estimated_batch_seconds() const {
     return est_batch_seconds_;
+  }
+  /// The forward operator Â^T the server aggregates with, in the trainer's
+  /// permuted vertex order.
+  [[nodiscard]] const sparse::Csr& forward_operator() const {
+    return a_hat_t_;
   }
 
  private:

@@ -75,13 +75,17 @@ struct TileGrid {
   /// lives behind a shared_ptr created at construction, so *every* copy of
   /// a grid — whenever it was made — sees plans built through any other
   /// copy, and plan_ready()/the one-time kInspect charge stay consistent
-  /// across copies. Lazy building is not thread-safe — DistSpmm resolves
-  /// plans on the enqueue thread, never inside stream worker bodies.
+  /// across copies. plan() and build_plans() must be called from one
+  /// thread at a time — DistSpmm resolves plans on the enqueue thread,
+  /// never inside stream worker bodies.
   [[nodiscard]] const sparse::SpmmPlan& plan(int i, int j) const;
   /// Whether plan(i, j) has already been built (i.e. whether the next
   /// plan(i, j) call is free) — lets callers charge the one-time inspector
   /// cost exactly once per tile.
   [[nodiscard]] bool plan_ready(int i, int j) const;
+  /// Builds every missing (or stale) plan at once, in parallel over tiles.
+  /// The plans are those plan(i, j) would build one by one.
+  void build_plans() const;
 
   /// Nonzeros of tile row i (the work assigned to GPU i).
   [[nodiscard]] std::int64_t row_nnz(int i) const;
@@ -93,12 +97,25 @@ struct TileGrid {
     /// [row_part][col_part], sized on first use; null until built.
     std::vector<std::vector<std::shared_ptr<const sparse::SpmmPlan>>> slots;
   };
+  void size_plan_slots() const;
+
   /// Shared (not deep-copied) between copies of the grid — see plan().
   std::shared_ptr<PlanCache> plans_ = std::make_shared<PlanCache>();
 };
 
-/// Cuts `matrix` into parts x parts tiles with the symmetric partition.
+/// Cuts `matrix` into parts x parts tiles with the symmetric partition, in
+/// one count-then-fill pass per row block (row blocks in parallel). Rows
+/// must be column-sorted, as every Csr built by this library is.
 TileGrid make_tile_grid(const sparse::Csr& matrix,
                         const PartitionVector& partition);
+
+/// The tile grid of the transposed matrix: tile (i, j) is the transpose of
+/// `grid`'s tile (j, i), built per tile in parallel. Equals
+/// make_tile_grid(A.transpose(), partition) without materializing Aᵀ.
+TileGrid transpose_tile_grid(const TileGrid& grid);
+
+/// The whole matrix a grid tiles, rebuilt by placing each tile row's tiles
+/// side by side. Inverse of make_tile_grid.
+sparse::Csr assemble_tile_grid(const TileGrid& grid);
 
 }  // namespace mggcn::core

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
-#include <exception>
-#include <thread>
 #include <utility>
 
 #include "core/gcn_kernels.hpp"
@@ -14,40 +12,9 @@
 #include "sparse/spmm.hpp"
 #include "sparse/spmm_plan.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace mggcn::core {
-
-namespace {
-
-/// Runs body(r) for every rank r in [0, ranks): the calling thread takes
-/// rank 0 and helper threads the rest, at most hardware_concurrency()
-/// threads in all, each striding over the ranks when there are more ranks
-/// than threads. Returns once every thread has joined, rethrowing the
-/// lowest thread's exception if any body threw.
-template <typename Body>
-void for_each_rank(int ranks, const Body& body) {
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  const int threads = std::min(ranks, static_cast<int>(cores));
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(threads));
-  const auto run = [&](int t) {
-    try {
-      for (int r = t; r < ranks; r += threads) body(r);
-    } catch (...) {
-      errors[static_cast<std::size_t>(t)] = std::current_exception();
-    }
-  };
-  {
-    std::vector<std::jthread> helpers;
-    helpers.reserve(static_cast<std::size_t>(threads));
-    for (int t = 1; t < threads; ++t) helpers.emplace_back(run, t);
-    run(0);
-  }  // joins the helpers
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
-}
-
-}  // namespace
 
 /// Persistent per-device state: the owned feature shard, the feature cache,
 /// and the replicated model (weights + gradient + Adam moments per layer).
@@ -378,8 +345,9 @@ void SampledPipeline::prepare_round(RoundState& round) {
   const int layers = num_layers();
 
   round.batches.resize(static_cast<std::size_t>(P));
-  for_each_rank(P, [&](int r) {
-    prepare_batch(round.index, r, round.batches[static_cast<std::size_t>(r)]);
+  util::parallel_for(P, [&](std::int64_t r) {
+    prepare_batch(round.index, static_cast<int>(r),
+                  round.batches[static_cast<std::size_t>(r)]);
   });
 
   // Scratch buffers, on this thread in rank order (the pool is

@@ -122,19 +122,22 @@ void MgGcnTrainer::preprocess(const graph::Dataset& dataset) {
   partition_ = std::move(part.partition);
   part_mode_used_ = part.mode;
 
+  // Â (eq. (2)) is tiled once; the forward operator Â^T is tiled as the
+  // per-tile transposes of Â's grid, never as a whole matrix.
   const bool identity_perm = std::is_sorted(perm_.begin(), perm_.end());
-  const sparse::Csr adj = identity_perm
-                              ? dataset.adjacency
-                              : dataset.adjacency.permute_symmetric(perm_);
-  const sparse::Csr a_hat = adj.normalize_gcn();       // Â (eq. (2))
-  const sparse::Csr a_hat_t = a_hat.transpose();       // Â^T (forward op)
+  TileGrid a_hat = make_tile_grid(
+      identity_perm
+          ? dataset.adjacency.normalize_gcn()
+          : dataset.adjacency.permute_symmetric(perm_).normalize_gcn(),
+      partition_);
+  TileGrid a_hat_t = transpose_tile_grid(a_hat);
 
   forward_planner_ = std::make_unique<Planner>(
-      machine_, *comm_, make_tile_grid(a_hat_t, partition_),
-      config_.plan_mode, config_.comm_mode);
+      machine_, *comm_, std::move(a_hat_t), config_.plan_mode,
+      config_.comm_mode);
   backward_planner_ = std::make_unique<Planner>(
-      machine_, *comm_, make_tile_grid(a_hat, partition_),
-      config_.plan_mode, config_.comm_mode);
+      machine_, *comm_, std::move(a_hat), config_.plan_mode,
+      config_.comm_mode);
   forward_planner_->account_memory();
   backward_planner_->account_memory();
   part_stats_ =

@@ -47,6 +47,11 @@ class Csr {
 
   /// A^T, via counting sort over columns.
   [[nodiscard]] Csr transpose() const;
+  /// transpose() into caller-owned arrays of cols() + 1 row pointers and
+  /// nnz() entries (for callers that fill many transposes in parallel).
+  void transpose_into(std::span<std::int64_t> t_ptr,
+                      std::span<std::uint32_t> t_cols,
+                      std::span<float> t_vals) const;
 
   /// Submatrix of rows [rb, re) x cols [cb, ce); indices are re-based to the
   /// tile's local coordinate system (eq. (15) of the paper).
@@ -55,12 +60,18 @@ class Csr {
 
   /// Relabels vertices of a square matrix: entry (u, v) moves to
   /// (perm[u], perm[v]). This is §5.2's random-permutation load balancing.
+  /// `perm` must be a bijection of [0, rows) (throws otherwise). Built
+  /// directly in O(nnz), in parallel over rows, bit-identical to
+  /// from_coo() of the relabelled entries: rows come out column-sorted and
+  /// duplicate columns sum.
   [[nodiscard]] Csr permute_symmetric(
       std::span<const std::uint32_t> perm) const;
 
   /// GCN normalization (eq. (2)): divides A(u, v) by the v-th column sum
-  /// (the in-degree weight of v). Returns Â.
-  [[nodiscard]] Csr normalize_gcn() const;
+  /// (the in-degree weight of v). Returns Â. The rvalue overload
+  /// normalizes in place instead of copying.
+  [[nodiscard]] Csr normalize_gcn() const&;
+  [[nodiscard]] Csr normalize_gcn() &&;
 
   /// Column sums (in-degrees for a 0/1 matrix).
   [[nodiscard]] std::vector<double> column_sums() const;

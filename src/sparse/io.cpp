@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -96,6 +97,18 @@ Csr read_csr(const std::string& path) {
   MGGCN_CHECK_MSG(std::all_of(col_idx.begin(), col_idx.end(),
                               [cols](std::uint32_t c) { return c < cols; }),
                   "csr column index out of range in " + path);
+  // Csr::tile binary-searches a row's column run, so an unsorted row would
+  // silently lose nonzeros when tiled (make_tile_grid would throw).
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (auto e = row_ptr[static_cast<std::size_t>(r)] + 1;
+         e < row_ptr[static_cast<std::size_t>(r) + 1]; ++e) {
+      MGGCN_CHECK_MSG(col_idx[static_cast<std::size_t>(e) - 1] <
+                          col_idx[static_cast<std::size_t>(e)],
+                      "csr row " + std::to_string(r) +
+                          " has columns that are not strictly ascending in " +
+                          path);
+    }
+  }
   return Csr(rows, cols, std::move(row_ptr), std::move(col_idx),
              std::move(values));
 }

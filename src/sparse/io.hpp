@@ -14,6 +14,10 @@
 namespace mggcn::sparse {
 
 void write_csr(const Csr& matrix, const std::string& path);
+/// Reads a write_csr file. Throws InvalidArgumentError when the header does
+/// not match the file size, row_ptr is not monotone from 0 to nnz, a
+/// column index is out of range, or a row's columns are not strictly
+/// ascending.
 [[nodiscard]] Csr read_csr(const std::string& path);
 
 /// Reads/writes an edge-list text file ("u v" per line, comments with '#'),

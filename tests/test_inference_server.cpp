@@ -11,6 +11,7 @@
 #include "core/serve_mode.hpp"
 #include "core/trainer.hpp"
 #include "core/workload.hpp"
+#include "csr_reference.hpp"
 #include "graph/datasets.hpp"
 #include "scoped_env.hpp"
 #include "sim/machine.hpp"
@@ -342,6 +343,25 @@ TEST(InferenceServer, RejectsUpdatesOutOfTimeOrder) {
   const std::vector<serve::GraphUpdate> updates = {
       {requests.back().arrival, {1, 2}}, {requests.front().arrival, {3}}};
   EXPECT_THROW(server.serve(requests, updates), InvalidArgumentError);
+}
+
+TEST(InferenceServer, ForwardOperatorIsTheTrainersAHatTranspose) {
+  // The server assembles Â^T from the trainer's forward tiles instead of
+  // preparing the graph again; it must equal the straightforward sequence
+  // permute (COO round trip) -> normalize_gcn -> transpose, bit for bit.
+  const graph::Dataset ds = small_dataset();
+  for (const int devices : {1, 3, 4}) {
+    sim::Machine machine(sim::dgx_v100(), devices, sim::ExecutionMode::kReal);
+    core::MgGcnTrainer trainer(machine, ds, small_config());
+    trainer.run_forward();
+    const core::InferenceServer server(machine, trainer, ds, {});
+    EXPECT_TRUE(testing::csr_bits_equal(
+        server.forward_operator(),
+        testing::reference_permute_symmetric(ds.adjacency, trainer.perm())
+            .normalize_gcn()
+            .transpose()))
+        << devices << " devices";
+  }
 }
 
 TEST(InferenceServer, PhantomModeAccountsWithoutValues) {

@@ -2,9 +2,12 @@
 // used by the 1D distribution, including the §5.2 load-balance property.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <vector>
 
 #include "core/partition.hpp"
+#include "csr_reference.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 
@@ -138,6 +141,108 @@ TEST(TileGrid, RowNnzSumsTileRow) {
   const TileGrid grid =
       make_tile_grid(a, PartitionVector::uniform(a.rows(), 2));
   EXPECT_EQ(grid.row_nnz(0) + grid.row_nnz(1), a.nnz());
+}
+
+/// The tiling before the one-pass builder, kept as the reference: slice
+/// each row block, then cut its column ranges with Csr::tile.
+TileGrid reference_tile_grid(const sparse::Csr& a, const PartitionVector& p) {
+  TileGrid grid;
+  grid.partition = p;
+  grid.tiles.resize(static_cast<std::size_t>(p.parts()));
+  for (int i = 0; i < p.parts(); ++i) {
+    const sparse::Csr row_block = a.tile(p.begin(i), p.end(i), 0, a.cols());
+    for (int j = 0; j < p.parts(); ++j) {
+      grid.tiles[static_cast<std::size_t>(i)].push_back(
+          row_block.tile(0, row_block.rows(), p.begin(j), p.end(j)));
+    }
+  }
+  return grid;
+}
+
+void expect_grid_bits_equal(const TileGrid& got, const TileGrid& want) {
+  ASSERT_EQ(got.partition.offsets().size(), want.partition.offsets().size());
+  EXPECT_TRUE(std::ranges::equal(got.partition.offsets(),
+                                 want.partition.offsets()));
+  for (int i = 0; i < want.parts(); ++i) {
+    for (int j = 0; j < want.parts(); ++j) {
+      EXPECT_TRUE(testing::csr_bits_equal(got.tile(i, j), want.tile(i, j)))
+          << "tile (" << i << ", " << j << ")";
+    }
+  }
+}
+
+/// A normalized (so non-symmetric, distinct-valued) skewed graph with
+/// empty rows, and partitions of it: P = 1, uniform 3 and 4, nnz-balanced,
+/// and one with empty parts.
+struct TilingCase {
+  sparse::Csr a;
+  std::vector<PartitionVector> partitions;
+};
+
+TilingCase tiling_case() {
+  util::Rng rng(5);
+  graph::BterParams params{.n = 600, .avg_degree = 12.0,
+                           .degree_sigma = 1.2, .clustering = 0.5};
+  sparse::Coo coo = graph::bter_like(params, rng).edges;
+  // Vertices 590..599 keep no edges: empty rows and columns.
+  sparse::Coo kept(600, 600);
+  for (std::int64_t e = 0; e < coo.nnz(); ++e) {
+    const auto u = coo.row_idx[static_cast<std::size_t>(e)];
+    const auto v = coo.col_idx[static_cast<std::size_t>(e)];
+    if (u < 590 && v < 590) kept.add(u, v);
+  }
+  TilingCase c;
+  c.a = sparse::Csr::from_coo(kept).normalize_gcn();
+  c.partitions = {PartitionVector::uniform(600, 1),
+                  PartitionVector::uniform(600, 3),
+                  PartitionVector::uniform(600, 4),
+                  PartitionVector::balanced_nnz(c.a, 4),
+                  PartitionVector({0, 0, 150, 150, 420, 600, 600})};
+  return c;
+}
+
+TEST(TileGrid, OnePassTilingMatchesRowBlockSlicing) {
+  const TilingCase c = tiling_case();
+  for (const PartitionVector& p : c.partitions) {
+    SCOPED_TRACE(::testing::Message() << p.parts() << " parts");
+    expect_grid_bits_equal(make_tile_grid(c.a, p), reference_tile_grid(c.a, p));
+  }
+}
+
+TEST(TileGrid, TransposedGridMatchesTilingTheTranspose) {
+  const TilingCase c = tiling_case();
+  const sparse::Csr a_t = c.a.transpose();
+  for (const PartitionVector& p : c.partitions) {
+    SCOPED_TRACE(::testing::Message() << p.parts() << " parts");
+    expect_grid_bits_equal(transpose_tile_grid(make_tile_grid(c.a, p)),
+                           make_tile_grid(a_t, p));
+  }
+}
+
+TEST(TileGrid, AssembleInvertsTiling) {
+  const TilingCase c = tiling_case();
+  for (const PartitionVector& p : c.partitions) {
+    EXPECT_TRUE(testing::csr_bits_equal(
+        assemble_tile_grid(make_tile_grid(c.a, p)), c.a))
+        << p.parts() << " parts";
+  }
+}
+
+TEST(TileGrid, BuildPlansBuildsEveryMissingPlanOnce) {
+  const TilingCase c = tiling_case();
+  const TileGrid grid = make_tile_grid(c.a, c.partitions[2]);
+  const sparse::SpmmPlan* built_before = &grid.plan(1, 2);
+  grid.build_plans();
+  for (int i = 0; i < grid.parts(); ++i) {
+    for (int j = 0; j < grid.parts(); ++j) {
+      ASSERT_TRUE(grid.plan_ready(i, j));
+      const sparse::SpmmPlan want = sparse::SpmmPlan::inspect(grid.tile(i, j));
+      const sparse::SpmmPlan& got = grid.plan(i, j);
+      EXPECT_TRUE(std::ranges::equal(got.sweep_rows(), want.sweep_rows()));
+      EXPECT_TRUE(std::ranges::equal(got.ghost_rows(), want.ghost_rows()));
+    }
+  }
+  EXPECT_EQ(&grid.plan(1, 2), built_before) << "a ready plan was rebuilt";
 }
 
 TEST(TileGrid, RequiresSquareMatrix) {

@@ -10,11 +10,13 @@
 #include <filesystem>
 #include <iterator>
 
+#include "csr_reference.hpp"
 #include "dense/kernels.hpp"
 #include "graph/generators.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/io.hpp"
 #include "sparse/spmm.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace mggcn::sparse {
@@ -154,6 +156,87 @@ TEST(Csr, PermuteSymmetricRelabelsEntries) {
                 da.at(u, v));
     }
   }
+}
+
+/// A square matrix built straight through the constructor, bypassing
+/// from_coo: rows are unsorted, repeat columns, and include self loops;
+/// about a quarter of the rows are empty and a few are long (> 16 entries,
+/// past std::sort's insertion-sort cutoff). `exact` draws values that are
+/// small multiples of 1/4, so any summation order gives the same sum.
+Csr raw_square(std::int64_t n, std::uint64_t seed, bool exact) {
+  util::Rng rng(seed);
+  std::vector<std::int64_t> row_ptr = {0};
+  std::vector<std::uint32_t> col_idx;
+  std::vector<float> values;
+  const auto draw = [&] {
+    return exact ? static_cast<float>(rng.uniform_index(9)) * 0.25f - 1.0f
+                 : static_cast<float>(rng.gaussian());
+  };
+  for (std::int64_t r = 0; r < n; ++r) {
+    const std::uint64_t kind = rng.uniform_index(8);
+    const std::uint64_t degree = kind < 2   ? 0
+                                 : kind == 7 ? 17 + rng.uniform_index(24)
+                                             : 1 + rng.uniform_index(6);
+    for (std::uint64_t k = 0; k < degree; ++k) {
+      // Narrow column ranges make repeats common.
+      const std::uint64_t span = std::max<std::uint64_t>(1, n / 2);
+      col_idx.push_back(static_cast<std::uint32_t>(
+          rng.bernoulli(0.1) ? static_cast<std::uint64_t>(r)
+                             : rng.uniform_index(span) * 2 % n));
+      values.push_back(draw());
+    }
+    row_ptr.push_back(static_cast<std::int64_t>(col_idx.size()));
+  }
+  return Csr(n, n, std::move(row_ptr), std::move(col_idx), std::move(values));
+}
+
+TEST(Csr, PermuteSymmetricMatchesCooRoundTrip) {
+  // Bitwise against the COO round trip (from_coo of the relabelled
+  // entries): rows come out column-sorted and duplicates sum in the same
+  // order, for exact and for inexact values alike.
+  // 30000 rows hold ~170k entries: several parallel chunks, with rows
+  // compacted after merging.
+  for (const std::int64_t n : {1, 2, 7, 64, 301, 30000}) {
+    for (const bool exact : {true, false}) {
+      const std::uint64_t seed = static_cast<std::uint64_t>(n) * 2 + exact;
+      const Csr a = raw_square(n, seed, exact);
+      const auto perm = util::Rng(seed + 1).permutation<std::uint32_t>(
+          static_cast<std::size_t>(n));
+      EXPECT_TRUE(testing::csr_bits_equal(
+          a.permute_symmetric(perm),
+          testing::reference_permute_symmetric(a, perm)))
+          << "n = " << n << (exact ? " exact" : " inexact");
+    }
+  }
+  // A well-formed matrix large enough to be split across threads.
+  const Csr big = random_csr(1200, 1200, 0.1, 41);
+  const auto perm = util::Rng(42).permutation<std::uint32_t>(1200);
+  EXPECT_TRUE(testing::csr_bits_equal(
+      big.permute_symmetric(perm),
+      testing::reference_permute_symmetric(big, perm)));
+}
+
+TEST(Csr, PermuteSymmetricRejectsNonBijection) {
+  const Csr a = random_csr(5, 5, 0.5, 43);
+  const std::vector<std::uint32_t> repeated = {0, 1, 2, 2, 4};
+  const std::vector<std::uint32_t> out_of_range = {0, 1, 2, 3, 5};
+  const std::vector<std::uint32_t> short_perm = {0, 1, 2, 3};
+  EXPECT_THROW((void)a.permute_symmetric(repeated), InvalidArgumentError);
+  EXPECT_THROW((void)a.permute_symmetric(out_of_range), InvalidArgumentError);
+  EXPECT_THROW((void)a.permute_symmetric(short_perm), InvalidArgumentError);
+  const std::vector<std::uint32_t> identity = {0, 1, 2, 3, 4};
+  EXPECT_TRUE(testing::csr_bits_equal(a.permute_symmetric(identity), a));
+}
+
+TEST(Csr, TransposeIntoMatchesTranspose) {
+  const Csr a = random_csr(31, 17, 0.2, 44);
+  std::vector<std::int64_t> t_ptr(18, -1);
+  std::vector<std::uint32_t> t_cols(static_cast<std::size_t>(a.nnz()));
+  std::vector<float> t_vals(static_cast<std::size_t>(a.nnz()));
+  a.transpose_into(t_ptr, t_cols, t_vals);
+  EXPECT_TRUE(testing::csr_bits_equal(
+      Csr(17, 31, std::move(t_ptr), std::move(t_cols), std::move(t_vals)),
+      a.transpose()));
 }
 
 TEST(Csr, PermutationCommutesWithSpmm) {
@@ -331,6 +414,29 @@ TEST(Io, RejectsCorruptFile) {
   patch(bad, col_idx, static_cast<std::uint32_t>(a.cols()));
   write_bytes(path, bad);
   EXPECT_THROW((void)read_csr(path), InvalidArgumentError);
+  std::remove(path.c_str());
+}
+
+TEST(Io, RejectsUnsortedRows) {
+  // A row whose columns are out of order (or repeat) would silently lose
+  // nonzeros in Csr::tile's binary search, so read_csr refuses it.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "mggcn_test_unsorted.csr")
+          .string();
+  for (const std::vector<std::uint32_t>& row1 :
+       {std::vector<std::uint32_t>{3, 1}, std::vector<std::uint32_t>{2, 2}}) {
+    const Csr a(3, 4, {0, 1, 3, 4}, {0, row1[0], row1[1], 3},
+                {1.0f, 2.0f, 3.0f, 4.0f});
+    write_csr(a, path);
+    try {
+      (void)read_csr(path);
+      ADD_FAILURE() << "accepted row 1 = {" << row1[0] << ", " << row1[1]
+                    << "}";
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find("row 1"), std::string::npos)
+          << e.what();
+    }
+  }
   std::remove(path.c_str());
 }
 

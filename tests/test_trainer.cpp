@@ -4,6 +4,9 @@
 // with DGL's", §6).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <tuple>
 #include <utility>
 
 #include "core/reference.hpp"
@@ -130,6 +133,59 @@ TEST(MgGcnTrainer, EpochStatsArePinned) {
     EXPECT_EQ(hash, expected) << mem::pool_mode_name(mode) << ": 0x"
                               << std::hex << hash;
   }
+}
+
+TEST(MgGcnTrainer, InspectorTasksAreChargedOnTheFirstEpochOnly) {
+  // Plans are built in parallel on the host at the first product, but each
+  // one-time kInspect task is still enqueued on its tile's device, at the
+  // stream position and cost of the lazy per-tile build: per device, one
+  // per tile of its forward and backward tile rows (2 x 4) on the compute
+  // stream, all in epoch 0. The timeline hash was read from that build.
+  const util::Knob<dense::KernelPolicy>::Scoped kernels(
+      dense::kernel_policy_knob, dense::KernelPolicy::kPlanned);
+  const graph::Dataset ds = small_dataset();
+  core::TrainConfig config = small_config();
+  config.part_mode = core::PartMode::kRandom;
+  config.comm_mode = comm::CommMode::kAuto;
+  config.plan_mode = core::PlanMode::k1D;  // the executor that uses plans
+  config.pool_mode = mem::PoolMode::kOff;
+  sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kReal);
+  core::MgGcnTrainer trainer(machine, ds, config);
+  const auto count_inspects = [&] {
+    std::map<std::pair<int, int>, int> counts;
+    for (const sim::TraceRecord& rec : machine.trace().records()) {
+      if (rec.kind == sim::TaskKind::kInspect) {
+        ++counts[{rec.device, rec.stream}];
+      }
+    }
+    return counts;
+  };
+  (void)trainer.train_epoch();
+  const auto after_epoch0 = count_inspects();
+  const std::map<std::pair<int, int>, int> expected = {
+      {{0, 0}, 8}, {{1, 0}, 8}, {{2, 0}, 8}, {{3, 0}, 8}};
+  EXPECT_EQ(after_epoch0, expected);
+  // Every task of epoch 0, in per-stream timeline order, with its simulated
+  // begin and end bits: the inspector tasks sit where they always did.
+  std::vector<sim::TraceRecord> records = machine.trace().records();
+  std::ranges::sort(records, [](const auto& x, const auto& y) {
+    return std::tie(x.device, x.stream, x.t_begin, x.t_end, x.kind,
+                    x.stage) < std::tie(y.device, y.stream, y.t_begin,
+                                        y.t_end, y.kind, y.stage);
+  });
+  testing::Fnv1a timeline;
+  for (const sim::TraceRecord& rec : records) {
+    timeline.mix(rec.device);
+    timeline.mix(rec.stream);
+    timeline.mix(rec.kind);
+    timeline.mix(rec.stage);
+    timeline.mix(rec.t_begin);
+    timeline.mix(rec.t_end);
+  }
+  EXPECT_EQ(timeline.value(), 0xd437775c72d1b14bULL)
+      << "0x" << std::hex << timeline.value();
+  (void)trainer.train_epoch();
+  EXPECT_EQ(count_inspects(), after_epoch0) << "epoch 1 re-inspected tiles";
 }
 
 }  // namespace

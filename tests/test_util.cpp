@@ -1,14 +1,16 @@
 // Unit tests for the util substrate: deterministic RNG, CLI parsing, the
-// MGGCN_* knobs, tables, formatting, and the blocking queue the stream
-// workers use.
+// MGGCN_* knobs, tables, formatting, the blocking queue the stream
+// workers use, and the fork-join parallel_for of the host preparation.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "comm/comm_mode.hpp"
 #include "core/cache_mode.hpp"
@@ -24,6 +26,7 @@
 #include "util/error.hpp"
 #include "util/format.hpp"
 #include "util/knob.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -471,6 +474,51 @@ TEST(BlockingQueue, CrossThreadHandoff) {
   }
   EXPECT_EQ(expected, 100);
   producer.join();
+}
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  for (const std::int64_t n : {2, 3, 1000}) {
+    std::vector<std::atomic<int>> runs(static_cast<std::size_t>(n));
+    parallel_for(n, [&](std::int64_t i) {
+      runs[static_cast<std::size_t>(i)].fetch_add(1);
+    });
+    for (std::int64_t i = 0; i < n; ++i) {
+      EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1)
+          << "index " << i << " of " << n;
+    }
+  }
+}
+
+TEST(ParallelFor, ThrowingBodySurfacesAsCatchableException) {
+  std::atomic<int> started{0};
+  try {
+    parallel_for(64, [&](std::int64_t i) {
+      started.fetch_add(1);
+      if (i == 5) throw InvalidArgumentError("body 5 failed");
+    });
+    FAIL() << "no exception";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_STREQ(e.what(), "body 5 failed");
+  }
+  EXPECT_GE(started.load(), 1);
+  // Inline (n == 1) bodies throw straight through as well.
+  EXPECT_THROW(parallel_for(1, [](std::int64_t) { throw CommError("x", 1); }),
+               CommError);
+}
+
+TEST(ParallelFor, ZeroAndOneRunInline) {
+  int calls = 0;
+  parallel_for(0, [&](std::int64_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  parallel_for(1, [&](std::int64_t i) {
+    EXPECT_EQ(i, 0);
+    ++calls;
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(ran_on, caller);
 }
 
 TEST(Error, CheckMacroThrowsWithLocation) {
