@@ -4,6 +4,7 @@
 // DGX-A100, at 2x dense-input memory).
 #include <array>
 #include <iostream>
+#include <sstream>
 
 #include "bench/common.hpp"
 #include "comm/communicator.hpp"
@@ -104,6 +105,7 @@ int main(int argc, char** argv) {
   cli.option("d", "512", "dense width");
   cli.option("gpus", "8", "GPU count (even)");
   cli.option("scale", "0", "replica scale override");
+  cli.option("json", "", "write results to this JSON file");
   cli.parse(argc, argv);
   if (cli.help_requested()) {
     std::cout << cli.help();
@@ -127,6 +129,7 @@ int main(int argc, char** argv) {
   // compute, where 1.5D's wider tiles also have worse cache behaviour.
   util::Table table({"Machine", "1D total/comm (ms)", "1.5D total/comm (ms)",
                      "comm speed 1.5D/1D", "paper's prediction (comm)"});
+  std::ostringstream json_rows;
   for (const auto& [machine, prediction] :
        {std::pair{sim::dgx_v100(), "2/3x (slower)"},
         std::pair{sim::dgx_a100(), "4/3x (faster)"}}) {
@@ -142,9 +145,16 @@ int main(int argc, char** argv) {
          util::format_double(m15d.total * x * 1e3, 2) + " / " +
              util::format_double(m15d.comm * x * 1e3, 2),
          util::format_speedup(m1d.comm / m15d.comm), prediction});
+    if (!json_rows.str().empty()) json_rows << ",\n";
+    json_rows << "    {\"machine\": \"" << machine.name << "\", \"dataset\": \""
+              << spec.name << "\", \"gpus\": " << gpus << ", \"d\": " << d
+              << ", \"total_1d_seconds\": " << m1d.total * x
+              << ", \"comm_1d_seconds\": " << m1d.comm * x
+              << ", \"total_15d_seconds\": " << m15d.total * x
+              << ", \"comm_15d_seconds\": " << m15d.comm * x << "}";
   }
   std::cout << table.to_string()
             << "\n(1.5D also replicates H twofold; MG-GCN therefore ships "
                "1D only — §5.1.)\n";
-  return 0;
+  return bench::write_json(cli, "ablation_15d", json_rows.str()) ? 0 : 1;
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Bench smoke: runs the nine smoke benches at their small CI sizes, writes
+# Bench smoke: runs the ten smoke benches at their small CI sizes, writes
 # one --json artifact per bench into OUT_DIR, and checks the six gated ones
 # with a single scripts/check_perf.py call. CI and README's "Running CI
 # locally" both run this script; it is the one list of smoke invocations.
@@ -10,7 +10,7 @@
 # same-named file in OTHER_DIR, e.g. the OUT_DIR of a run on the parent
 # commit's build, and fails on any difference. The smoke JSONs hold only
 # seeded and simulated numbers, so a change that claims bit-identical
-# results must leave all nine unchanged.
+# results must leave all ten unchanged.
 set -euo pipefail
 
 if [[ ! ($# -eq 2 || ($# -eq 4 && $3 == --compare)) ]]; then
@@ -42,6 +42,7 @@ run minibatch_explosion bench_minibatch_explosion
 run serving bench_serving
 run memory_pool bench_memory_pool --datasets Cora --gpus 4 --layers 3,4 \
   --epochs 1 --requests 128 --fuzz-seeds 1,2
+run ablation_15d bench_ablation_15d
 
 # The gates read phantom-mode epoch times and ledger peaks, which are
 # deterministic, so every ratio is exact. What each gate enforces is

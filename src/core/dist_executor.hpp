@@ -9,23 +9,24 @@
 //   - DistSpmm15DChained (order-preserving 1.5D, c = 2)
 //   - ReplicatedSpmm     (allgather the whole H, one fused local SpMM)
 //
-// plus DistSpmm15D, the paper's §5.1 partial-sum 1.5D algorithm, which
-// shares the Io/Result shapes (so benches can swap it in) but is NOT
-// bit-identical to the others — its pair allreduce sums the two halves of
-// each output row in one step instead of chaining them in stage order, so
-// it stays a standalone ablation subject rather than a Planner candidate.
+// Each one runs a product (run) and prices the schedule it would run
+// (estimate, extra_bytes), so the Planner's argmin reads the same cost
+// code the simulated clock is charged by.
 //
-// Every Planner-selectable executor accumulates each output element in
-// ascending global column order — the 1D stage order — which is what makes
-// trainer losses bit-identical across strategies (fp addition is not
-// associative; only the ORDER is contractual, not the partitioning of the
-// work).
+// Every executor accumulates each output element in ascending global
+// column order — the 1D stage order — which is what makes trainer losses
+// bit-identical across strategies (fp addition is not associative; only
+// the ORDER is contractual, not the partitioning of the work). The §5.1
+// partial-sum DistSpmm15D (core/dist_spmm_15d.hpp) sums the two halves of
+// each output row in one pair allreduce instead, so it is not an executor
+// here: it is an ablation subject that takes a DistIo of its own layout.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <vector>
 
+#include "sim/cost_model.hpp"
 #include "sim/device.hpp"
 #include "sim/machine.hpp"
 
@@ -79,12 +80,32 @@ struct DistResult {
   std::vector<sim::Event> input_released;
 };
 
+/// A kernel cost under the baseline-emulation knobs of `io`: memory traffic
+/// times traffic_factor, the launch count times launch_multiplier (rounded).
+inline sim::KernelCost scaled(sim::KernelCost cost, const DistIo& io) {
+  cost.stream_bytes *= io.traffic_factor;
+  cost.gather_bytes *= io.traffic_factor;
+  cost.launches = static_cast<int>(cost.launches * io.launch_multiplier + 0.5);
+  return cost;
+}
+
 class DistExecutor {
  public:
   virtual ~DistExecutor() = default;
 
   /// Enqueues the whole distributed product; returns immediately.
   virtual DistResult run(const DistIo& io) = 0;
+
+  /// Steady-state simulated seconds of one product (plans built, buffers
+  /// sized), priced from io's d, overlap, compute_bandwidth_scale,
+  /// traffic_factor and launch_multiplier with the costs run() charges.
+  /// Buffers and events are not read.
+  [[nodiscard]] virtual double estimate(const DistIo& io) const = 0;
+
+  /// Device bytes rank `rank` still needs to run at width `d`, beyond what
+  /// is already reserved (the Planner's feasibility check).
+  [[nodiscard]] virtual std::uint64_t extra_bytes(int rank,
+                                                  std::int64_t d) const = 0;
 };
 
 }  // namespace mggcn::core

@@ -25,12 +25,11 @@ void DistSpmm::account_memory() {
     std::uint64_t bytes = 0;
     for (int s = 0; s < parts(); ++s) bytes += grid_.tile(r, s).footprint_bytes();
     machine_.device(r).reserve_memory(bytes, "adjacency tiles");
-    if (mode_ == comm::CommMode::kDense || parts() <= 1) continue;
+    if (!compact_capable()) continue;
     // Compact/auto exchange: each off-diagonal tile additionally holds its
     // ghost map — the sorted required-row list plus a remapped column
-    // index per nonzero (4 bytes each). Counted with a standalone pass
-    // instead of building the plans here, so the one-time inspector tasks
-    // still land on the simulated timeline at first use.
+    // index per nonzero (4 bytes each). Counted with a standalone pass, so
+    // the plans are still built only when a product first needs them.
     std::uint64_t ghost = 0;
     for (int s = 0; s < parts(); ++s) {
       if (s == r) continue;
@@ -55,39 +54,126 @@ DistSpmm::~DistSpmm() {
   }
 }
 
-namespace {
+std::vector<DistSpmm::Stage> DistSpmm::price_stages(const Io& io) const {
+  const int p = parts();
+  const auto np = static_cast<std::size_t>(p);
+  // Exchange selection, one decision per stage, priced with exactly the
+  // models the simulator charges: a dense broadcast pays for the full
+  // block once over the topology (multicast), the compacted path pays one
+  // alpha per destination plus the actual ghost-row payload and the
+  // root-side pack (sendv_rows_seconds). `compact` forces the compacted
+  // path (deterministic volume for tests/benches); `auto` takes whichever
+  // is cheaper, so dense graphs keep their old timings to the microsecond.
+  std::vector<Stage> stages(np);
+  for (int s = 0; s < p; ++s) {
+    Stage& stage = stages[static_cast<std::size_t>(s)];
+    const std::uint64_t block_bytes =
+        static_cast<std::uint64_t>(grid_.partition.size(s) * io.d) *
+        sizeof(float);
+    int remote_receivers = 0;
+    for (int r = 0; r < p; ++r) {
+      if (r != s && comm_.node_of(r) != comm_.node_of(s)) ++remote_receivers;
+    }
+    stage.dense_bytes = static_cast<std::uint64_t>(p - 1) * block_bytes;
+    stage.wire_bytes = stage.dense_bytes;
+    stage.inter_bytes =
+        static_cast<std::uint64_t>(remote_receivers) * block_bytes;
+    stage.comm_seconds = comm_.topology().broadcast_seconds(block_bytes, p);
+    if (!compact_capable()) continue;
+    // The compacted payload is priced with the *actual* partition's ghost
+    // sets via the same node-aggregated shape the exchange itself charges:
+    // intra-node rows ride the NVLink fabric per destination, remote nodes
+    // each receive one unioned message over the NIC. A locality-aware cut
+    // thus directly cheapens the stage it improves.
+    std::vector<std::span<const std::uint32_t>> stage_rows(np);
+    for (int r = 0; r < p; ++r) {
+      if (r != s) {
+        stage_rows[static_cast<std::size_t>(r)] = grid_.plan(r, s).ghost_rows();
+      }
+    }
+    const comm::SendvShape shape = comm_.sendv_shape(stage_rows, io.d, s);
+    const double compact_seconds = comm_.sendv_rows_seconds(shape);
+    if (mode_ == comm::CommMode::kCompact ||
+        compact_seconds < stage.comm_seconds) {
+      stage.compact = true;
+      stage.comm_seconds = compact_seconds;
+      stage.wire_bytes = shape.total_bytes();
+      stage.inter_bytes = shape.inter_bytes;
+      stage.messages = shape.messages();
+    }
+  }
 
-sim::KernelCost scaled_cost(sim::KernelCost cost, const DistSpmm::Io& io) {
-  cost.stream_bytes *= io.traffic_factor;
-  cost.gather_bytes *= io.traffic_factor;
-  cost.launches = static_cast<int>(cost.launches * io.launch_multiplier + 0.5);
-  return cost;
+  for (int s = 0; s < p; ++s) {
+    Stage& stage = stages[static_cast<std::size_t>(s)];
+    stage.cost.resize(np);
+    stage.bandwidth_scale.assign(np, 1.0);
+    for (int r = 0; r < p; ++r) {
+      const sparse::Csr& tile = grid_.tile(r, s);
+      // A compact gather reads from just the packed ghost rows — a smaller
+      // working set, so more of the random traffic hits L2 (a real
+      // locality win of the compaction, not just fewer wire bytes).
+      const sim::KernelCost cost = scaled(
+          stage.compact && r != s
+              ? sparse::spmm_cost(tile.nnz(), tile.rows(),
+                                  grid_.plan(r, s).ghost_count(), io.d)
+              : sparse::spmm_cost(tile, io.d),
+          io);
+      stage.cost[static_cast<std::size_t>(r)] = cost;
+      if (io.overlap && s + 1 < p) {
+        // HBM contention is only paid while the next stage's exchange is
+        // actually in flight: dilate by the expected overlap fraction
+        // (the paper's ~1/6 bandwidth loss applies during that window).
+        // Uses the *chosen* exchange duration, so a compacted next stage
+        // steals less compute bandwidth.
+        const double spmm_est =
+            sim::CostModel::seconds(cost, machine_.device(r).profile());
+        const double comm_est =
+            stages[static_cast<std::size_t>(s) + 1].comm_seconds;
+        const double contention = 1.0 - io.compute_bandwidth_scale;
+        const double fraction =
+            spmm_est > 0.0 ? std::min(1.0, comm_est / spmm_est) : 0.0;
+        stage.bandwidth_scale[static_cast<std::size_t>(r)] =
+            1.0 - fraction * contention;
+      }
+    }
+  }
+  return stages;
 }
 
-sim::KernelCost scaled_spmm_cost(const sparse::Csr& tile, std::int64_t d,
-                                 const DistSpmm::Io& io) {
-  return scaled_cost(sparse::spmm_cost(tile, d), io);
+double DistSpmm::estimate(const Io& io) const {
+  if (compact_capable()) grid_.build_plans();
+  const std::vector<Stage> stages = price_stages(io);
+  const int p = parts();
+  const double dscale = comm_.options().duration_scale;
+  // Per stage, the slowest rank's SpMM, dilated by its HBM share.
+  std::vector<double> comp(static_cast<std::size_t>(p), 0.0);
+  for (int s = 0; s < p; ++s) {
+    const Stage& stage = stages[static_cast<std::size_t>(s)];
+    double& worst = comp[static_cast<std::size_t>(s)];
+    for (int r = 0; r < p; ++r) {
+      const auto rr = static_cast<std::size_t>(r);
+      const double seconds = sim::CostModel::seconds(
+          stage.cost[rr], machine_.device(r).profile());
+      worst = std::max(worst, seconds / stage.bandwidth_scale[rr]);
+    }
+  }
+  const auto exchange = [&](int s) {
+    return dscale * stages[static_cast<std::size_t>(s)].comm_seconds;
+  };
+  if (!io.overlap) {
+    double total = 0.0;
+    for (int s = 0; s < p; ++s) {
+      total += exchange(s) + comp[static_cast<std::size_t>(s)];
+    }
+    return total;
+  }
+  // Double-buffered pipeline: exchange s+1 hides behind SpMM s.
+  double total = exchange(0);
+  for (int s = 0; s + 1 < p; ++s) {
+    total += std::max(comp[static_cast<std::size_t>(s)], exchange(s + 1));
+  }
+  return total + comp[static_cast<std::size_t>(p) - 1];
 }
-
-/// One stage's exchange decision, priced before the pipeline starts so the
-/// overlap contention estimate for stage s can use stage s+1's *chosen*
-/// duration.
-struct StageChoice {
-  bool compact = false;
-  /// Estimated exchange duration of the chosen path.
-  double comm_seconds = 0.0;
-  /// Payload delivered to the receivers (compact: sum of ghost rows;
-  /// dense: the full block per receiver).
-  std::uint64_t wire_bytes = 0;
-  /// Portion of wire_bytes delivered to ranks on other nodes.
-  std::uint64_t inter_bytes = 0;
-  /// What the dense broadcast would have delivered.
-  std::uint64_t dense_bytes = 0;
-  /// Non-empty per-destination payloads of the compact path.
-  int messages = 0;
-};
-
-}  // namespace
 
 DistSpmm::Result DistSpmm::run(const Io& io) {
   const int p = parts();
@@ -102,57 +188,49 @@ DistSpmm::Result DistSpmm::run(const Io& io) {
   result.input_released.resize(np);
 
   // Under the planned kernel policy every tile executes through its cached
-  // SpmmPlan. Plans are resolved here on the enqueue thread and the
-  // one-time inspector cost is charged to the owning device's compute
-  // stream the first time a tile's plan is built — every later product
-  // reuses the plan for free. The compacted exchange also needs the plans
-  // (their ghost sets drive the packing and the per-stage dense/compact
-  // decision), so compact and auto modes resolve them under every kernel
-  // policy — but only compact-path *execution* goes through the plan then;
-  // dense-path SpMMs keep the policy-dispatched kernels. The first product
-  // builds all missing plans at once, in parallel on the host; which tiles
-  // lacked a plan is noted before that, so resolve_plan still charges each
-  // tile's inspector task once, at the tile's first use.
+  // SpmmPlan. The compacted exchange also needs the plans (their ghost
+  // sets drive the packing and the per-stage dense/compact decision), so
+  // compact and auto modes use them under every kernel policy — but only
+  // compact-path *execution* goes through the plan then; dense-path SpMMs
+  // keep the policy-dispatched kernels. Missing plans are built at once,
+  // in parallel on the host; each tile's one-time inspector cost is
+  // charged to the owning device's compute stream at the tile's first
+  // use, as a prologue before the staged pipeline (between stages it
+  // would eat into compute/comm overlap). Every later product, and every
+  // copy of the grid, reuses the plans for free.
   const bool policy_plans =
       dense::kernel_policy() == dense::KernelPolicy::kPlanned;
-  const bool compact_capable = mode_ != comm::CommMode::kDense && p > 1;
-  const bool use_plans = policy_plans || compact_capable;
-  std::vector<bool> first_use(np * np, false);
+  const bool use_plans = policy_plans || compact_capable();
   if (use_plans) {
-    for (int r = 0; r < p; ++r) {
-      for (int s = 0; s < p; ++s) {
-        first_use[static_cast<std::size_t>(r) * np +
-                  static_cast<std::size_t>(s)] = !grid_.plan_ready(r, s);
+    grid_.build_plans();
+    for (int s = 0; s < p; ++s) {
+      for (int r = 0; r < p; ++r) {
+        if (!grid_.claim_inspect_charge(r, s)) continue;
+        const sparse::Csr& tile = grid_.tile(r, s);
+        sim::TaskDesc inspect;
+        inspect.label = "spmm_inspect";
+        inspect.kind = sim::TaskKind::kInspect;
+        inspect.stage = s;
+        inspect.cost =
+            sparse::spmm_inspect_cost(tile.rows(), tile.nnz(), tile.cols());
+        machine_.device(r).compute_stream().enqueue(std::move(inspect));
       }
     }
-    grid_.build_plans();
   }
-  auto resolve_plan = [&](int r, int s) -> const sparse::SpmmPlan* {
-    if (!use_plans) return nullptr;
-    const sparse::SpmmPlan* plan = &grid_.plan(r, s);
-    if (first_use[static_cast<std::size_t>(r) * np +
-                  static_cast<std::size_t>(s)]) {
-      const sparse::Csr& tile = grid_.tile(r, s);
-      sim::TaskDesc inspect;
-      inspect.label = "spmm_inspect";
-      inspect.kind = sim::TaskKind::kInspect;
-      inspect.stage = s;
-      inspect.cost =
-          sparse::spmm_inspect_cost(tile.rows(), tile.nnz(), tile.cols());
-      machine_.device(r).compute_stream().enqueue(std::move(inspect));
-    }
-    return plan;
+  const auto plan = [&](int r, int s) -> const sparse::SpmmPlan* {
+    return use_plans ? &grid_.plan(r, s) : nullptr;
   };
+  const std::vector<Stage> stages = price_stages(io);
 
   if (p == 1) {
     // Single device: one local SpMM, no communication.
     const sparse::Csr& tile = grid_.tile(0, 0);
-    const sparse::SpmmPlan* plan = resolve_plan(0, 0);
+    const sparse::SpmmPlan* tile_plan = plan(0, 0);
     sim::TaskDesc task;
     task.label = "spmm";
     task.kind = sim::TaskKind::kSpMM;
     task.stage = 0;
-    task.cost = scaled_spmm_cost(tile, io.d, io);
+    task.cost = stages[0].cost[0];
     if (!io.input_ready.empty() && io.input_ready[0].valid()) {
       task.waits.push_back(io.input_ready[0]);
     }
@@ -161,10 +239,11 @@ DistSpmm::Result DistSpmm::run(const Io& io) {
     float* in = io.input[0]->data();
     float* out = io.output[0]->data();
     const std::int64_t d = io.d;
-    task.body = [&tile, plan, in, out, d] {
-      if (plan != nullptr) {
-        plan->execute(tile, dense::ConstMatrixView{in, tile.cols(), d},
-                      dense::MatrixView{out, tile.rows(), d}, 1.0f, 0.0f);
+    task.body = [&tile, tile_plan, in, out, d] {
+      if (tile_plan != nullptr) {
+        tile_plan->execute(tile, dense::ConstMatrixView{in, tile.cols(), d},
+                           dense::MatrixView{out, tile.rows(), d}, 1.0f,
+                           0.0f);
       } else {
         sparse::spmm(tile,
                      dense::ConstMatrixView{in, tile.cols(), d},
@@ -178,80 +257,16 @@ DistSpmm::Result DistSpmm::run(const Io& io) {
     return result;
   }
 
-  // Resolve every tile's plan before the staged pipeline starts: on the
-  // first product this front-loads the inspector tasks as a prologue on
-  // each compute stream instead of serializing them between stages (where
-  // they would eat into compute/comm overlap); on every later product all
-  // plans are ready and this loop enqueues nothing.
-  std::vector<std::vector<const sparse::SpmmPlan*>> plans(
-      np, std::vector<const sparse::SpmmPlan*>(np, nullptr));
-  if (use_plans) {
-    for (int s = 0; s < p; ++s) {
-      for (int r = 0; r < p; ++r) {
-        plans[static_cast<std::size_t>(r)][static_cast<std::size_t>(s)] =
-            resolve_plan(r, s);
-      }
-    }
-  }
-
-  // Exchange selection, one decision per stage, priced with exactly the
-  // models the simulator charges: a dense broadcast pays for the full
-  // block once over the topology (multicast), the compacted path pays one
-  // alpha per destination plus the actual ghost-row payload and the
-  // root-side pack (sendv_rows_seconds). `compact` forces the compacted
-  // path (deterministic volume for tests/benches); `auto` takes whichever
-  // is cheaper, so dense graphs keep their old timings to the microsecond.
-  std::vector<StageChoice> choices(np);
-  for (int s = 0; s < p; ++s) {
-    StageChoice& choice = choices[static_cast<std::size_t>(s)];
-    const std::uint64_t block_bytes =
-        static_cast<std::uint64_t>(grid_.partition.size(s) * io.d) *
-        sizeof(float);
-    int remote_receivers = 0;
-    for (int r = 0; r < p; ++r) {
-      if (r != s && comm_.node_of(r) != comm_.node_of(s)) ++remote_receivers;
-    }
-    choice.dense_bytes = static_cast<std::uint64_t>(p - 1) * block_bytes;
-    choice.wire_bytes = choice.dense_bytes;
-    choice.inter_bytes =
-        static_cast<std::uint64_t>(remote_receivers) * block_bytes;
-    choice.comm_seconds = comm_.topology().broadcast_seconds(block_bytes, p);
-    if (!compact_capable) continue;
-    // The compacted payload is priced with the *actual* partition's ghost
-    // sets via the same node-aggregated shape the exchange itself charges:
-    // intra-node rows ride the NVLink fabric per destination, remote nodes
-    // each receive one unioned message over the NIC. A locality-aware cut
-    // thus directly cheapens the stage it improves.
-    std::vector<std::span<const std::uint32_t>> stage_rows(
-        static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      if (r == s) continue;
-      stage_rows[static_cast<std::size_t>(r)] =
-          plans[static_cast<std::size_t>(r)][static_cast<std::size_t>(s)]
-              ->ghost_rows();
-    }
-    const comm::SendvShape shape = comm_.sendv_shape(stage_rows, io.d, s);
-    const double compact_seconds = comm_.sendv_rows_seconds(shape);
-    if (mode_ == comm::CommMode::kCompact ||
-        compact_seconds < choice.comm_seconds) {
-      choice.compact = true;
-      choice.comm_seconds = compact_seconds;
-      choice.wire_bytes = shape.total_bytes();
-      choice.inter_bytes = shape.inter_bytes;
-      choice.messages = shape.messages();
-    }
-  }
-
   // Volume accounting happens here at enqueue time (main thread), so the
   // counters are deterministic regardless of worker scheduling.
   {
     sim::CommVolume volume;
-    for (const StageChoice& choice : choices) {
-      volume.wire_bytes += choice.wire_bytes;
-      volume.wire_bytes_inter += choice.inter_bytes;
-      volume.dense_bytes += choice.dense_bytes;
-      volume.packs += static_cast<std::uint64_t>(choice.messages);
-      if (choice.compact) {
+    for (const Stage& stage : stages) {
+      volume.wire_bytes += stage.wire_bytes;
+      volume.wire_bytes_inter += stage.inter_bytes;
+      volume.dense_bytes += stage.dense_bytes;
+      volume.packs += static_cast<std::uint64_t>(stage.messages);
+      if (stage.compact) {
         ++volume.compact_stages;
       } else {
         ++volume.dense_stages;
@@ -270,7 +285,7 @@ DistSpmm::Result DistSpmm::run(const Io& io) {
 
   for (int s = 0; s < p; ++s) {
     const int slot = io.overlap ? (s % 2) : 0;
-    const StageChoice& choice = choices[static_cast<std::size_t>(s)];
+    const Stage& stage = stages[static_cast<std::size_t>(s)];
 
     // --- exchange of rank s's input block --------------------------------
     std::vector<comm::RankPart> parts_(np);
@@ -297,7 +312,7 @@ DistSpmm::Result DistSpmm::run(const Io& io) {
       }
     }
     std::vector<sim::Event> bcast;
-    if (choice.compact) {
+    if (stage.compact) {
       // Compacted exchange: rank s packs, per destination, only the ghost
       // rows that destination's tile gathers. The payloads land in the
       // same BC1/BC2 slots the dense path uses (a ghost set never exceeds
@@ -306,9 +321,7 @@ DistSpmm::Result DistSpmm::run(const Io& io) {
       std::vector<std::span<const std::uint32_t>> rows(np);
       for (int r = 0; r < p; ++r) {
         if (r == s) continue;
-        rows[static_cast<std::size_t>(r)] =
-            plans[static_cast<std::size_t>(r)][static_cast<std::size_t>(s)]
-                ->ghost_rows();
+        rows[static_cast<std::size_t>(r)] = grid_.plan(r, s).ghost_rows();
       }
       bcast = comm_.sendv_rows(std::move(parts_), std::move(rows), io.d, s,
                                comm::StreamChoice::kComm, s);
@@ -323,15 +336,15 @@ DistSpmm::Result DistSpmm::run(const Io& io) {
     for (int r = 0; r < p; ++r) {
       const auto rr = static_cast<std::size_t>(r);
       const sparse::Csr& tile = grid_.tile(r, s);
-      const sparse::SpmmPlan* plan = plans[rr][static_cast<std::size_t>(s)];
+      const sparse::SpmmPlan* tile_plan = plan(r, s);
       // Compact stages index the packed payload through the plan's ghost
       // map (the root's own block is always dense); dense-path SpMMs keep
       // the policy-dispatched kernels, so plans resolved only for their
       // ghost sets don't change which executor the active MGGCN_KERNELS
       // policy runs. Either way the per-element operation sequence is the
       // naive reference's, so every combination is bit-identical.
-      const bool compact_exec = choice.compact && r != s;
-      const sparse::SpmmPlan* dense_plan = policy_plans ? plan : nullptr;
+      const bool compact_exec = stage.compact && r != s;
+      const sparse::SpmmPlan* dense_plan = policy_plans ? tile_plan : nullptr;
       sim::DeviceBuffer* src =
           r == s ? io.input[rr] : (slot == 0 ? io.bc1[rr] : io.bc2[rr]);
 
@@ -339,30 +352,8 @@ DistSpmm::Result DistSpmm::run(const Io& io) {
       task.label = "spmm";
       task.kind = sim::TaskKind::kSpMM;
       task.stage = s;
-      // A compact gather reads from just the packed ghost rows — a smaller
-      // working set, so more of the random traffic hits L2 (a real
-      // locality win of the compaction, not just fewer wire bytes).
-      task.cost =
-          compact_exec
-              ? scaled_cost(sparse::spmm_cost(tile.nnz(), tile.rows(),
-                                              plan->ghost_count(), io.d),
-                            io)
-              : scaled_spmm_cost(tile, io.d, io);
-      if (io.overlap && s + 1 < p) {
-        // HBM contention is only paid while the next stage's exchange is
-        // actually in flight: dilate by the expected overlap fraction
-        // (the paper's ~1/6 bandwidth loss applies during that window).
-        // Uses the *chosen* exchange duration, so a compacted next stage
-        // steals less compute bandwidth.
-        const double spmm_est = sim::CostModel::seconds(
-            task.cost, machine_.device(r).profile());
-        const double comm_est =
-            choices[static_cast<std::size_t>(s) + 1].comm_seconds;
-        const double contention = 1.0 - io.compute_bandwidth_scale;
-        const double fraction =
-            spmm_est > 0.0 ? std::min(1.0, comm_est / spmm_est) : 0.0;
-        task.bandwidth_scale = 1.0 - fraction * contention;
-      }
+      task.cost = stage.cost[rr];
+      task.bandwidth_scale = stage.bandwidth_scale[rr];
       task.waits.push_back(bcast[rr]);
       task.reads.push_back(src->access());
       // Stages s > 0 accumulate (beta = 1), which also reads the output.
@@ -374,9 +365,9 @@ DistSpmm::Result DistSpmm::run(const Io& io) {
       const std::int64_t d = io.d;
       const float beta = s == 0 ? 0.0f : 1.0f;
       if (compact_exec) {
-        task.body = [&tile, plan, in, out, d, beta] {
-          plan->execute_compact(
-              tile, dense::ConstMatrixView{in, plan->ghost_count(), d},
+        task.body = [&tile, tile_plan, in, out, d, beta] {
+          tile_plan->execute_compact(
+              tile, dense::ConstMatrixView{in, tile_plan->ghost_count(), d},
               dense::MatrixView{out, tile.rows(), d}, 1.0f, beta);
         };
       } else {

@@ -54,8 +54,24 @@ class DistSpmm : public DistExecutor {
   using Io = DistIo;
   using Result = DistResult;
 
-  /// Enqueues the whole staged product; returns immediately.
+  /// Enqueues the whole staged product; returns immediately. Under the
+  /// planned kernel policy, and in compact/auto exchange modes, tiles run
+  /// through the grid's SpmmPlans; each tile's one-time kInspect task is
+  /// charged at its first use (TileGrid::claim_inspect_charge).
   Result run(const Io& io) override;
+
+  /// The staged pipeline's steady-state time: per stage, the chosen
+  /// exchange (scaled by the communicator's duration_scale) and the
+  /// slowest rank's dilated SpMM, serialized without overlap and
+  /// double-buffered with it. Builds the grid's plans in compact/auto
+  /// modes (their ghost sets price the compacted stages), as run() would.
+  [[nodiscard]] double estimate(const Io& io) const override;
+
+  /// The 1D product runs in the memory account_memory() reserves.
+  [[nodiscard]] std::uint64_t extra_bytes(int /*rank*/,
+                                          std::int64_t /*d*/) const override {
+    return 0;
+  }
 
   [[nodiscard]] const TileGrid& grid() const { return grid_; }
   [[nodiscard]] comm::CommMode mode() const { return mode_; }
@@ -65,6 +81,33 @@ class DistSpmm : public DistExecutor {
   [[nodiscard]] int parts() const { return grid_.parts(); }
 
  private:
+  /// One stage as run() enqueues it and estimate() prices it.
+  struct Stage {
+    bool compact = false;
+    /// Model duration of the chosen exchange (before duration_scale).
+    double comm_seconds = 0.0;
+    /// Payload delivered to the receivers (compact: sum of ghost rows;
+    /// dense: the full block per receiver).
+    std::uint64_t wire_bytes = 0;
+    /// Portion of wire_bytes delivered to ranks on other nodes.
+    std::uint64_t inter_bytes = 0;
+    /// What the dense broadcast would have delivered.
+    std::uint64_t dense_bytes = 0;
+    /// Non-empty per-destination payloads of the compact path.
+    int messages = 0;
+    /// Per rank: the stage's SpMM cost and the HBM share it runs with.
+    std::vector<sim::KernelCost> cost;
+    std::vector<double> bandwidth_scale;
+  };
+
+  /// Every stage's exchange choice and per-rank SpMM cost with its overlap
+  /// dilation. In compact/auto modes this reads the plans' ghost sets, so
+  /// they must be built.
+  [[nodiscard]] std::vector<Stage> price_stages(const Io& io) const;
+  [[nodiscard]] bool compact_capable() const {
+    return mode_ != comm::CommMode::kDense && parts() > 1;
+  }
+
   sim::Machine& machine_;
   comm::Communicator& comm_;
   TileGrid grid_;

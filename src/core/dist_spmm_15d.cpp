@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "dense/matrix.hpp"
+#include "sim/cost_model.hpp"
 #include "sim/trace.hpp"
 #include "sparse/spmm.hpp"
 #include "util/error.hpp"
@@ -12,11 +13,36 @@ namespace mggcn::core {
 
 namespace {
 
-sim::KernelCost scaled_cost(sim::KernelCost cost, const DistIo& io) {
-  cost.stream_bytes *= io.traffic_factor;
-  cost.gather_bytes *= io.traffic_factor;
-  cost.launches = static_cast<int>(cost.launches * io.launch_multiplier + 0.5);
-  return cost;
+/// The communicators of a c = 2 layout over `groups` = P/2 ranks per
+/// group: replica group g holds ranks g*G .. g*G+G-1, pair j the ranks
+/// (j, G+j). Topology::group_bandwidth only clamps groups larger than a
+/// node to the NIC, so a smaller group that straddles nodes — every pair
+/// (j, G+j) on a two-node cluster — would be priced as intra-node; such a
+/// communicator gets devices_per_node = 1 instead, and every collective on
+/// it pays the NIC, as the hardware would.
+void make_15d_communicators(
+    sim::Machine& machine, int groups, const comm::CommOptions& options,
+    std::vector<std::unique_ptr<comm::Communicator>>& group_comms,
+    std::vector<std::unique_ptr<comm::Communicator>>& pair_comms) {
+  const auto make = [&](const std::vector<int>& ranks) {
+    sim::InterconnectProfile profile = machine.profile().interconnect;
+    const int dpn = profile.devices_per_node;
+    std::vector<sim::Device*> devices;
+    for (const int rank : ranks) {
+      devices.push_back(&machine.device(rank));
+      if (dpn > 0 && rank / dpn != ranks.front() / dpn) {
+        profile.devices_per_node = 1;
+      }
+    }
+    return std::make_unique<comm::Communicator>(
+        std::move(devices), comm::Topology(profile), options);
+  };
+  for (int g = 0; g < 2; ++g) {
+    std::vector<int> ranks;
+    for (int j = 0; j < groups; ++j) ranks.push_back(g * groups + j);
+    group_comms.push_back(make(ranks));
+  }
+  for (int j = 0; j < groups; ++j) pair_comms.push_back(make({j, groups + j}));
 }
 
 /// Zero-duration fence on `stream`: its event marks "everything enqueued on
@@ -58,21 +84,7 @@ DistSpmm15D::DistSpmm15D(sim::Machine& machine, const sparse::Csr& op)
     }
   }
 
-  const comm::Topology topology(machine_.profile().interconnect);
-  for (int g = 0; g < kReplication; ++g) {
-    std::vector<sim::Device*> devices;
-    for (int j = 0; j < groups_; ++j) {
-      devices.push_back(&machine_.device(g * groups_ + j));
-    }
-    group_comms_.push_back(std::make_unique<comm::Communicator>(
-        std::move(devices), topology));
-  }
-  for (int j = 0; j < groups_; ++j) {
-    std::vector<sim::Device*> pair = {&machine_.device(j),
-                                      &machine_.device(groups_ + j)};
-    pair_comms_.push_back(
-        std::make_unique<comm::Communicator>(std::move(pair), topology));
-  }
+  make_15d_communicators(machine_, groups_, {}, group_comms_, pair_comms_);
 }
 
 void DistSpmm15D::account_memory() {
@@ -168,7 +180,7 @@ DistSpmm15D::Result DistSpmm15D::run(const Io& io) {
         task.label = "spmm_15d";
         task.kind = sim::TaskKind::kSpMM;
         task.stage = s;
-        task.cost = scaled_cost(sparse::spmm_cost(tile, io.d), io);
+        task.cost = scaled(sparse::spmm_cost(tile, io.d), io);
         task.waits.push_back(bcast[static_cast<std::size_t>(j)]);
 
         sim::DeviceBuffer* src = j == s ? io.input[rr] : io.bc1[rr];
@@ -242,33 +254,8 @@ DistSpmm15DChained::DistSpmm15DChained(sim::Machine& machine,
   MGGCN_CHECK_MSG(p == machine_.num_devices(),
                   "tile grid parts must equal device count");
   groups_ = p / 2;
-
-  const sim::InterconnectProfile& inter = machine_.profile().interconnect;
-  const comm::Topology topology(inter);
-  for (int g = 0; g < 2; ++g) {
-    std::vector<sim::Device*> devices;
-    for (int j = 0; j < groups_; ++j) {
-      devices.push_back(&machine_.device(g * groups_ + j));
-    }
-    group_comms_.push_back(std::make_unique<comm::Communicator>(
-        std::move(devices), topology, options));
-  }
-  for (int j = 0; j < groups_; ++j) {
-    std::vector<sim::Device*> pair = {&machine_.device(j),
-                                      &machine_.device(groups_ + j)};
-    // Topology::group_bandwidth only applies the inter-node clamp to groups
-    // larger than a node, so a 2-rank pair that straddles nodes would be
-    // priced as intra-node. Collapsing devices_per_node to 1 for such pairs
-    // makes every collective on them pay the NIC, as the hardware would.
-    sim::InterconnectProfile pair_profile = inter;
-    if (inter.devices_per_node > 0 &&
-        j / inter.devices_per_node !=
-            (groups_ + j) / inter.devices_per_node) {
-      pair_profile.devices_per_node = 1;
-    }
-    pair_comms_.push_back(std::make_unique<comm::Communicator>(
-        std::move(pair), comm::Topology(pair_profile), options));
-  }
+  make_15d_communicators(machine_, groups_, options, group_comms_,
+                         pair_comms_);
   partial_.resize(static_cast<std::size_t>(p));
   partial_last_use_.resize(static_cast<std::size_t>(p));
 }
@@ -309,6 +296,57 @@ DistSpmm15DChained::~DistSpmm15DChained() {
   for (int r = 0; r < grid_.parts(); ++r) {
     machine_.device(r).release_memory(partner_tile_bytes(r));
   }
+}
+
+sim::KernelCost DistSpmm15DChained::spmm_cost(int row, int s,
+                                              const DistIo& io) const {
+  return scaled(sparse::spmm_cost(grid_.tile(row, s), io.d), io);
+}
+
+double DistSpmm15DChained::estimate(const DistIo& io) const {
+  const int p = grid_.parts();
+  const int G = groups_;
+  // The chained schedule serializes: group broadcast s, then both SpMMs of
+  // stage s (single-slot buffer), per phase; the pair hand-offs between
+  // the phases and the return transfer after them.
+  double total = 0.0;
+  for (int s = 0; s < p; ++s) {
+    const comm::Communicator& group = *group_comms_[s < G ? 0 : 1];
+    const std::uint64_t bytes =
+        static_cast<std::uint64_t>(grid_.partition.size(s) * io.d) *
+        sizeof(float);
+    total += group.options().duration_scale *
+             group.topology().broadcast_seconds(bytes, G);
+    double worst = 0.0;
+    for (int j = 0; j < G; ++j) {
+      const sim::DeviceProfile& dev =
+          machine_.device(s < G ? j : G + j).profile();
+      worst = std::max(worst,
+                       sim::CostModel::seconds(spmm_cost(j, s, io), dev) +
+                           sim::CostModel::seconds(spmm_cost(G + j, s, io),
+                                                   dev));
+    }
+    total += worst;
+  }
+
+  double handoff = 0.0;
+  double ret = 0.0;
+  for (int j = 0; j < G; ++j) {
+    const comm::Communicator& pair = *pair_comms_[static_cast<std::size_t>(j)];
+    const double dscale = pair.options().duration_scale;
+    const std::uint64_t lo_bytes =
+        static_cast<std::uint64_t>(grid_.partition.size(j) * io.d) *
+        sizeof(float);
+    const std::uint64_t hi_bytes =
+        static_cast<std::uint64_t>(grid_.partition.size(G + j) * io.d) *
+        sizeof(float);
+    handoff = std::max(
+        handoff, dscale * (pair.topology().broadcast_seconds(hi_bytes, 2) +
+                           pair.topology().broadcast_seconds(lo_bytes, 2)));
+    ret = std::max(ret,
+                   dscale * pair.topology().broadcast_seconds(lo_bytes, 2));
+  }
+  return total + handoff + ret;
 }
 
 void DistSpmm15DChained::ensure_partials(std::int64_t d) {
@@ -382,7 +420,7 @@ DistResult DistSpmm15DChained::run(const DistIo& io) {
       task.label = "spmm_15dc";
       task.kind = sim::TaskKind::kSpMM;
       task.stage = s;
-      task.cost = scaled_cost(sparse::spmm_cost(tile, io.d), io);
+      task.cost = spmm_cost(row, s, io);
       if (bcast_event.valid()) task.waits.push_back(bcast_event);
       const sim::Event& extra = half == 0 ? own_extra_wait : pair_extra_wait;
       if (extra.valid()) task.waits.push_back(extra);

@@ -14,9 +14,8 @@
 //
 // Because that pair allreduce adds the two stage-halves of each output row
 // in ONE step instead of chaining them in stage order, DistSpmm15D is NOT
-// bit-identical to the 1D product. It implements the DistExecutor contract
-// (benches swap it in), but it is an ablation subject, never a Planner
-// candidate.
+// bit-identical to the 1D product. It is an ablation subject
+// (bench_ablation_15d), not a DistExecutor and never a Planner candidate.
 //
 // DistSpmm15DChained — the order-preserving variant the Planner *can*
 // select (MGGCN_PLAN=15d / auto). Same pairing (j, j+G), same P-way 1D
@@ -40,6 +39,9 @@
 // wins. The price: every tile is multiplied on both pair ranks' path
 // (compute roughly doubles per rank) and the partner-row tiles plus the
 // partial buffers cost extra memory (the "1.5" in 1.5D).
+//
+// Both build their group and pair communicators the same way: one whose
+// ranks straddle nodes pays the NIC for every collective.
 #pragma once
 
 #include <array>
@@ -55,14 +57,14 @@
 
 namespace mggcn::core {
 
-class DistSpmm15D : public DistExecutor {
+class DistSpmm15D {
  public:
   static constexpr int kReplication = 2;  // c
 
   /// `op` is the full (already normalized/transposed) operator; the
   /// machine must have an even device count >= 4.
   DistSpmm15D(sim::Machine& machine, const sparse::Csr& op);
-  ~DistSpmm15D() override;
+  ~DistSpmm15D();
 
   DistSpmm15D(const DistSpmm15D&) = delete;
   DistSpmm15D& operator=(const DistSpmm15D&) = delete;
@@ -81,7 +83,7 @@ class DistSpmm15D : public DistExecutor {
   using Io = DistIo;
   using Result = DistResult;
 
-  Result run(const Io& io) override;
+  Result run(const Io& io);
 
   /// Registers tile footprints with the owning devices.
   void account_memory();
@@ -110,9 +112,8 @@ class DistSpmm15DChained : public DistExecutor {
   /// `grid` is the *caller-owned* P-way tile grid (the same one DistSpmm
   /// runs on — the Planner guarantees it outlives this executor). Only
   /// device-memory accounting is added here: rank j must also hold its
-  /// partner row's tiles for the stages it covers. `options` should match
-  /// the trainer communicator's (duration_scale parity keeps the Planner's
-  /// pricing exact).
+  /// partner row's tiles for the stages it covers. `options` apply to the
+  /// group and pair collectives (the trainer passes its communicator's).
   DistSpmm15DChained(sim::Machine& machine, const TileGrid& grid,
                      comm::CommOptions options = {});
   ~DistSpmm15DChained() override;
@@ -130,6 +131,11 @@ class DistSpmm15DChained : public DistExecutor {
   /// there is no overlap-contention window to dilate compute for).
   DistResult run(const DistIo& io) override;
 
+  /// Per phase, each group broadcast followed by the slowest rank's two
+  /// SpMMs (single-buffered, so nothing overlaps), then the slowest pair's
+  /// two hand-offs and return transfer, each on that pair's communicator.
+  [[nodiscard]] double estimate(const DistIo& io) const override;
+
   /// Reserves the partner-row tile footprints (the grid's own tiles are
   /// accounted by the owning DistSpmm). Call once; released on
   /// destruction. The per-rank partial buffers account themselves lazily
@@ -139,10 +145,14 @@ class DistSpmm15DChained : public DistExecutor {
   /// Extra bytes rank `rank` needs at dense width `d` beyond what the 1D
   /// path uses: the partner-half tiles plus the partial buffer. The
   /// Planner's feasibility check prices this against free device memory.
-  [[nodiscard]] std::uint64_t extra_bytes(int rank, std::int64_t d) const;
+  [[nodiscard]] std::uint64_t extra_bytes(int rank,
+                                          std::int64_t d) const override;
 
  private:
   void ensure_partials(std::int64_t d);
+  /// Tile (row, s)'s SpMM, as run() charges it and estimate() prices it.
+  [[nodiscard]] sim::KernelCost spmm_cost(int row, int s,
+                                          const DistIo& io) const;
   [[nodiscard]] std::uint64_t partner_tile_bytes(int rank) const;
 
   sim::Machine& machine_;

@@ -73,8 +73,10 @@ void TileGrid::size_plan_slots() const {
   auto& slots = plans_->slots;
   if (!slots.empty()) return;
   slots.resize(tiles.size());
+  plans_->inspect_charged.resize(tiles.size());
   for (std::size_t r = 0; r < tiles.size(); ++r) {
     slots[r].resize(tiles[r].size());
+    plans_->inspect_charged[r].resize(tiles[r].size());
   }
 }
 
@@ -110,6 +112,14 @@ void TileGrid::build_plans() const {
                        const auto [i, j] = missing[static_cast<std::size_t>(t)];
                        (void)plan(i, j);
                      });
+}
+
+bool TileGrid::claim_inspect_charge(int i, int j) const {
+  size_plan_slots();
+  std::vector<bool>& row = plans_->inspect_charged[static_cast<std::size_t>(i)];
+  if (row[static_cast<std::size_t>(j)]) return false;
+  row[static_cast<std::size_t>(j)] = true;
+  return true;
 }
 
 std::int64_t TileGrid::row_nnz(int i) const {

@@ -74,18 +74,23 @@ struct TileGrid {
   /// first call and returns the cached plan thereafter. The cache itself
   /// lives behind a shared_ptr created at construction, so *every* copy of
   /// a grid — whenever it was made — sees plans built through any other
-  /// copy, and plan_ready()/the one-time kInspect charge stay consistent
-  /// across copies. plan() and build_plans() must be called from one
-  /// thread at a time — DistSpmm resolves plans on the enqueue thread,
+  /// copy (a deep copy's fresh tile storage rebuilds them on first use).
+  /// plan(), build_plans() and claim_inspect_charge() must be called from
+  /// one thread at a time — DistSpmm resolves plans on the enqueue thread,
   /// never inside stream worker bodies.
   [[nodiscard]] const sparse::SpmmPlan& plan(int i, int j) const;
   /// Whether plan(i, j) has already been built (i.e. whether the next
-  /// plan(i, j) call is free) — lets callers charge the one-time inspector
-  /// cost exactly once per tile.
+  /// plan(i, j) call is free).
   [[nodiscard]] bool plan_ready(int i, int j) const;
   /// Builds every missing (or stale) plan at once, in parallel over tiles.
   /// The plans are those plan(i, j) would build one by one.
   void build_plans() const;
+  /// True exactly once per tile over this grid and all its copies: the
+  /// caller then charges the tile's one-time kInspect task. The flag lives
+  /// in the shared cache, apart from the plans, so building a plan early
+  /// (pricing reads ghost sets) or rebuilding it in a deep copy moves no
+  /// charge.
+  [[nodiscard]] bool claim_inspect_charge(int i, int j) const;
 
   /// Nonzeros of tile row i (the work assigned to GPU i).
   [[nodiscard]] std::int64_t row_nnz(int i) const;
@@ -96,6 +101,8 @@ struct TileGrid {
   struct PlanCache {
     /// [row_part][col_part], sized on first use; null until built.
     std::vector<std::vector<std::shared_ptr<const sparse::SpmmPlan>>> slots;
+    /// [row_part][col_part]: the tile's kInspect task has been charged.
+    std::vector<std::vector<bool>> inspect_charged;
   };
   void size_plan_slots() const;
 

@@ -17,11 +17,10 @@ namespace {
 
 constexpr double kInfeasible = std::numeric_limits<double>::infinity();
 
-sim::KernelCost scaled(sim::KernelCost cost, double traffic_factor,
-                       double launch_multiplier) {
-  cost.stream_bytes *= traffic_factor;
-  cost.gather_bytes *= traffic_factor;
-  cost.launches = static_cast<int>(cost.launches * launch_multiplier + 0.5);
+/// The replica pack of a `elems`-float block: one read plus one write.
+sim::KernelCost pack_cost(std::int64_t elems) {
+  sim::KernelCost cost;
+  cost.stream_bytes = 2.0 * static_cast<double>(elems) * sizeof(float);
   return cost;
 }
 
@@ -114,8 +113,7 @@ DistResult ReplicatedSpmm::run(const DistIo& io) {
     sim::TaskDesc task;
     task.label = "replica_pack";
     task.kind = sim::TaskKind::kMemory;
-    task.cost.stream_bytes =
-        2.0 * static_cast<double>(elems) * sizeof(float);
+    task.cost = pack_cost(static_cast<std::int64_t>(elems));
     if (!io.input_ready.empty() && io.input_ready[rr].valid()) {
       task.waits.push_back(io.input_ready[rr]);
     }
@@ -147,18 +145,10 @@ DistResult ReplicatedSpmm::run(const DistIo& io) {
   // the whole replica.
   for (int r = 0; r < p; ++r) {
     const auto rr = static_cast<std::size_t>(r);
-    sim::KernelCost cost;
-    for (int s = 0; s < p; ++s) {
-      cost += sparse::spmm_cost(grid_.tile(r, s), io.d);
-    }
-    cost.launches = 1;  // operator+= summed the per-tile launch counts
-    cost.gather_working_set =
-        4.0 * static_cast<double>(n) * static_cast<double>(io.d);
-
     sim::TaskDesc task;
     task.label = "spmm_replicated";
     task.kind = sim::TaskKind::kSpMM;
-    task.cost = scaled(cost, io.traffic_factor, io.launch_multiplier);
+    task.cost = fused_cost(r, io);
     task.waits.push_back(gathered[rr]);
     task.reads.push_back(replica_[rr]->access());
     task.writes.push_back(io.output[rr]->access());
@@ -186,6 +176,35 @@ DistResult ReplicatedSpmm::run(const DistIo& io) {
   return result;
 }
 
+sim::KernelCost ReplicatedSpmm::fused_cost(int r, const DistIo& io) const {
+  sim::KernelCost cost;
+  for (int s = 0; s < grid_.parts(); ++s) {
+    cost += sparse::spmm_cost(grid_.tile(r, s), io.d);
+  }
+  cost.launches = 1;  // operator+= summed the per-tile launch counts
+  cost.gather_working_set = 4.0 *
+                            static_cast<double>(grid_.partition.total()) *
+                            static_cast<double>(io.d);
+  return scaled(cost, io);
+}
+
+double ReplicatedSpmm::estimate(const DistIo& io) const {
+  const int p = grid_.parts();
+  const std::int64_t n = grid_.partition.total();
+  const sim::DeviceProfile& dev = machine_.device(0).profile();
+  const double pack = sim::CostModel::seconds(
+      pack_cost(grid_.partition.max_part_size() * io.d), dev);
+  const double gather =
+      comm_.options().duration_scale *
+      comm_.topology().allgather_seconds(
+          static_cast<std::uint64_t>(n * io.d) * sizeof(float), p);
+  double worst = 0.0;
+  for (int r = 0; r < p; ++r) {
+    worst = std::max(worst, sim::CostModel::seconds(fused_cost(r, io), dev));
+  }
+  return pack + gather + worst;
+}
+
 // ---------------------------------------------------------------------------
 // Planner
 // ---------------------------------------------------------------------------
@@ -193,281 +212,61 @@ DistResult ReplicatedSpmm::run(const DistIo& io) {
 Planner::Planner(sim::Machine& machine, comm::Communicator& comm,
                  TileGrid grid, PlanMode mode, comm::CommMode comm_mode)
     : machine_(machine),
-      comm_(comm),
       mode_(mode),
-      comm_mode_(comm_mode),
-      spmm_1d_(machine, comm, std::move(grid), comm_mode) {
+      spmm_1d_(std::make_unique<DistSpmm>(machine, comm, std::move(grid),
+                                          comm_mode)) {
   const int p = parts();
   if (DistSpmm15DChained::feasible(p)) {
     exec_15d_ = std::make_unique<DistSpmm15DChained>(
-        machine_, spmm_1d_.grid(), comm_.options());
+        machine_, spmm_1d_->grid(), comm.options());
   }
   if (p > 1) {
-    exec_replicated_ = std::make_unique<ReplicatedSpmm>(machine_, comm_,
-                                                        spmm_1d_.grid());
+    exec_replicated_ =
+        std::make_unique<ReplicatedSpmm>(machine_, comm, spmm_1d_->grid());
   }
-  ghost_cols_.assign(static_cast<std::size_t>(p),
-                     std::vector<std::int64_t>(static_cast<std::size_t>(p),
-                                               -1));
-  int nodes = 1;
-  for (int r = 0; r < p; ++r) nodes = std::max(nodes, comm_.node_of(r) + 1);
-  node_ghost_cols_.assign(
-      static_cast<std::size_t>(nodes),
-      std::vector<std::int64_t>(static_cast<std::size_t>(p), -1));
 }
 
-std::int64_t Planner::ghost_cols(int r, int s) const {
-  std::int64_t& cached =
-      ghost_cols_[static_cast<std::size_t>(r)][static_cast<std::size_t>(s)];
-  if (cached < 0) cached = sparse::count_distinct_cols(grid().tile(r, s));
-  return cached;
-}
-
-std::int64_t Planner::node_ghost_cols(int node, int s) const {
-  std::int64_t& cached =
-      node_ghost_cols_[static_cast<std::size_t>(node)]
-                      [static_cast<std::size_t>(s)];
-  if (cached < 0) {
-    std::vector<std::uint8_t> seen(
-        static_cast<std::size_t>(partition().size(s)), 0);
-    for (int r = 0; r < parts(); ++r) {
-      if (r == s || comm_.node_of(r) != node) continue;
-      for (const std::uint32_t c : grid().tile(r, s).col_idx()) seen[c] = 1;
-    }
-    std::int64_t distinct = 0;
-    for (const std::uint8_t flag : seen) distinct += flag;
-    cached = distinct;
+DistExecutor* Planner::executor(PlanMode strategy) const {
+  switch (strategy) {
+    case PlanMode::k15D:
+      return exec_15d_.get();
+    case PlanMode::kReplicated:
+      return exec_replicated_.get();
+    default:
+      return spmm_1d_.get();
   }
-  return cached;
 }
 
 bool Planner::fits(PlanMode strategy, std::int64_t d) const {
+  const DistExecutor* exec = executor(strategy);
+  if (exec == nullptr) return false;
   for (int r = 0; r < parts(); ++r) {
     const sim::Device& device = machine_.device(r);
-    const std::uint64_t extra =
-        strategy == PlanMode::k15D ? exec_15d_->extra_bytes(r, d)
-                                   : exec_replicated_->extra_bytes(r, d);
-    if (device.memory_used() + extra > device.profile().memory_bytes) {
+    if (device.memory_used() + exec->extra_bytes(r, d) >
+        device.profile().memory_bytes) {
       return false;
     }
   }
   return true;
 }
 
-double Planner::est_1d(std::int64_t d, bool overlap,
-                       double compute_bandwidth_scale, double traffic_factor,
-                       double launch_multiplier) const {
-  const int p = parts();
-  const sim::DeviceProfile& dev = machine_.device(0).profile();
-  if (p == 1) {
-    return sim::CostModel::seconds(
-        scaled(sparse::spmm_cost(grid().tile(0, 0), d), traffic_factor,
-               launch_multiplier),
-        dev);
-  }
-  const double dscale = comm_.options().duration_scale;
-  const bool compact_capable = comm_mode_ != comm::CommMode::kDense;
-
-  // Mirror DistSpmm's StageChoice: the dense/compact decision compares the
-  // unscaled model estimates, the pipeline pays the scaled durations.
-  std::vector<double> comm_raw(static_cast<std::size_t>(p));
-  std::vector<bool> compact(static_cast<std::size_t>(p), false);
-  for (int s = 0; s < p; ++s) {
-    const std::uint64_t block_bytes =
-        static_cast<std::uint64_t>(partition().size(s) * d) * sizeof(float);
-    double seconds = comm_.topology().broadcast_seconds(block_bytes, p);
-    if (compact_capable) {
-      // Same node-aggregated pricing as DistSpmm's StageChoice (which
-      // defers to Communicator::sendv_shape): per-destination messages on
-      // the root's node, one unioned message per remote node, scatter on
-      // the worst remote node with several destinations.
-      comm::SendvShape shape;
-      const int root_node = comm_.node_of(s);
-      const std::size_t num_nodes = node_ghost_cols_.size();
-      std::vector<std::uint64_t> node_dest_bytes(num_nodes, 0);
-      std::vector<int> node_dests(num_nodes, 0);
-      for (int r = 0; r < p; ++r) {
-        if (r == s) continue;
-        const std::int64_t ghost = ghost_cols(r, s);
-        if (ghost == 0) continue;
-        const std::uint64_t bytes =
-            static_cast<std::uint64_t>(ghost * d) * sizeof(float);
-        const int node = comm_.node_of(r);
-        if (node != root_node) {
-          node_dest_bytes[static_cast<std::size_t>(node)] += bytes;
-          ++node_dests[static_cast<std::size_t>(node)];
-        } else {
-          shape.intra_bytes += bytes;
-          ++shape.intra_messages;
-        }
-      }
-      for (std::size_t node = 0; node < num_nodes; ++node) {
-        if (node_dests[node] == 0) continue;
-        shape.inter_bytes +=
-            static_cast<std::uint64_t>(
-                node_ghost_cols(static_cast<int>(node), s) * d) *
-            sizeof(float);
-        ++shape.inter_messages;
-        if (node_dests[node] >= 2) {
-          shape.scatter_bytes =
-              std::max(shape.scatter_bytes, node_dest_bytes[node]);
-        }
-      }
-      const double compact_seconds = comm_.sendv_rows_seconds(shape);
-      if (comm_mode_ == comm::CommMode::kCompact ||
-          compact_seconds < seconds) {
-        compact[static_cast<std::size_t>(s)] = true;
-        seconds = compact_seconds;
-      }
-    }
-    comm_raw[static_cast<std::size_t>(s)] = seconds;
-  }
-
-  std::vector<double> comp(static_cast<std::size_t>(p), 0.0);
-  const double contention = 1.0 - compute_bandwidth_scale;
-  for (int s = 0; s < p; ++s) {
-    double worst = 0.0;
-    for (int r = 0; r < p; ++r) {
-      const sparse::Csr& tile = grid().tile(r, s);
-      const sim::KernelCost cost = scaled(
-          compact[static_cast<std::size_t>(s)] && r != s
-              ? sparse::spmm_cost(tile.nnz(), tile.rows(), ghost_cols(r, s),
-                                  d)
-              : sparse::spmm_cost(tile, d),
-          traffic_factor, launch_multiplier);
-      double seconds = sim::CostModel::seconds(cost, dev);
-      if (overlap && s + 1 < p && seconds > 0.0) {
-        // DistSpmm's contention dilation, with the same (unscaled) next-
-        // stage exchange estimate.
-        const double fraction = std::min(
-            1.0, comm_raw[static_cast<std::size_t>(s) + 1] / seconds);
-        seconds /= 1.0 - fraction * contention;
-      }
-      worst = std::max(worst, seconds);
-    }
-    comp[static_cast<std::size_t>(s)] = worst;
-  }
-
-  if (!overlap) {
-    double total = 0.0;
-    for (int s = 0; s < p; ++s) {
-      total += dscale * comm_raw[static_cast<std::size_t>(s)] +
-               comp[static_cast<std::size_t>(s)];
-    }
-    return total;
-  }
-  // Double-buffered pipeline: exchange s+1 hides behind SpMM s.
-  double total = dscale * comm_raw[0];
-  for (int s = 0; s + 1 < p; ++s) {
-    total += std::max(comp[static_cast<std::size_t>(s)],
-                      dscale * comm_raw[static_cast<std::size_t>(s) + 1]);
-  }
-  return total + comp[static_cast<std::size_t>(p) - 1];
-}
-
-double Planner::est_15d(std::int64_t d, double traffic_factor,
-                        double launch_multiplier) const {
-  if (exec_15d_ == nullptr || !fits(PlanMode::k15D, d)) return kInfeasible;
-  const int p = parts();
-  const int G = p / 2;
-  const sim::DeviceProfile& dev = machine_.device(0).profile();
-  const double dscale = comm_.options().duration_scale;
-  const comm::Topology& topo = comm_.topology();
-
-  // The chained schedule serializes: group broadcast s, then both SpMMs of
-  // stage s (single-slot buffer), per phase; pair handoffs between the
-  // phases and the return transfer after them.
-  double total = 0.0;
-  for (int s = 0; s < p; ++s) {
-    const std::uint64_t bytes =
-        static_cast<std::uint64_t>(partition().size(s) * d) * sizeof(float);
-    total += dscale * topo.broadcast_seconds(bytes, G);
-    double worst = 0.0;
-    for (int j = 0; j < G; ++j) {
-      const double seconds =
-          sim::CostModel::seconds(scaled(sparse::spmm_cost(grid().tile(j, s), d),
-                                         traffic_factor, launch_multiplier),
-                                  dev) +
-          sim::CostModel::seconds(
-              scaled(sparse::spmm_cost(grid().tile(G + j, s), d),
-                     traffic_factor, launch_multiplier),
-              dev);
-      worst = std::max(worst, seconds);
-    }
-    total += worst;
-  }
-
-  const sim::InterconnectProfile& inter = machine_.profile().interconnect;
-  double handoff = 0.0;
-  double ret = 0.0;
-  for (int j = 0; j < G; ++j) {
-    sim::InterconnectProfile pair_profile = inter;
-    if (inter.devices_per_node > 0 &&
-        j / inter.devices_per_node != (G + j) / inter.devices_per_node) {
-      pair_profile.devices_per_node = 1;  // the pair pays the NIC
-    }
-    const comm::Topology pair_topo{pair_profile};
-    const std::uint64_t lo_bytes =
-        static_cast<std::uint64_t>(partition().size(j) * d) * sizeof(float);
-    const std::uint64_t hi_bytes =
-        static_cast<std::uint64_t>(partition().size(G + j) * d) *
-        sizeof(float);
-    handoff = std::max(
-        handoff, dscale * (pair_topo.broadcast_seconds(hi_bytes, 2) +
-                           pair_topo.broadcast_seconds(lo_bytes, 2)));
-    ret = std::max(ret, dscale * pair_topo.broadcast_seconds(lo_bytes, 2));
-  }
-  return total + handoff + ret;
-}
-
-double Planner::est_replicated(std::int64_t d, double traffic_factor,
-                               double launch_multiplier) const {
-  if (exec_replicated_ == nullptr || !fits(PlanMode::kReplicated, d)) {
-    return kInfeasible;
-  }
-  const int p = parts();
-  const sim::DeviceProfile& dev = machine_.device(0).profile();
-  const double dscale = comm_.options().duration_scale;
-  const std::int64_t n = partition().total();
-
-  sim::KernelCost copy;
-  copy.stream_bytes =
-      2.0 * static_cast<double>(partition().max_part_size() * d) *
-      sizeof(float);
-  const double pack = sim::CostModel::seconds(copy, dev);
-
-  const double gather = dscale * comm_.topology().allgather_seconds(
-                                     static_cast<std::uint64_t>(n * d) *
-                                         sizeof(float),
-                                     p);
-
-  double worst = 0.0;
-  for (int r = 0; r < p; ++r) {
-    sim::KernelCost cost;
-    for (int s = 0; s < p; ++s) {
-      cost += sparse::spmm_cost(grid().tile(r, s), d);
-    }
-    cost.launches = 1;
-    cost.gather_working_set =
-        4.0 * static_cast<double>(n) * static_cast<double>(d);
-    worst = std::max(worst,
-                     sim::CostModel::seconds(
-                         scaled(cost, traffic_factor, launch_multiplier),
-                         dev));
-  }
-  return pack + gather + worst;
-}
-
 Planner::Estimate Planner::price(std::int64_t d, bool overlap,
                                  double compute_bandwidth_scale,
                                  double traffic_factor,
                                  double launch_multiplier) const {
+  DistIo io;
+  io.d = d;
+  io.overlap = overlap;
+  io.compute_bandwidth_scale = compute_bandwidth_scale;
+  io.traffic_factor = traffic_factor;
+  io.launch_multiplier = launch_multiplier;
+  const auto seconds = [&](PlanMode strategy) {
+    return fits(strategy, d) ? executor(strategy)->estimate(io) : kInfeasible;
+  };
   Estimate est;
-  est.seconds_1d = est_1d(d, overlap, compute_bandwidth_scale,
-                          traffic_factor, launch_multiplier);
-  est.seconds_15d = est_15d(d, traffic_factor, launch_multiplier);
-  est.seconds_replicated =
-      est_replicated(d, traffic_factor, launch_multiplier);
+  est.seconds_1d = spmm_1d_->estimate(io);
+  est.seconds_15d = seconds(PlanMode::k15D);
+  est.seconds_replicated = seconds(PlanMode::kReplicated);
   est.choice = PlanMode::k1D;
   double best = est.seconds_1d;
   if (est.seconds_15d < best) {
@@ -496,13 +295,7 @@ PlanMode Planner::decide(const DistIo& io) {
       decisions_.emplace(key, chosen);
     }
   }
-  if (chosen == PlanMode::k15D &&
-      (exec_15d_ == nullptr || !fits(PlanMode::k15D, io.d))) {
-    chosen = PlanMode::k1D;
-    ++delta.fallbacks;
-  } else if (chosen == PlanMode::kReplicated &&
-             (exec_replicated_ == nullptr ||
-              !fits(PlanMode::kReplicated, io.d))) {
+  if (chosen != PlanMode::k1D && !fits(chosen, io.d)) {
     chosen = PlanMode::k1D;
     ++delta.fallbacks;
   }
@@ -526,14 +319,7 @@ PlanMode Planner::decide(const DistIo& io) {
 }
 
 DistResult Planner::run(const DistIo& io) {
-  switch (decide(io)) {
-    case PlanMode::k15D:
-      return exec_15d_->run(io);
-    case PlanMode::kReplicated:
-      return exec_replicated_->run(io);
-    default:
-      return spmm_1d_.run(io);
-  }
+  return executor(decide(io))->run(io);
 }
 
 }  // namespace mggcn::core

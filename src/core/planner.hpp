@@ -5,8 +5,8 @@
 // tile structure, the device count, and the topology (the
 // mixture-of-parallelism argument, PAPERS.md). The Planner owns one
 // operator's distributed product and, per (width, overlap) combination,
-// prices three interchangeable executors with exactly the models the
-// simulator charges:
+// asks three interchangeable executors what their schedule costs
+// (DistExecutor::estimate) and runs the cheapest:
 //
 //   - 1d          DistSpmm            staged broadcast, dense/compact
 //                                     exchange composing via MGGCN_COMM
@@ -20,13 +20,12 @@
 //                                     launch-overhead-bound regime of
 //                                     small graphs (§6.1)
 //
-// Cost inputs: sparse::spmm_cost through sim::CostModel::seconds for every
-// kernel, comm::Topology collective models x CommOptions::duration_scale
-// for every exchange, Communicator::sendv_rows_seconds for compacted
-// stages, and DistSpmm's own overlap-contention dilation — so `auto`'s
-// argmin is taken over the very quantities the simulated clock will
-// accumulate, which is what backs the invariant that auto never exceeds
-// the best fixed strategy's steady-state epoch time.
+// Each executor prices with the cost code its run() charges: the same
+// kernel costs, its own communicators' topologies and duration_scale, and
+// (1D) the same stage choices and overlap-contention dilation — so
+// `auto`'s argmin is taken over the very quantities the simulated clock
+// will accumulate, which is what backs the invariant that auto never
+// exceeds the best fixed strategy's steady-state epoch time.
 //
 // Decisions are cached per (d, overlap), counted into sim::Trace's
 // PlanCounters (plan_* fields of EpochStats and the bench --json), and an
@@ -73,11 +72,18 @@ class ReplicatedSpmm : public DistExecutor {
   /// there is no broadcast-buffer hazard and no contention window).
   DistResult run(const DistIo& io) override;
 
+  /// The largest block's pack, the allgather, and the slowest rank's
+  /// fused SpMM, in sequence.
+  [[nodiscard]] double estimate(const DistIo& io) const override;
+
   /// Bytes rank `rank` additionally needs at width `d` (replica growth).
-  [[nodiscard]] std::uint64_t extra_bytes(int rank, std::int64_t d) const;
+  [[nodiscard]] std::uint64_t extra_bytes(int rank,
+                                          std::int64_t d) const override;
 
  private:
   void ensure_replicas(std::int64_t d);
+  /// Rank r's fused SpMM over its whole tile row against the replica.
+  [[nodiscard]] sim::KernelCost fused_cost(int r, const DistIo& io) const;
 
   sim::Machine& machine_;
   comm::Communicator& comm_;
@@ -113,7 +119,7 @@ class Planner {
   /// Registers the 1D tile rows (+ ghost maps under compact/auto comm
   /// modes). Strategy-specific extras (partner tiles, partial / replica
   /// buffers) are accounted lazily when a strategy is first selected.
-  void account_memory() { spmm_1d_.account_memory(); }
+  void account_memory() { spmm_1d_->account_memory(); }
 
   /// Decides the strategy for this product (cached per (d, overlap)),
   /// records the plan_* counters, and runs the chosen executor.
@@ -126,44 +132,27 @@ class Planner {
                                double traffic_factor = 1.0,
                                double launch_multiplier = 1.0) const;
 
-  [[nodiscard]] const TileGrid& grid() const { return spmm_1d_.grid(); }
+  [[nodiscard]] const TileGrid& grid() const { return spmm_1d_->grid(); }
   [[nodiscard]] const PartitionVector& partition() const {
-    return spmm_1d_.partition();
+    return spmm_1d_->partition();
   }
-  [[nodiscard]] int parts() const { return spmm_1d_.parts(); }
+  [[nodiscard]] int parts() const { return spmm_1d_->parts(); }
   [[nodiscard]] PlanMode mode() const { return mode_; }
 
  private:
-  [[nodiscard]] double est_1d(std::int64_t d, bool overlap,
-                              double compute_bandwidth_scale,
-                              double traffic_factor,
-                              double launch_multiplier) const;
-  [[nodiscard]] double est_15d(std::int64_t d, double traffic_factor,
-                               double launch_multiplier) const;
-  [[nodiscard]] double est_replicated(std::int64_t d, double traffic_factor,
-                                      double launch_multiplier) const;
-  /// Free-memory feasibility of the strategy's extra footprint at width d.
+  /// The strategy's executor; null when it cannot run on this rank count.
+  [[nodiscard]] DistExecutor* executor(PlanMode strategy) const;
+  /// Whether the strategy's executor exists and its extra footprint at
+  /// width d fits in free device memory.
   [[nodiscard]] bool fits(PlanMode strategy, std::int64_t d) const;
-  /// Cached count_distinct_cols(tile(r, s)) — NOT TileGrid::plan(), whose
-  /// lazy build would suppress the one-time inspector charge DistSpmm
-  /// places on the timeline at first use.
-  [[nodiscard]] std::int64_t ghost_cols(int r, int s) const;
-  /// Cached distinct-column count of stage s's block across every tile
-  /// (r, s) with r on `node` — the unioned payload one node-aggregated
-  /// inter message to that node carries (see Communicator::sendv_shape).
-  [[nodiscard]] std::int64_t node_ghost_cols(int node, int s) const;
   PlanMode decide(const DistIo& io);
 
   sim::Machine& machine_;
-  comm::Communicator& comm_;
   PlanMode mode_;
-  comm::CommMode comm_mode_;
-  DistSpmm spmm_1d_;  // owns the grid; always constructed (the fallback)
+  std::unique_ptr<DistSpmm> spmm_1d_;  // owns the grid; always feasible
   std::unique_ptr<DistSpmm15DChained> exec_15d_;       // when feasible(p)
   std::unique_ptr<ReplicatedSpmm> exec_replicated_;    // when p > 1
   bool accounted_15d_ = false;
-  mutable std::vector<std::vector<std::int64_t>> ghost_cols_;
-  mutable std::vector<std::vector<std::int64_t>> node_ghost_cols_;
   std::map<std::pair<std::int64_t, bool>, PlanMode> decisions_;
 };
 

@@ -302,6 +302,24 @@ std::vector<sim::DeviceBuffer*> MgGcnTrainer::buffers_of(
   return out;
 }
 
+DistIo MgGcnTrainer::dist_io(std::vector<sim::DeviceBuffer*> input,
+                             std::vector<sim::DeviceBuffer*> output,
+                             std::int64_t d, std::vector<sim::Event> ready) {
+  DistIo io;
+  io.input = std::move(input);
+  io.output = std::move(output);
+  io.bc1 = buffers_of(&RankState::bc1);
+  io.bc2 = buffers_of(&RankState::bc2);
+  io.d = d;
+  io.input_ready = std::move(ready);
+  io.overlap = config_.overlap && machine_.num_devices() > 1;
+  io.compute_bandwidth_scale = compute_bandwidth_scale_;
+  io.slot_readers = &bc_slot_readers_;
+  io.traffic_factor = config_.spmm_traffic_factor;
+  io.launch_multiplier = config_.kernel_overhead_multiplier;
+  return io;
+}
+
 std::vector<sim::DeviceBuffer*> MgGcnTrainer::layer_buffers(int layer) {
   std::vector<sim::DeviceBuffer*> out;
   out.reserve(ranks_.size());
@@ -314,7 +332,6 @@ std::vector<sim::DeviceBuffer*> MgGcnTrainer::layer_buffers(int layer) {
 void MgGcnTrainer::enqueue_forward(std::vector<sim::Event>* logits_ready) {
   const int p = machine_.num_devices();
   const auto np = static_cast<std::size_t>(p);
-  const bool overlapping = config_.overlap && p > 1;
 
   // Event per rank marking the availability of the current layer input.
   std::vector<sim::Event> input_ready(np);  // invalid: already available
@@ -352,19 +369,8 @@ void MgGcnTrainer::enqueue_forward(std::vector<sim::Event>* logits_ready) {
             machine_.device(r).compute_stream().enqueue(std::move(task));
       }
 
-      DistIo io;
-      io.input = buffers_of(&RankState::hw);
-      io.output = layer_out;
-      io.bc1 = buffers_of(&RankState::bc1);
-      io.bc2 = buffers_of(&RankState::bc2);
-      io.d = plan.d_out;
-      io.input_ready = hw_ready;
-      io.overlap = overlapping;
-      io.compute_bandwidth_scale = compute_bandwidth_scale_;
-      io.slot_readers = &bc_slot_readers_;
-      io.traffic_factor = config_.spmm_traffic_factor;
-      io.launch_multiplier = config_.kernel_overhead_multiplier;
-      DistResult result = forward_planner_->run(io);
+      DistResult result = forward_planner_->run(dist_io(
+          buffers_of(&RankState::hw), layer_out, plan.d_out, hw_ready));
       for (int r = 0; r < p; ++r) {
         machine_.device(r).compute_stream().wait_event(
             result.input_released[static_cast<std::size_t>(r)]);
@@ -372,19 +378,8 @@ void MgGcnTrainer::enqueue_forward(std::vector<sim::Event>* logits_ready) {
       next_ready = result.done;
     } else {
       // Distributed SpMM on the narrow input (HW = Â^T X_l), then GeMM.
-      DistIo io;
-      io.input = layer_in;
-      io.output = buffers_of(&RankState::hw);
-      io.bc1 = buffers_of(&RankState::bc1);
-      io.bc2 = buffers_of(&RankState::bc2);
-      io.d = plan.d_in;
-      io.input_ready = input_ready;
-      io.overlap = overlapping;
-      io.compute_bandwidth_scale = compute_bandwidth_scale_;
-      io.slot_readers = &bc_slot_readers_;
-      io.traffic_factor = config_.spmm_traffic_factor;
-      io.launch_multiplier = config_.kernel_overhead_multiplier;
-      DistResult result = forward_planner_->run(io);
+      DistResult result = forward_planner_->run(dist_io(
+          layer_in, buffers_of(&RankState::hw), plan.d_in, input_ready));
       for (int r = 0; r < p; ++r) {
         machine_.device(r).compute_stream().wait_event(
             result.input_released[static_cast<std::size_t>(r)]);
@@ -473,7 +468,6 @@ std::vector<sim::Event> MgGcnTrainer::enqueue_loss(
 void MgGcnTrainer::enqueue_backward(std::vector<sim::Event> grad_ready) {
   const int p = machine_.num_devices();
   const auto np = static_cast<std::size_t>(p);
-  const bool overlapping = config_.overlap && p > 1;
   const int layers = num_layers();
 
   // Deferred Adam steps: (layer, per-rank allreduce events). The paper
@@ -494,19 +488,8 @@ void MgGcnTrainer::enqueue_backward(std::vector<sim::Event> grad_ready) {
     // or §4.4's first-layer skip: use G' directly.
     std::vector<sim::DeviceBuffer*> z_buf;
     if (!plan.skip_backward_spmm) {
-      DistIo io;
-      io.input = grad_buf;
-      io.output = buffers_of(&RankState::hw);
-      io.bc1 = buffers_of(&RankState::bc1);
-      io.bc2 = buffers_of(&RankState::bc2);
-      io.d = plan.d_out;
-      io.input_ready = grad_ready;
-      io.overlap = overlapping;
-      io.compute_bandwidth_scale = compute_bandwidth_scale_;
-      io.slot_readers = &bc_slot_readers_;
-      io.traffic_factor = config_.spmm_traffic_factor;
-      io.launch_multiplier = config_.kernel_overhead_multiplier;
-      DistResult result = backward_planner_->run(io);
+      DistResult result = backward_planner_->run(dist_io(
+          grad_buf, buffers_of(&RankState::hw), plan.d_out, grad_ready));
       for (int r = 0; r < p; ++r) {
         machine_.device(r).compute_stream().wait_event(
             result.input_released[static_cast<std::size_t>(r)]);

@@ -170,6 +170,13 @@ class MgGcnTrainer {
   [[nodiscard]] std::vector<sim::DeviceBuffer*> buffers_of(
       mem::PooledBuffer RankState::* member);
   [[nodiscard]] std::vector<sim::DeviceBuffer*> layer_buffers(int layer);
+  /// One distributed product's inputs: `input` -> `output` at width `d`,
+  /// the input readable once `ready` fires; the broadcast buffers, their
+  /// hazard state, the overlap setting and the baseline-emulation knobs
+  /// are the trainer's.
+  [[nodiscard]] DistIo dist_io(std::vector<sim::DeviceBuffer*> input,
+                               std::vector<sim::DeviceBuffer*> output,
+                               std::int64_t d, std::vector<sim::Event> ready);
 
   sim::Machine& machine_;
   TrainConfig config_;

@@ -10,8 +10,10 @@
 #include "baselines/distgnn.hpp"
 #include "core/reference.hpp"
 #include "core/trainer.hpp"
+#include "dense/kernel_policy.hpp"
 #include "graph/datasets.hpp"
 #include "sim/machine.hpp"
+#include "stats_hash.hpp"
 
 namespace mggcn::baselines {
 namespace {
@@ -96,6 +98,45 @@ TEST(CagnetTrainer, TrainsMultiDevice) {
   core::EpochStats last;
   for (int e = 0; e < 30; ++e) last = cagnet.train_epoch();
   EXPECT_LT(last.loss, first.loss);
+}
+
+/// The baseline design points with every knob a CI axis flips pinned, so
+/// their EpochStats hashes hold on each axis.
+core::TrainConfig pinned_base() {
+  core::TrainConfig base;
+  base.hidden_dims = {16};
+  base.seed = 5;
+  base.part_mode = core::PartMode::kRandom;
+  base.comm_mode = comm::CommMode::kAuto;
+  base.plan_mode = core::PlanMode::kAuto;
+  base.pool_mode = mem::PoolMode::kOff;
+  return base;
+}
+
+TEST(DglLikeTrainer, EpochStatsArePinned) {
+  // FNV-1a over every EpochStats field of three epochs. The DGL design
+  // point is the one that scales SpMM traffic (x1.45) and launches (x20)
+  // on a single device, a path no MG-GCN pin reaches.
+  const util::Knob<dense::KernelPolicy>::Scoped kernels(
+      dense::kernel_policy_knob, dense::KernelPolicy::kPlanned);
+  const graph::Dataset ds = small_dataset();
+  sim::Machine machine(sim::dgx_v100(), 1, sim::ExecutionMode::kReal);
+  DglLikeTrainer dgl(machine, ds, pinned_base());
+  const std::uint64_t hash = testing::hash_epoch_stats(dgl.train(3));
+  EXPECT_EQ(hash, 0xe7643864c74b342dULL) << "0x" << std::hex << hash;
+}
+
+TEST(CagnetTrainer, EpochStatsArePinned) {
+  // CAGNET on 4 devices: aggregate-first layers (the forward SpMM runs on
+  // the layer input), traffic x1.3, launches x8 and slower collectives,
+  // all priced by the planner and charged by the executors.
+  const util::Knob<dense::KernelPolicy>::Scoped kernels(
+      dense::kernel_policy_knob, dense::KernelPolicy::kPlanned);
+  const graph::Dataset ds = small_dataset();
+  sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kReal);
+  CagnetTrainer cagnet(machine, ds, pinned_base());
+  const std::uint64_t hash = testing::hash_epoch_stats(cagnet.train(3));
+  EXPECT_EQ(hash, 0xb4283fd79b423584ULL) << "0x" << std::hex << hash;
 }
 
 TEST(Baselines, MgGcnIsFastestOnTheSameWorkload) {

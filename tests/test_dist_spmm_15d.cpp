@@ -124,6 +124,32 @@ TEST(Spmm15D, ReplicatesDenseMemoryTwofold) {
   EXPECT_EQ(dense_bytes, 2ull * 400 * 8 * 4);
 }
 
+TEST(Spmm15D, CrossNodePairAllreducePaysTheNic) {
+  // 16 devices on a two-node A100 cluster: group g is node g, so every
+  // pair (j, j+8) straddles the nodes and its allreduce must run at the
+  // NIC's bandwidth, not the NVSwitch's. Topology::group_bandwidth only
+  // clamps groups larger than a node, so a 2-rank pair needs the clamp
+  // from the communicator it runs on.
+  const std::int64_t d = 64;
+  const sim::MachineProfile profile = sim::dgx_a100_cluster(2);
+  Fixture15D fx(16, 1024, d, sim::ExecutionMode::kPhantom, profile);
+  fx.run();
+  fx.machine.synchronize();
+  const sim::InterconnectProfile& inter = profile.interconnect;
+  int checked = 0;
+  for (const sim::TraceRecord& rec : fx.machine.trace().records()) {
+    if (rec.label != "allreduce") continue;
+    // A two-rank ring allreduce moves the block once: 2 (p - 1) / p = 1.
+    const double bytes = static_cast<double>(
+        fx.spmm->partition().size(fx.spmm->block_of(rec.device)) * d * 4);
+    const double nic = inter.base_latency +
+                       bytes / (inter.internode_bandwidth * inter.efficiency);
+    EXPECT_NEAR(rec.duration(), nic, 1e-9 * nic) << "device " << rec.device;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 16);
+}
+
 TEST(Spmm15D, Section51PerformanceRelationship) {
   // §5.1's conclusion, measured on the implementations rather than derived:
   // 1.5D is slower than 1D on the DGX-1 cube mesh and faster on the

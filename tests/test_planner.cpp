@@ -2,22 +2,28 @@
 // MGGCN_PLAN=1d|15d|replicated|auto — including under the hazard checker,
 // schedule fuzzing, and elastic recovery — auto's steady-state epoch must
 // not exceed the best fixed strategy's, and the plan_* decision counters
-// must route/fall back as documented.
+// must route/fall back as documented; the pricing surface itself is
+// pinned by hash.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "comm/communicator.hpp"
 #include "core/elastic.hpp"
 #include "core/plan_mode.hpp"
 #include "core/planner.hpp"
 #include "core/trainer.hpp"
 #include "graph/datasets.hpp"
+#include "graph/generators.hpp"
 #include "scoped_env.hpp"
 #include "sim/fault.hpp"
 #include "sim/machine.hpp"
+#include "stats_hash.hpp"
+#include "util/rng.hpp"
 
 namespace mggcn {
 namespace {
@@ -175,6 +181,60 @@ TEST(Planner, PriceChoiceIsTheArgmin) {
       EXPECT_GT(best, 0.0);
     }
   }
+}
+
+TEST(Planner, EstimatesArePinned) {
+  // price() is the whole decision surface: FNV-1a over the bits of every
+  // Estimate field pins it across widths (including an odd one), overlap,
+  // the three design points' scaling knobs (MG-GCN; DGL-like traffic 1.45
+  // and launches x20; CAGNET traffic 1.3, launches x8 and slower
+  // collectives), every exchange mode, and three fleets: the DGX-1 cube
+  // mesh at 4 and 8 devices and a two-node A100 cluster, where the 1.5D
+  // pairs cross the NIC and compacted stages aggregate per node.
+  util::Rng rng(13);
+  const graph::BterParams params{.n = 1536, .avg_degree = 6.0,
+                                 .degree_sigma = 1.0, .clustering = 0.6};
+  const sparse::Csr op =
+      sparse::Csr::from_coo(graph::bter_like(params, rng).edges)
+          .normalize_gcn()
+          .transpose();
+  struct Scaling {
+    double duration_scale, compute_bandwidth_scale, traffic, launch;
+  };
+  constexpr Scaling kScalings[] = {{1.1, 5.0 / 6.0, 1.0, 1.0},
+                                   {1.0, 1.0, 1.45, 20.0},
+                                   {1.1 / 0.7, 1.0, 1.3, 8.0}};
+  testing::Fnv1a h;
+  for (const auto& [profile, gpus] :
+       {std::pair{sim::dgx_v100(), 4}, std::pair{sim::dgx_v100(), 8},
+        std::pair{sim::dgx_a100_cluster(2), 16}}) {
+    for (const comm::CommMode mode :
+         {comm::CommMode::kDense, comm::CommMode::kCompact,
+          comm::CommMode::kAuto}) {
+      for (const Scaling& s : kScalings) {
+        sim::Machine machine(profile, gpus, sim::ExecutionMode::kPhantom);
+        comm::Communicator comm(
+            machine, comm::CommOptions{.duration_scale = s.duration_scale});
+        const core::Planner planner(
+            machine, comm,
+            core::make_tile_grid(
+                op, core::PartitionVector::uniform(op.rows(), gpus)),
+            core::PlanMode::kAuto, mode);
+        for (const std::int64_t d : {8, 47, 64, 256, 512}) {
+          for (const bool overlap : {false, true}) {
+            const core::Planner::Estimate est = planner.price(
+                d, overlap, overlap ? s.compute_bandwidth_scale : 1.0,
+                s.traffic, s.launch);
+            h.mix(est.seconds_1d);
+            h.mix(est.seconds_15d);
+            h.mix(est.seconds_replicated);
+            h.mix(est.choice);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(h.value(), 0xfa17054039e0e622ULL) << "0x" << std::hex << h.value();
 }
 
 TEST(Planner, HazardFreeUnderCheckerAndSchedFuzz) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -19,12 +20,12 @@
 namespace mggcn {
 namespace {
 
-graph::Dataset small_dataset(std::uint64_t seed = 7) {
+graph::Dataset small_dataset(std::uint64_t seed = 7, double avg_degree = 8.0) {
   graph::DatasetSpec spec = graph::cora();
   spec.n = 400;
   spec.feature_dim = 32;
   spec.num_classes = 5;
-  spec.avg_degree = 8.0;
+  spec.avg_degree = avg_degree;
   graph::DatasetOptions options;
   options.seed = seed;
   return graph::make_dataset(spec, options);
@@ -136,56 +137,105 @@ TEST(MgGcnTrainer, EpochStatsArePinned) {
 }
 
 TEST(MgGcnTrainer, InspectorTasksAreChargedOnTheFirstEpochOnly) {
-  // Plans are built in parallel on the host at the first product, but each
-  // one-time kInspect task is still enqueued on its tile's device, at the
-  // stream position and cost of the lazy per-tile build: per device, one
-  // per tile of its forward and backward tile rows (2 x 4) on the compute
-  // stream, all in epoch 0. The timeline hash was read from that build.
+  // Plans are built in parallel on the host at the first product (and, in
+  // compact-capable modes, already when the auto planner prices it), but
+  // each one-time kInspect task is still enqueued on its tile's device, at
+  // the stream position and cost of the lazy per-tile build: per device,
+  // one per tile of each tile row a 1D product used, on the compute
+  // stream, all in epoch 0. The timeline hashes were read from the lazy
+  // per-tile build, before planning could build plans.
   const util::Knob<dense::KernelPolicy>::Scoped kernels(
       dense::kernel_policy_knob, dense::KernelPolicy::kPlanned);
-  const graph::Dataset ds = small_dataset();
-  core::TrainConfig config = small_config();
-  config.part_mode = core::PartMode::kRandom;
-  config.comm_mode = comm::CommMode::kAuto;
-  config.plan_mode = core::PlanMode::k1D;  // the executor that uses plans
-  config.pool_mode = mem::PoolMode::kOff;
-  sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kReal);
-  core::MgGcnTrainer trainer(machine, ds, config);
-  const auto count_inspects = [&] {
-    std::map<std::pair<int, int>, int> counts;
-    for (const sim::TraceRecord& rec : machine.trace().records()) {
-      if (rec.kind == sim::TaskKind::kInspect) {
-        ++counts[{rec.device, rec.stream}];
+  const graph::Dataset dense_graph = small_dataset();
+  // Degree 3 under the locality partition: ghost sets thin enough that the
+  // planner keeps forced-compact exchanges on the 1D executor.
+  const graph::Dataset sparse_graph = small_dataset(7, 3.0);
+  // On the stock profiles the auto planner routes these small graphs to
+  // the replicated executor (launch-bound); with launch overheads cut
+  // 1024x or more it runs every product 1D, or only one forward product
+  // (4 inspector tasks per device: the forward grid's tiles only).
+  struct Case {
+    const char* label;
+    sim::MachineProfile profile;
+    const graph::Dataset& dataset;
+    core::PartMode part;
+    core::PlanMode plan;
+    comm::CommMode comm;
+    int inspects_per_device;
+    std::uint64_t timeline_hash;
+  };
+  for (const Case& c :
+       {Case{"1d/auto", sim::dgx_v100(), dense_graph, core::PartMode::kRandom,
+             core::PlanMode::k1D, comm::CommMode::kAuto, 8,
+             0xd437775c72d1b14bULL},
+        Case{"auto/auto", sim::scale_profile(sim::dgx_v100(), 1024.0),
+             dense_graph, core::PartMode::kRandom, core::PlanMode::kAuto,
+             comm::CommMode::kAuto, 8, 0x49861b14ee1c6074ULL},
+        Case{"auto/compact", sim::scale_profile(sim::dgx_v100(), 16384.0),
+             sparse_graph, core::PartMode::kLocality, core::PlanMode::kAuto,
+             comm::CommMode::kCompact, 8, 0x6b9d32bf86bf117fULL},
+        Case{"auto/compact, one forward product",
+             sim::scale_profile(sim::dgx_v100(), 1024.0), sparse_graph,
+             core::PartMode::kLocality, core::PlanMode::kAuto,
+             comm::CommMode::kCompact, 4, 0xb890b3da452d4d8dULL}}) {
+    const std::string label = c.label;
+    core::TrainConfig config = small_config();
+    config.part_mode = c.part;
+    config.comm_mode = c.comm;
+    config.plan_mode = c.plan;
+    config.pool_mode = mem::PoolMode::kOff;
+    sim::Machine machine(c.profile, 4, sim::ExecutionMode::kReal);
+    core::MgGcnTrainer trainer(machine, c.dataset, config);
+    const auto count_inspects = [&] {
+      std::map<std::pair<int, int>, int> counts;
+      for (const sim::TraceRecord& rec : machine.trace().records()) {
+        if (rec.kind == sim::TaskKind::kInspect) {
+          ++counts[{rec.device, rec.stream}];
+        }
+      }
+      return counts;
+    };
+    (void)trainer.train_epoch();
+    const auto after_epoch0 = count_inspects();
+    std::map<std::pair<int, int>, int> expected;
+    for (int r = 0; r < 4 && c.inspects_per_device > 0; ++r) {
+      expected[{r, 0}] = c.inspects_per_device;
+    }
+    EXPECT_EQ(after_epoch0, expected) << label;
+    // Every task of epoch 0, in per-stream timeline order, with its
+    // simulated begin and end bits: the inspector tasks sit where they
+    // always did.
+    std::vector<sim::TraceRecord> records = machine.trace().records();
+    std::ranges::sort(records, [](const auto& x, const auto& y) {
+      return std::tie(x.device, x.stream, x.t_begin, x.t_end, x.kind,
+                      x.stage) < std::tie(y.device, y.stream, y.t_begin,
+                                          y.t_end, y.kind, y.stage);
+    });
+    testing::Fnv1a timeline;
+    for (const sim::TraceRecord& rec : records) {
+      timeline.mix(rec.device);
+      timeline.mix(rec.stream);
+      timeline.mix(rec.kind);
+      timeline.mix(rec.stage);
+      timeline.mix(rec.t_begin);
+      timeline.mix(rec.t_end);
+    }
+    EXPECT_EQ(timeline.value(), c.timeline_hash)
+        << label << ": 0x" << std::hex << timeline.value();
+    (void)trainer.train_epoch();
+    EXPECT_EQ(count_inspects(), after_epoch0)
+        << label << ": epoch 1 re-inspected tiles";
+    // The charged flags live in the grid's shared plan cache, so a copy of
+    // the forward grid (charged in every case) claims no tile again.
+    const core::TileGrid copy = trainer.forward_planner().grid();
+    int claimable = 0;
+    for (int i = 0; i < copy.parts(); ++i) {
+      for (int j = 0; j < copy.parts(); ++j) {
+        claimable += copy.claim_inspect_charge(i, j) ? 1 : 0;
       }
     }
-    return counts;
-  };
-  (void)trainer.train_epoch();
-  const auto after_epoch0 = count_inspects();
-  const std::map<std::pair<int, int>, int> expected = {
-      {{0, 0}, 8}, {{1, 0}, 8}, {{2, 0}, 8}, {{3, 0}, 8}};
-  EXPECT_EQ(after_epoch0, expected);
-  // Every task of epoch 0, in per-stream timeline order, with its simulated
-  // begin and end bits: the inspector tasks sit where they always did.
-  std::vector<sim::TraceRecord> records = machine.trace().records();
-  std::ranges::sort(records, [](const auto& x, const auto& y) {
-    return std::tie(x.device, x.stream, x.t_begin, x.t_end, x.kind,
-                    x.stage) < std::tie(y.device, y.stream, y.t_begin,
-                                        y.t_end, y.kind, y.stage);
-  });
-  testing::Fnv1a timeline;
-  for (const sim::TraceRecord& rec : records) {
-    timeline.mix(rec.device);
-    timeline.mix(rec.stream);
-    timeline.mix(rec.kind);
-    timeline.mix(rec.stage);
-    timeline.mix(rec.t_begin);
-    timeline.mix(rec.t_end);
+    EXPECT_EQ(claimable, 0) << label;
   }
-  EXPECT_EQ(timeline.value(), 0xd437775c72d1b14bULL)
-      << "0x" << std::hex << timeline.value();
-  (void)trainer.train_epoch();
-  EXPECT_EQ(count_inspects(), after_epoch0) << "epoch 1 re-inspected tiles";
 }
 
 }  // namespace
