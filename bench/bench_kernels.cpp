@@ -13,7 +13,12 @@
 // Besides the square m:2048/d sweep, the GeMMs run at one device's share of
 // fullbatch-products (".../m:13056/in:104/out:512" and in:512/out:47: the
 // forward, the weight gradient and, for the 47-wide layer, the plain and
-// ReLU-masked input gradient), where n or k is 47.
+// ReLU-masked input gradient), where n or k is 47, and at one round's first
+// layer of minibatch-products (".../m:2400/in:104/out:64": ~2400 frontier
+// rows, the forward and the weight gradient).
+// The benchmark context records the ISA variant the tiled GeMMs dispatched
+// to ("tiled_gemm_isa": x86-64-v4 on an AVX-512 CPU, else the build's
+// kernel -march level).
 // ReluForward and ReluBackward run out of place at the same share
 // (".../m:13056/d:512"), once as the library's loops (".../tiled/...") and
 // once as the branching loops the library used to build (".../naive/..."),
@@ -63,6 +68,9 @@ constexpr dense::KernelPolicy kPolicies[] = {dense::KernelPolicy::kNaive,
 constexpr std::int64_t kFullbatchRows = 13056;
 constexpr std::pair<std::int64_t, std::int64_t> kFullbatchLayers[] = {
     {104, 512}, {512, 47}};
+/// Frontier rows of one minibatch-products round's first layer (fanout
+/// 10,10, 256 seeds), which maps 104 -> 64.
+constexpr std::int64_t kMinibatchRows = 2400;
 constexpr dense::KernelPolicy kSpmmPolicies[] = {dense::KernelPolicy::kNaive,
                                                  dense::KernelPolicy::kTiled,
                                                  dense::KernelPolicy::kPlanned};
@@ -287,6 +295,13 @@ void register_policy_benchmarks() {
                                    bm_gemm_at_b, policy, kFullbatchRows, in,
                                    out);
     }
+    const std::string minibatch =
+        "/m:" + std::to_string(kMinibatchRows) + "/in:104/out:64";
+    benchmark::RegisterBenchmark(("Gemm/" + tag + minibatch).c_str(), bm_gemm,
+                                 policy, kMinibatchRows, 104, 64);
+    benchmark::RegisterBenchmark(("GemmAtB/" + tag + minibatch).c_str(),
+                                 bm_gemm_at_b, policy, kMinibatchRows, 104,
+                                 64);
     const std::string last = "/m:" + std::to_string(kFullbatchRows) +
                              "/in:512/out:47";
     benchmark::RegisterBenchmark(("GemmABt/" + tag + last).c_str(),
@@ -535,6 +550,7 @@ int main(int argc, char** argv) {
   register_policy_benchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("tiled_gemm_isa", dense::tiled_gemm_isa());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -16,6 +17,10 @@ LossResult softmax_cross_entropy_inplace(dense::MatrixView logits,
   const std::int64_t n = logits.rows;
   const std::int64_t c = logits.cols;
   const float inv_total = 1.0f / static_cast<float>(total_train);
+  // A row's exponentials, computed once for the denominator and reused for
+  // the gradient. Per thread: device streams run losses concurrently.
+  thread_local std::vector<double> exps;
+  exps.resize(static_cast<std::size_t>(c));
 
   for (std::int64_t r = 0; r < n; ++r) {
     float* row = logits.row(r);
@@ -37,7 +42,9 @@ LossResult softmax_cross_entropy_inplace(dense::MatrixView logits,
     }
     double denom = 0.0;
     for (std::int64_t j = 0; j < c; ++j) {
-      denom += std::exp(static_cast<double>(row[j] - max_logit));
+      const double e = std::exp(static_cast<double>(row[j] - max_logit));
+      exps[static_cast<std::size_t>(j)] = e;
+      denom += e;
     }
     const double log_denom = std::log(denom);
     result.loss_sum +=
@@ -47,8 +54,7 @@ LossResult softmax_cross_entropy_inplace(dense::MatrixView logits,
 
     // Gradient: softmax(row) - onehot(label), scaled.
     for (std::int64_t j = 0; j < c; ++j) {
-      const double p = std::exp(static_cast<double>(row[j] - max_logit)) /
-                       denom;
+      const double p = exps[static_cast<std::size_t>(j)] / denom;
       row[j] = static_cast<float>(p) * inv_total;
     }
     row[label] -= inv_total;

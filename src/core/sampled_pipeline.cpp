@@ -124,8 +124,10 @@ SampledPipeline::SampledPipeline(sim::Machine& machine,
        static_cast<std::int64_t>(P) * options_.batch_size - 1) /
       (static_cast<std::int64_t>(P) * options_.batch_size));
 
+  // Only real mode copies the initial weights into device buffers.
   const std::vector<dense::HostMatrix> init =
-      init_weights(dims_, options_.seed);
+      real ? init_weights(dims_, options_.seed)
+           : std::vector<dense::HostMatrix>{};
 
   // Resolve the cache policy once against rank 0's budget (devices are
   // identical, so the decision is machine-wide).

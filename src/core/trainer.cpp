@@ -242,7 +242,11 @@ void MgGcnTrainer::allocate_buffers() {
 
 void MgGcnTrainer::upload_inputs(const graph::Dataset& dataset) {
   const int p = machine_.num_devices();
-  const auto weights = init_weights(dims_, config_.seed);
+  // Phantom buffers have no storage to copy into: only real mode draws the
+  // initial weights.
+  const auto weights = machine_.mode() == sim::ExecutionMode::kReal
+                           ? init_weights(dims_, config_.seed)
+                           : std::vector<dense::HostMatrix>{};
   const std::int64_t n = dataset.n();
 
   // Scatter permuted feature rows, labels, and masks to their owner ranks.

@@ -55,4 +55,10 @@ struct DenseKernelTable {
 /// The kernel table of `policy`.
 [[nodiscard]] const DenseKernelTable& dense_kernels(KernelPolicy policy);
 
+/// The ISA variant the tiled GeMMs run on this CPU: "x86-64-v4" when the
+/// build has that variant and the CPU has AVX-512, else the build's kernel
+/// -march level ("x86-64-v3" by default, "baseline" without one). Chosen
+/// once per process; every variant writes the same output bits.
+[[nodiscard]] const char* tiled_gemm_isa();
+
 }  // namespace mggcn::dense

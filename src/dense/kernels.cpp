@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "dense/tiled_isa.hpp"
+
 namespace mggcn::dense {
 
 namespace {
@@ -130,6 +132,36 @@ void gemm_a_bt_relu_masked(ConstMatrixView a, ConstMatrixView b,
 }
 
 }  // namespace naive
+
+// The tiled kernels run in the ISA variant chosen for this CPU
+// (dense/tiled_isa.hpp), which takes checked shapes.
+namespace tiled {
+
+void gemm(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
+          float beta) {
+  check_gemm_shapes(a.rows, a.cols, b.rows, b.cols, c.rows, c.cols);
+  selected_isa_variant().kernels->gemm(a, b, c, alpha, beta);
+}
+
+void gemm_at_b(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
+               float beta) {
+  check_gemm_shapes(a.cols, a.rows, b.rows, b.cols, c.rows, c.cols);
+  selected_isa_variant().kernels->gemm_at_b(a, b, c, alpha, beta);
+}
+
+void gemm_a_bt(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
+               float beta) {
+  check_gemm_shapes(a.rows, a.cols, b.cols, b.rows, c.rows, c.cols);
+  selected_isa_variant().kernels->gemm_a_bt(a, b, c, alpha, beta);
+}
+
+void gemm_a_bt_relu_masked(ConstMatrixView a, ConstMatrixView b,
+                           MatrixView c) {
+  check_gemm_shapes(a.rows, a.cols, b.cols, b.rows, c.rows, c.cols);
+  selected_isa_variant().kernels->gemm_a_bt_relu_masked(a, b, c);
+}
+
+}  // namespace tiled
 
 void gemm(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
           float beta) {

@@ -1,62 +1,94 @@
 // Register-tiled, cache-blocked GeMM variants (the `tiled` kernel policy).
 //
+// This file is compiled once per ISA variant (dense/tiled_isa.hpp): at the
+// build's kernel ISA and, where the compiler has it, at x86-64-v4. Each
+// build defines its kernels in namespace tiled::MGGCN_TILED_ISA and exports
+// them as one DenseKernelTable; the tiled:: entry points check shapes and
+// call the variant chosen for the CPU. The tile constants below follow the
+// vector width and register count of the target, so one source serves
+// every variant.
+//
 // Structure (the Goto/BLIS layering cuBLAS also follows, translated to one
 // host core):
 //   - A * B and A^T * B: the k dimension is blocked into kKc panels. Each B
-//     panel is packed into kNr-wide column strips (kc x kNr floats, L1-
-//     resident), zero-padded past n. Each kMr-row sliver of the A panel is
-//     packed (kc x kMr, zero-padded past m) into a stack buffer by the
-//     micro-kernel call of the panel's first strip, which reads A in place
-//     and prefetches ahead; the other strips read the sliver. Both layouts
-//     of A thus reach the inner loop as one contiguous stream, and A's
-//     memory traffic overlaps compute.
-//     The micro-kernel keeps its kMr x kNr tile of C in 2 * kMr vector
-//     registers across the whole panel: per k step it does two strip loads,
-//     kMr broadcasts and 2 * kMr multiplies and adds, and touches no memory
-//     for the accumulators. Every sliver and strip, the ragged ones
-//     included, runs this one kernel; only the stores skip the padding.
+//     panel is packed into column strips (kc x kNr floats, L1-resident),
+//     zero-padded past n; when n % kNr fits one vector the last strip is
+//     one vector wide (n = 47 pads to 48 on AVX-512, not 64). Each kMr-row
+//     sliver of the A panel is packed (kc x kMr, zero-padded past m) into a
+//     stack buffer by the micro-kernel call of the panel's first strip,
+//     which reads A in place and prefetches ahead; the other strips read
+//     the sliver. Both layouts of A thus reach the inner loop as one
+//     contiguous stream, and A's memory traffic overlaps compute.
+//     The micro-kernel keeps its kMr x (strip width) tile of C in vector
+//     registers across the whole panel: per k step it does one load per
+//     strip vector, kMr broadcasts and a multiply and an add per
+//     accumulator, and touches no memory for the accumulators. Every sliver
+//     and strip, the ragged ones included, runs this kernel; only the
+//     stores skip the padding.
 //     Packing also replaces the ldb-strided B walk, whose stride aliases L1
 //     sets at power-of-two n;
 //   - beta is folded into the first k panel's store (no separate zeroing or
 //     scaling pass over C);
-//   - A * B^T with short k (k < 4 * kPr): B^T is packed into kW-column
-//     strips and kRows A rows at a time run against one strip, vectorized
-//     across the strip's kW output columns. The rows are independent, so
-//     their ordered tails and partial-sum reductions (serial add chains)
-//     overlap. The fused ReLU-masked variant skips a group of rows whose
-//     mask entries on the strip are all inactive. Longer k keeps the
-//     dot-product form (strip-mined partial sums along k) with A/B row
-//     blocks sized for L2.
+//   - A * B^T with short k (k < 4 * kPr): B^T is packed into kSw-column
+//     strips (one vector, at least kW) and kRows A rows at a time run
+//     against one strip, vectorized across the strip's output columns. The
+//     rows are independent, so their ordered tails and partial-sum
+//     reductions (serial add chains) overlap. The fused ReLU-masked variant
+//     skips a group of rows whose mask entries on the strip are all
+//     inactive. Longer k keeps the dot-product form (strip-mined partial
+//     sums along k) with A/B row blocks sized for L2.
 //
 // Every output element sees the same sequence of IEEE operations as the
-// unpacked kernels these replaced (same k order, same partial sums, same
-// epilogue), so results are bit-identical to them; only the loop order
-// across independent elements changed.
+// unpacked kernels these replaced (same k order, the same kKc panel split
+// with beta in the first panel, the same partial sums and epilogue, the
+// edge store of their ragged tiles), so results are bit-identical to them
+// under every ISA variant: only the loop order across independent elements
+// and the tile shapes changed. -ffp-contract=off keeps every multiply and
+// add a distinct IEEE operation.
 //
 // The register tiles and the short dot products use GCC/Clang vector-
 // extension locals (`vf`, one register of floats): plain element-wise
-// arithmetic, not intrinsics, sized to the target ISA (ymm at x86-64-v3,
-// xmm on the baseline). The rest is scalar C++ with __restrict and fixed
-// trip counts that the auto-vectorizer handles; no alignment assumptions
-// anywhere.
+// arithmetic, not intrinsics, sized to the target ISA (zmm at x86-64-v4,
+// ymm at x86-64-v3, xmm on the baseline). The rest is scalar C++ with
+// __restrict and fixed trip counts that the auto-vectorizer handles; no
+// alignment assumptions anywhere.
+//
+// This translation unit defines no weak (COMDAT) functions: the linker keeps
+// one copy of an inline function or template instantiation for the whole
+// program, and an x86-64-v4 copy chosen for code that runs on an AVX2-only
+// CPU would fault. So it throws nothing (the entry points check shapes),
+// holds no std::vector, and keeps everything else in an anonymous
+// namespace. The tests `tiled_<variant>_defines_no_weak_functions` check the
+// compiled objects.
 #include "dense/kernels.hpp"
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
-namespace mggcn::dense::tiled {
+#include "dense/tiled_isa.hpp"
+
+#ifndef MGGCN_TILED_ISA
+#error "build kernels_tiled.cpp with -DMGGCN_TILED_ISA=<variant namespace>"
+#endif
+
+namespace mggcn::dense::tiled::MGGCN_TILED_ISA {
 
 namespace {
 
-/// One vector register of floats: 8 (ymm) when the build targets AVX,
-/// else 4 (xmm). A vector type wider than the target's registers would be
-/// lowered through memory. Only ever a local: passed by value across a
-/// call it would change the psABI.
-#if defined(__AVX__)
+/// One vector register of floats: 16 (zmm) when the build targets
+/// AVX-512, 8 (ymm) for AVX, else 4 (xmm). A vector type wider than the
+/// target's registers would be lowered through memory. Only ever a local:
+/// passed by value across a call it would change the psABI.
+/// kRegisters is the target's count of vector registers.
+#if defined(__AVX512F__)
+using vf = float __attribute__((vector_size(64)));
+constexpr std::int64_t kRegisters = 32;
+#elif defined(__AVX__)
 using vf = float __attribute__((vector_size(32)));
+constexpr std::int64_t kRegisters = 16;
 #else
 using vf = float __attribute__((vector_size(16)));
+constexpr std::int64_t kRegisters = 16;
 #endif
 /// Floats per vf.
 constexpr std::int64_t kV = sizeof(vf) / sizeof(float);
@@ -73,36 +105,43 @@ inline void prefetch(const float* p, std::int64_t ahead) {
       static_cast<std::uintptr_t>(ahead) * sizeof(float)));
 }
 
-/// Register-tile rows of C: 2 * kMr accumulators + 2 strip vectors + 1
-/// broadcast fill the 16 vector registers.
-constexpr std::int64_t kMr = 6;
-/// Register-tile columns of C (two vectors); the packed B strip width.
+/// Register-tile rows of C: the 2 * kMr accumulators of a full-width tile
+/// take three quarters of the vector registers, the rest hold the strip
+/// vectors, the broadcast and the products (no FMA, see the header). 6 rows
+/// with 16 registers, 12 with AVX-512's 32.
+constexpr std::int64_t kMr = 3 * kRegisters / 8;
+/// Register-tile columns of C (two vectors); the widest packed B strip. A
+/// last strip of n % kNr <= kV columns is one vector wide.
 constexpr std::int64_t kNr = 2 * kV;
-/// k cache panel: a kKc x kNr packed B strip is at most 16 KiB, safely
-/// L1-resident.
+/// k cache panel: a kKc x kNr packed B strip is at most 32 KiB, L1-resident
+/// next to the kKc x kMr A sliver. Part of the rounding: each panel's sum is
+/// added to C on its own.
 constexpr std::int64_t kKc = 256;
 /// k steps ahead that the packing micro-kernel prefetches A. Its loads
 /// would otherwise wait on memory with no other work in flight: at n = 47
-/// the whole product streams A (26.7 MB at Products scale) through three
+/// the whole product streams A (26.7 MB at Products scale) through two
 /// strips of compute.
 constexpr std::int64_t kPrefetchSteps = 32;
 /// The register tile of the unpacked kernels. Their m % kEdgeMr tail rows
 /// and n % kEdgeNr tail columns took the edge store (see store_row), so
-/// those elements still do. A strip is all edge or all interior.
+/// those elements still do, decided per row and per column.
 constexpr std::int64_t kEdgeMr = 4;
 constexpr std::int64_t kEdgeNr = 16;
-static_assert(kEdgeNr % kNr == 0);
 
 /// p-strip width for the long-k dot-product (A * B^T) kernel: 32 floats =
 /// four independent 8-wide accumulator vectors, enough to hide the FP add
 /// latency within a single stream. Below k = 4 * kPr the short form runs.
 constexpr std::int64_t kPr = 32;
-/// Partial sums of the short-k dot product (part of its rounding), and
-/// columns per packed B^T strip.
+/// Partial sums of the short-k dot product (part of its rounding).
 constexpr std::int64_t kW = 8;
-static_assert(kW % kV == 0);
-/// A rows the short-k A * B^T kernel interleaves against one strip.
-constexpr std::int64_t kRows = 4;
+/// Columns per packed B^T strip of the short-k A * B^T kernel: one vector,
+/// and at least kW so a baseline-ISA strip is two vectors.
+constexpr std::int64_t kSw = kW > kV ? kW : kV;
+static_assert(kSw % kV == 0);
+/// A rows the short-k A * B^T kernel interleaves against one strip, each
+/// holding a running sum and a partial sum per strip vector: 4 rows with 16
+/// vector registers, 8 with AVX-512's 32.
+constexpr std::int64_t kRows = kRegisters / 4;
 /// Row block of A swept against one packed strip (short-k A * B^T), so the
 /// strip stays L1-resident across the block. The long-k A * B^T kernel
 /// blocks kIb A rows x kJb B rows instead: without it every output row
@@ -112,20 +151,39 @@ constexpr std::int64_t kIb = 64;
 constexpr std::int64_t kJb = 64;
 /// Columns of C per step of the long-k A * B^T kernel.
 constexpr std::int64_t kJr = 4;
+/// Floats ahead along a C row that the short-k A * B^T kernel prefetches
+/// (two cache lines: the strips after next). It sweeps one strip across a
+/// row block, so each C row's next line is touched only after the whole
+/// block; unprefetched, the mask loads and the stores wait on memory.
+constexpr std::int64_t kPrefetchC = 32;
+
+/// A heap buffer owned by one thread. Not std::vector: its out-of-line
+/// members would be weak functions (see the header).
+struct ThreadBuffer {
+  float* data = nullptr;
+  std::size_t size = 0;
+  ThreadBuffer() = default;
+  ThreadBuffer(const ThreadBuffer&) = delete;
+  ThreadBuffer& operator=(const ThreadBuffer&) = delete;
+  ~ThreadBuffer() { delete[] data; }
+};
 
 /// Per-thread packing buffer for B of at least `floats` floats, reused
 /// across calls (it only grows). Its contents are scratch: callers pack
 /// before they read. A packed A sliver (kKc x kMr floats) lives on the
 /// stack.
 float* pack_scratch(std::int64_t floats) {
-  thread_local std::vector<float> buffer;
+  thread_local ThreadBuffer buffer;
   const auto size =
       static_cast<std::size_t>(std::max<std::int64_t>(floats, 1));
-  if (buffer.size() < size) {
-    buffer.clear();
-    buffer.resize(size);
+  if (buffer.size < size) {
+    delete[] buffer.data;
+    buffer.data = nullptr;  // empty until the new block exists: new may throw
+    buffer.size = 0;
+    buffer.data = new float[size];
+    buffer.size = size;
   }
-  return buffer.data();
+  return buffer.data;
 }
 
 void scale_output(MatrixView c, float beta) {
@@ -138,13 +196,20 @@ void scale_output(MatrixView c, float beta) {
 
 // --- A * B and A^T * B --------------------------------------------------
 
-/// Packs the kc x n panel `b` (row stride ldb) into ceil(n / kNr) strips of
-/// kc x kNr floats, strip-major: out[s * kc * kNr + p * kNr + j] =
-/// b[p * ldb + s * kNr + j], zero past column n. Reads b row by row, so
-/// the hardware prefetcher streams it.
+/// Width of the packed strip that starts at column j0 of an n-column panel:
+/// kNr, or kV for a last strip of at most kV columns.
+constexpr std::int64_t strip_width(std::int64_t j0, std::int64_t n) {
+  return n - j0 <= kV ? kV : kNr;
+}
+
+/// Packs the kc x n panel `b` (row stride ldb) into ceil(n / kNr) strips,
+/// strip s at out + s * kc * kNr: out[s * kc * kNr + p * w + j] =
+/// b[p * ldb + s * kNr + j] for the strip's width w (strip_width), zero past
+/// column n. Reads b row by row, so the hardware prefetcher streams it.
 void pack_b_panel(const float* __restrict b, std::int64_t ldb,
                   std::int64_t kc, std::int64_t n, float* __restrict out) {
   const std::int64_t n_full = n - n % kNr;
+  const std::int64_t tail_width = strip_width(n_full, n);
   for (std::int64_t p = 0; p < kc; ++p) {
     const float* src = b + p * ldb;
     float* dst = out + p * kNr;
@@ -152,9 +217,9 @@ void pack_b_panel(const float* __restrict b, std::int64_t ldb,
       for (std::int64_t j = 0; j < kNr; ++j) dst[j0 * kc + j] = src[j0 + j];
     }
     if (n_full < n) {
-      float* tail = dst + n_full * kc;
+      float* tail = out + n_full * kc + p * tail_width;
       for (std::int64_t j = 0; j < n - n_full; ++j) tail[j] = src[n_full + j];
-      for (std::int64_t j = n - n_full; j < kNr; ++j) tail[j] = 0.0f;
+      for (std::int64_t j = n - n_full; j < tail_width; ++j) tail[j] = 0.0f;
     }
   }
 }
@@ -175,34 +240,36 @@ void pack_a_tail(const float* __restrict a, std::int64_t a_r_stride,
 
 /// Writes the first nr columns of one accumulator row into C row `cr`.
 /// `first_panel` folds the alpha/beta epilogue into the store; later panels
-/// accumulate. `edge` selects the edge-tile beta == 0 store
-/// alpha * acc + 0.0f (a -0.0 product lands as +0.0) over the interior
-/// tile's alpha * acc: the two stores of the unpacked kernels, kept so every
-/// output bit is unchanged.
+/// accumulate. At beta == 0 the columns from `edge_from` on take the edge
+/// store alpha * acc + 0.0f (a -0.0 product lands as +0.0), the ones before
+/// it the interior store alpha * acc: the two stores of the unpacked
+/// kernels, kept so every output bit is unchanged.
 inline void store_row(const float (&acc)[kNr], float* __restrict cr,
-                      std::int64_t nr, float alpha, float beta,
-                      bool first_panel, bool edge) {
+                      std::int64_t nr, std::int64_t edge_from, float alpha,
+                      float beta, bool first_panel) {
   if (!first_panel) {
     for (std::int64_t j = 0; j < nr; ++j) cr[j] += alpha * acc[j];
   } else if (beta != 0.0f) {
     for (std::int64_t j = 0; j < nr; ++j) {
       cr[j] = alpha * acc[j] + beta * cr[j];
     }
-  } else if (edge) {
-    for (std::int64_t j = 0; j < nr; ++j) cr[j] = alpha * acc[j] + 0.0f;
   } else {
-    for (std::int64_t j = 0; j < nr; ++j) cr[j] = alpha * acc[j];
+    for (std::int64_t j = 0; j < edge_from; ++j) cr[j] = alpha * acc[j];
+    for (std::int64_t j = edge_from; j < nr; ++j) {
+      cr[j] = alpha * acc[j] + 0.0f;
+    }
   }
 }
 
-/// The kMr x kNr register tile against one packed B strip over a k panel of
-/// length kc, written to `tile`. With kPackA the kMr rows of op(A) are read
-/// in place, element (r, p) at a[r * a_r_stride + p * a_p_stride], and
-/// packed into the sliver `as` (as[p * kMr + r]) on the way: that is the
-/// panel's first strip, whose compute hides the loads of A. Later strips
-/// read the packed sliver. Kept out of line so the register allocator sees
-/// the accumulators alone.
-template <bool kPackA>
+/// The kMr x (kNv * kV) register tile against one packed B strip of kNv
+/// vectors over a k panel of length kc, written to the first kNv * kV
+/// columns of `tile`. With kPackA the kMr rows of op(A) are read in place,
+/// element (r, p) at a[r * a_r_stride + p * a_p_stride], and packed into the
+/// sliver `as` (as[p * kMr + r]) on the way: that is the panel's first
+/// strip, whose compute hides the loads of A. Later strips read the packed
+/// sliver. Kept out of line so the register allocator sees the accumulators
+/// alone.
+template <bool kPackA, int kNv>
 [[gnu::noinline]] void micro_kernel(const float* __restrict a,
                                     std::int64_t a_r_stride,
                                     std::int64_t a_p_stride,
@@ -210,12 +277,12 @@ template <bool kPackA>
                                     const float* __restrict bs,
                                     std::int64_t kc,
                                     float (&tile)[kMr][kNr]) {
-  static_assert(kNr == 2 * kV, "micro_kernel holds two vectors per row");
-  vf acc[kMr][2] = {};
+  static_assert(kNv * kV <= kNr);
+  vf acc[kMr][kNv] = {};
   for (std::int64_t p = 0; p < kc; ++p) {
-    vf b0, b1;
-    load(b0, bs);
-    load(b1, bs + kV);
+    vf bv[kNv];
+#pragma GCC unroll 2
+    for (int v = 0; v < kNv; ++v) load(bv[v], bs + v * kV);
 #pragma GCC unroll 16
     for (std::int64_t r = 0; r < kMr; ++r) {
       float av;
@@ -227,16 +294,16 @@ template <bool kPackA>
       } else {
         av = as[r];
       }
-      acc[r][0] += av * b0;
-      acc[r][1] += av * b1;
+#pragma GCC unroll 2
+      for (int v = 0; v < kNv; ++v) acc[r][v] += av * bv[v];
     }
     as += kMr;
-    bs += kNr;
+    bs += kNv * kV;
   }
 #pragma GCC unroll 16
   for (std::int64_t r = 0; r < kMr; ++r) {
-    store(tile[r], acc[r][0]);
-    store(tile[r] + kV, acc[r][1]);
+#pragma GCC unroll 2
+    for (int v = 0; v < kNv; ++v) store(tile[r] + v * kV, acc[r][v]);
   }
 }
 
@@ -271,27 +338,31 @@ void gemm_driver(const float* a, std::int64_t lda, bool a_trans,
         const std::int64_t j0 = s * kNr;
         const std::int64_t nr = std::min(kNr, n - j0);
         const float* bs = packed_b + s * kc * kNr;
+        const bool pack_a = s == 0 && mr == kMr;
         float tile[kMr][kNr];
-        if (s == 0 && mr == kMr) {
-          micro_kernel<true>(ab, a_r_stride, a_p_stride, sliver, bs, kc,
-                             tile);
+        if (strip_width(j0, n) == kNr) {
+          if (pack_a) {
+            micro_kernel<true, 2>(ab, a_r_stride, a_p_stride, sliver, bs, kc,
+                                  tile);
+          } else {
+            micro_kernel<false, 2>(nullptr, 0, 0, sliver, bs, kc, tile);
+          }
+        } else if (pack_a) {
+          micro_kernel<true, 1>(ab, a_r_stride, a_p_stride, sliver, bs, kc,
+                                tile);
         } else {
-          micro_kernel<false>(nullptr, 0, 0, sliver, bs, kc, tile);
+          micro_kernel<false, 1>(nullptr, 0, 0, sliver, bs, kc, tile);
         }
+        const std::int64_t interior_cols =
+            std::clamp<std::int64_t>(edge_cols_from - j0, 0, nr);
         for (std::int64_t r = 0; r < mr; ++r) {
-          store_row(tile[r], c + (i0 + r) * ldc + j0, nr, alpha, beta,
-                    first_panel,
-                    j0 >= edge_cols_from || i0 + r >= edge_rows_from);
+          store_row(tile[r], c + (i0 + r) * ldc + j0, nr,
+                    i0 + r >= edge_rows_from ? 0 : interior_cols, alpha,
+                    beta, first_panel);
         }
       }
     }
   }
-}
-
-void check_gemm_shapes(std::int64_t am, std::int64_t ak, std::int64_t bk,
-                       std::int64_t bn, std::int64_t cm, std::int64_t cn) {
-  MGGCN_CHECK_MSG(ak == bk, "gemm inner dimensions must agree");
-  MGGCN_CHECK_MSG(am == cm && bn == cn, "gemm output shape mismatch");
 }
 
 // --- A * B^T -------------------------------------------------------------
@@ -327,41 +398,41 @@ inline float dot1(const float* __restrict ai, const float* __restrict bj,
   return alpha * sum;
 }
 
-/// Packs B^T (B is n x k, row-major) into ceil(n / kW) strips of k x kW
-/// floats: out[s * k * kW + p * kW + j] = b[(s * kW + j) * k + p], zero past
-/// row n.
+/// Packs B^T (B is n x k, row-major) into ceil(n / kSw) strips of k x kSw
+/// floats: out[s * k * kSw + p * kSw + j] = b[(s * kSw + j) * k + p], zero
+/// past row n.
 void pack_bt(const float* __restrict b, std::int64_t k, std::int64_t n,
              float* __restrict out) {
-  for (std::int64_t j0 = 0; j0 < n; j0 += kW) {
-    const std::int64_t nr = std::min(kW, n - j0);
+  for (std::int64_t j0 = 0; j0 < n; j0 += kSw) {
+    const std::int64_t nr = std::min(kSw, n - j0);
     for (std::int64_t p = 0; p < k; ++p) {
-      float* dst = out + p * kW;
+      float* dst = out + p * kSw;
       for (std::int64_t j = 0; j < nr; ++j) dst[j] = b[(j0 + j) * k + p];
-      for (std::int64_t j = nr; j < kW; ++j) dst[j] = 0.0f;
+      for (std::int64_t j = nr; j < kSw; ++j) dst[j] = 0.0f;
     }
-    out += k * kW;
+    out += k * kSw;
   }
 }
 
-/// kW short dot products for each of kRows A rows against one packed B^T
+/// kSw short dot products for each of kRows A rows against one packed B^T
 /// strip, vectorized across the strip's columns: dots[r][j] =
 /// alpha * (rows[r] . b_j). Each output keeps the per-element operation
 /// order of a kW-wide strip-mined dot: partial sum l accumulates
 /// p = l, l + kW, ... over the whole kW blocks from 0.0f; the k % kW tail is
 /// summed in order from 0.0f; then partial sums 0..kW-1 are added to it in
 /// order. Partial sum l is built just before it is added, so only two
-/// vectors per row are live.
+/// vectors per row and strip vector are live.
 [[gnu::noinline]] void dots_short(const float* const (&rows)[kRows],
                                   const float* __restrict bs, std::int64_t k,
-                                  float alpha, float (&dots)[kRows][kW]) {
-  constexpr std::int64_t kH = kW / kV;  // vectors per row of outputs
+                                  float alpha, float (&dots)[kRows][kSw]) {
+  constexpr std::int64_t kH = kSw / kV;  // vectors per row of outputs
   const std::int64_t whole = k - k % kW;
   vf sum[kRows][kH] = {};
   for (std::int64_t p = whole; p < k; ++p) {
 #pragma GCC unroll 16
     for (std::int64_t h = 0; h < kH; ++h) {
       vf bp;
-      load(bp, bs + p * kW + h * kV);
+      load(bp, bs + p * kSw + h * kV);
 #pragma GCC unroll 16
       for (std::int64_t r = 0; r < kRows; ++r) sum[r][h] += rows[r][p] * bp;
     }
@@ -372,7 +443,7 @@ void pack_bt(const float* __restrict b, std::int64_t k, std::int64_t n,
 #pragma GCC unroll 16
       for (std::int64_t h = 0; h < kH; ++h) {
         vf bp;
-        load(bp, bs + p * kW + h * kV);
+        load(bp, bs + p * kSw + h * kV);
 #pragma GCC unroll 16
         for (std::int64_t r = 0; r < kRows; ++r) {
           part[r][h] += rows[r][p] * bp;
@@ -450,19 +521,19 @@ template <bool kReluMask>
   }
 }
 
-/// Writes one row's kW A * B^T outputs from their dot products (alpha
+/// Writes one row's kSw A * B^T outputs from their dot products (alpha
 /// applied) into C row segment `ci` of nr columns, as store_dot does per
-/// element; a full segment as one vector.
+/// element; a full segment as whole vectors.
 template <bool kReluMask>
-inline void store_dots(float* ci, const float (&dots)[kW], std::int64_t nr,
+inline void store_dots(float* ci, const float (&dots)[kSw], std::int64_t nr,
                        float beta) {
-  if (nr < kW) {
+  if (nr < kSw) {
     for (std::int64_t j = 0; j < nr; ++j) {
       store_dot<kReluMask>(ci + j, dots[j], beta);
     }
     return;
   }
-  for (std::int64_t h = 0; h < kW; h += kV) {
+  for (std::int64_t h = 0; h < kSw; h += kV) {
     vf dot, cv{}, out;
     load(dot, dots + h);
     if (kReluMask || beta != 0.0f) load(cv, ci + h);
@@ -481,11 +552,11 @@ inline void store_dots(float* ci, const float (&dots)[kW], std::int64_t nr,
 inline bool any_active(float* const (&ci)[kRows], std::int64_t rows,
                        std::int64_t nr) {
   int any = 0;
-  if (nr == kW) {
+  if (nr == kSw) {
     using vi = std::int32_t __attribute__((vector_size(sizeof(vf))));
     vi active{};
     for (std::int64_t r = 0; r < rows; ++r) {
-      for (std::int64_t h = 0; h < kW; h += kV) {
+      for (std::int64_t h = 0; h < kSw; h += kV) {
         vf cv;
         load(cv, ci[r] + h);
         active |= cv > 0.0f;
@@ -500,7 +571,7 @@ inline bool any_active(float* const (&ci)[kRows], std::int64_t rows,
   return any != 0;
 }
 
-/// A * B^T for k < 4 * kPr: B^T packed into kW-column strips, the kIb A
+/// A * B^T for k < 4 * kPr: B^T packed into kSw-column strips, the kIb A
 /// rows of a block swept against one strip at a time, kRows rows per
 /// dots_short call. The masked kernel skips a group of rows whose mask
 /// entries on the strip are all inactive.
@@ -508,15 +579,15 @@ template <bool kReluMask>
 [[gnu::noinline]] void a_bt_short(ConstMatrixView a, ConstMatrixView b,
                                   MatrixView c, float alpha, float beta) {
   const std::int64_t m = a.rows, k = a.cols, n = b.rows;
-  const std::int64_t strips = (n + kW - 1) / kW;
-  float* packed = pack_scratch(strips * kW * k);
+  const std::int64_t strips = (n + kSw - 1) / kSw;
+  float* packed = pack_scratch(strips * kSw * k);
   pack_bt(b.data, k, n, packed);
   for (std::int64_t i0 = 0; i0 < m; i0 += kIb) {
     const std::int64_t i_end = std::min(i0 + kIb, m);
     for (std::int64_t s = 0; s < strips; ++s) {
-      const std::int64_t j0 = s * kW;
-      const std::int64_t nr = std::min(kW, n - j0);
-      const float* bs = packed + s * k * kW;
+      const std::int64_t j0 = s * kSw;
+      const std::int64_t nr = std::min(kSw, n - j0);
+      const float* bs = packed + s * k * kSw;
       for (std::int64_t g = i0; g < i_end; g += kRows) {
         // A short last group repeats its final row; the repeats are
         // computed and dropped.
@@ -527,13 +598,16 @@ template <bool kReluMask>
           a_rows[r] = a.row(g + std::min(r, rows - 1));
           c_rows[r] = c.row(g + std::min(r, rows - 1)) + j0;
         }
+        for (std::int64_t r = 0; r < rows; ++r) {
+          prefetch(c_rows[r], kPrefetchC);
+        }
         if (kReluMask && !any_active(c_rows, rows, nr)) {
           for (std::int64_t r = 0; r < rows; ++r) {
-            std::fill(c_rows[r], c_rows[r] + nr, 0.0f);
+            for (std::int64_t j = 0; j < nr; ++j) c_rows[r][j] = 0.0f;
           }
           continue;
         }
-        float dots[kRows][kW];
+        float dots[kRows][kSw];
         dots_short(a_rows, bs, k, alpha, dots);
         for (std::int64_t r = 0; r < rows; ++r) {
           store_dots<kReluMask>(c_rows[r], dots[r], nr, beta);
@@ -549,7 +623,6 @@ template <bool kReluMask>
 template <bool kReluMask>
 void a_bt(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
           float beta) {
-  check_gemm_shapes(a.rows, a.cols, b.cols, b.rows, c.rows, c.cols);
   if (a.cols >= 4 * kPr) {
     a_bt_long<kReluMask>(a, b, c, alpha, beta);
   } else {
@@ -557,11 +630,10 @@ void a_bt(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
   }
 }
 
-}  // namespace
+// The entry points. Shapes are checked by the tiled:: dispatchers.
 
 void gemm(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
           float beta) {
-  check_gemm_shapes(a.rows, a.cols, b.rows, b.cols, c.rows, c.cols);
   gemm_driver(a.data, a.cols, /*a_trans=*/false, b.data, b.cols, c.data,
               c.cols, a.rows, b.cols, a.cols, alpha, beta);
 }
@@ -570,7 +642,6 @@ void gemm_at_b(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
                float beta) {
   // A is (k x m) and participates transposed: C(m x n) = A^T B. Packing
   // reads its sliver rows contiguously (a_r_stride = 1).
-  check_gemm_shapes(a.cols, a.rows, b.rows, b.cols, c.rows, c.cols);
   gemm_driver(a.data, a.cols, /*a_trans=*/true, b.data, b.cols, c.data,
               c.cols, a.cols, b.cols, a.rows, alpha, beta);
 }
@@ -585,4 +656,9 @@ void gemm_a_bt_relu_masked(ConstMatrixView a, ConstMatrixView b,
   a_bt</*kReluMask=*/true>(a, b, c, 1.0f, 0.0f);
 }
 
-}  // namespace mggcn::dense::tiled
+}  // namespace
+
+extern const DenseKernelTable kKernels = {&gemm, &gemm_at_b, &gemm_a_bt,
+                                          &gemm_a_bt_relu_masked};
+
+}  // namespace mggcn::dense::tiled::MGGCN_TILED_ISA

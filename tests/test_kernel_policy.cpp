@@ -4,16 +4,19 @@
 // tile), and CSR inputs with empty and high-degree rows; plus the
 // bit-for-bit beta == 0 SpMM agreement all three policies promise, and the
 // planned policy's one-time inspector accounting in the distributed
-// trainer's trace. The KernelPolicyParity tests hold the packed tiled
-// kernels to the unpacked ones they replaced, bit for bit (memcmp, not a
-// tolerance). The knob itself is covered by tests/test_util.cpp.
+// trainer's trace. The TiledIsaParity tests hold the packed tiled kernels
+// to the unpacked ones they replaced, bit for bit (memcmp, not a
+// tolerance), once per compiled ISA variant of the tiled kernels
+// (dense/tiled_isa.hpp). The knob itself is covered by tests/test_util.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <iostream>
 #include <iterator>
 #include <limits>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "core/trainer.hpp"
 #include "dense/kernel_policy.hpp"
 #include "dense/kernels.hpp"
+#include "dense/tiled_isa.hpp"
 #include "graph/datasets.hpp"
 #include "sim/machine.hpp"
 #include "sparse/spmm.hpp"
@@ -159,18 +163,30 @@ TEST(KernelPolicyProperty, TiledMaskedGemmMatchesNaive) {
 
 // --- bit parity with the unpacked tiled kernels ----------------------------
 
-/// m values covering every residue modulo the kMr = 6 register tile, the
-/// unpacked kernels' 4-row tile and the short A * B^T's 4-row groups, the
-/// 64-row cache block, and one m of many blocks and slivers (1031); n
-/// values straddling the kNr = 16 strip, the kW = 8 A * B^T strip and the
-/// 64-column block; and k values crossing the 8-wide short dot, the k = 128
-/// switch to the long dot product and the kKc = 256 panel, up to three
-/// panels (600 > 2 * kKc: repacked A slivers, beta in the first panel only).
-constexpr std::int64_t kParityM[] = {1, 2, 3, 5, 6, 8, 13, 70, 1031};
-constexpr std::int64_t kParityN[] = {1, 7, 16, 17, 47, 100};
+/// m values covering every residue modulo the kMr = 6 and 12 register
+/// tiles, the unpacked kernels' 4-row tile and the short A * B^T's 4- and
+/// 8-row groups, the 64-row cache block, and one m of many blocks and
+/// slivers (1031); n values straddling the 16- and 32-column strips (and
+/// the one-vector last strip they narrow to), the 8- and 16-column A * B^T
+/// strips and the 64-column block, up to a 512-wide layer; and k values
+/// crossing the 8-wide short dot, the k = 128 switch to the long dot product
+/// and the kKc = 256 panel, up to three panels (600 > 2 * kKc: repacked A
+/// slivers, beta in the first panel only).
+constexpr std::int64_t kParityM[] = {1,  2,  3,  5,  6,  8,  11,
+                                     12, 13, 24, 25, 70, 1031};
+constexpr std::int64_t kParityN[] = {1,  7,  16, 17, 31, 32,  33,
+                                     47, 48, 63, 64, 65, 100, 512};
 constexpr std::int64_t kParityK[] = {0,   1,   7,   8,   47, 127,
                                      128, 255, 256, 257, 600};
 constexpr float kParityAlphas[] = {0.0f, 1.0f, -0.5f};
+static_assert(std::size(kParityAlphas) == std::size(kBetas));
+/// m * n * k up to which every alpha runs with every beta.
+constexpr std::int64_t kSweepWork = std::int64_t{1} << 20;
+/// Largest m * n in the grid: n = 512 runs with up to 25 rows and m = 1031
+/// with up to 31 columns. The larger pairings reach no tile path that
+/// these miss, yet would multiply the test's time, which also runs under
+/// the sanitizers.
+constexpr std::int64_t kParityMaxCells = std::int64_t{1} << 15;
 
 bool same_bits(const dense::HostMatrix& a, const dense::HostMatrix& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
@@ -210,21 +226,45 @@ dense::HostMatrix parity_mask(std::int64_t m, std::int64_t n,
 using GemmFn = void (*)(dense::ConstMatrixView, dense::ConstMatrixView,
                         dense::MatrixView, float, float);
 
-/// Runs `tiled` and `oracle` from the same C over every parity shape and
-/// alpha/beta pair; A and B take the kernel's layout via `a_rows_k` (A is
-/// k x m) and `b_rows_n` (B is n x k).
+/// Runs `tiled` and `oracle` from the same C over every parity shape of at
+/// most kParityMaxCells outputs and every alpha/beta pair (the diagonal
+/// pairs only past kSweepWork); A and B take the kernel's layout via
+/// `a_rows_k` (A is k x m) and `b_rows_n` (B is n x k).
 void expect_gemm_parity(const char* kernel, GemmFn tiled, GemmFn oracle,
                         bool a_rows_k, bool b_rows_n) {
+  // Each operand is a function of its shape alone: draw it once.
+  std::vector<dense::HostMatrix> bs;  // [n][k]
+  for (const std::int64_t n : kParityN) {
+    for (const std::int64_t k : kParityK) {
+      bs.push_back(b_rows_n ? random_matrix(n, k, 21)
+                            : random_matrix(k, n, 21));
+    }
+  }
   for (const std::int64_t m : kParityM) {
-    for (const std::int64_t n : kParityN) {
-      for (const std::int64_t k : kParityK) {
-        const dense::HostMatrix a = a_rows_k ? random_matrix(k, m, 20)
-                                             : random_matrix(m, k, 20);
-        const dense::HostMatrix b = b_rows_n ? random_matrix(n, k, 21)
-                                             : random_matrix(k, n, 21);
-        for (const float alpha : kParityAlphas) {
-          for (const float beta : kBetas) {
-            dense::HostMatrix c_tiled = parity_c0(m, n, beta, 22);
+    std::vector<dense::HostMatrix> as;  // [k]
+    for (const std::int64_t k : kParityK) {
+      as.push_back(a_rows_k ? random_matrix(k, m, 20)
+                            : random_matrix(m, k, 20));
+    }
+    for (std::size_t ni = 0; ni < std::size(kParityN); ++ni) {
+      const std::int64_t n = kParityN[ni];
+      if (m * n > kParityMaxCells) continue;
+      std::vector<dense::HostMatrix> c0;  // [beta]
+      for (const float beta : kBetas) c0.push_back(parity_c0(m, n, beta, 22));
+      for (std::size_t ki = 0; ki < std::size(kParityK); ++ki) {
+        const std::int64_t k = kParityK[ki];
+        const dense::HostMatrix& a = as[ki];
+        const dense::HostMatrix& b = bs[ni * std::size(kParityK) + ki];
+        // Past kSweepWork the products only pair alpha i with beta i:
+        // (0, 0) still checks the edge store, and the test stays fast
+        // under the sanitizers.
+        const bool sweep = m * n * k <= kSweepWork;
+        for (std::size_t ai = 0; ai < std::size(kParityAlphas); ++ai) {
+          const float alpha = kParityAlphas[ai];
+          for (std::size_t bi = 0; bi < std::size(kBetas); ++bi) {
+            if (!sweep && ai != bi) continue;
+            const float beta = kBetas[bi];
+            dense::HostMatrix c_tiled = c0[bi];
             dense::HostMatrix c_oracle = c_tiled;
             tiled(a.view(), b.view(), c_tiled.view(), alpha, beta);
             oracle(a.view(), b.view(), c_oracle.view(), alpha, beta);
@@ -237,33 +277,72 @@ void expect_gemm_parity(const char* kernel, GemmFn tiled, GemmFn oracle,
   }
 }
 
-TEST(KernelPolicyParity, GemmBitIdenticalToUnpackedKernel) {
-  expect_gemm_parity("gemm", dense::tiled::gemm, dense::unpacked_tiled::gemm,
+/// The compiled ISA variant of the tiled kernels a parity test drives: the
+/// build's default, or the x86-64-v4 one.
+enum class Isa { kDefault, kV4 };
+
+/// Runs each parity test against one ISA variant's kernels directly, not
+/// through the tiled:: dispatch, so every variant the build compiled is held
+/// to the oracle whichever one this CPU selects. A variant the build lacks,
+/// or this CPU cannot run, is skipped with the reason.
+class TiledIsaParity : public ::testing::TestWithParam<Isa> {
+ protected:
+  void SetUp() override {
+    const auto variants = dense::tiled::isa_variants();
+    if (GetParam() == Isa::kDefault) {
+      kernels_ = variants.front().kernels;
+      return;
+    }
+    for (const dense::tiled::IsaVariant& variant : variants) {
+      if (std::string_view(variant.name) != "x86-64-v4") continue;
+      if (!variant.supported) {
+        GTEST_SKIP() << "this CPU lacks AVX-512 (F/BW/CD/DQ/VL), so the "
+                        "x86-64-v4 variant cannot run here";
+      }
+      kernels_ = variant.kernels;
+      return;
+    }
+    GTEST_SKIP() << "this build has no x86-64-v4 variant (MGGCN_KERNEL_MARCH "
+                    "is empty or the compiler lacks -march=x86-64-v4)";
+  }
+
+  const dense::DenseKernelTable* kernels_ = nullptr;
+};
+
+INSTANTIATE_TEST_SUITE_P(Isa, TiledIsaParity,
+                         ::testing::Values(Isa::kDefault, Isa::kV4),
+                         [](const ::testing::TestParamInfo<Isa>& info) {
+                           return info.param == Isa::kDefault ? "Default"
+                                                              : "X86_64_v4";
+                         });
+
+TEST_P(TiledIsaParity, GemmBitIdenticalToUnpackedKernel) {
+  expect_gemm_parity("gemm", kernels_->gemm, dense::unpacked_tiled::gemm,
                      /*a_rows_k=*/false, /*b_rows_n=*/false);
 }
 
-TEST(KernelPolicyParity, GemmAtBBitIdenticalToUnpackedKernel) {
-  expect_gemm_parity("gemm_at_b", dense::tiled::gemm_at_b,
+TEST_P(TiledIsaParity, GemmAtBBitIdenticalToUnpackedKernel) {
+  expect_gemm_parity("gemm_at_b", kernels_->gemm_at_b,
                      dense::unpacked_tiled::gemm_at_b, /*a_rows_k=*/true,
                      /*b_rows_n=*/false);
 }
 
-TEST(KernelPolicyParity, GemmABtBitIdenticalToUnpackedKernel) {
-  expect_gemm_parity("gemm_a_bt", dense::tiled::gemm_a_bt,
+TEST_P(TiledIsaParity, GemmABtBitIdenticalToUnpackedKernel) {
+  expect_gemm_parity("gemm_a_bt", kernels_->gemm_a_bt,
                      dense::unpacked_tiled::gemm_a_bt, /*a_rows_k=*/false,
                      /*b_rows_n=*/true);
 }
 
-TEST(KernelPolicyParity, MaskedGemmBitIdenticalToUnpackedKernel) {
+TEST_P(TiledIsaParity, MaskedGemmBitIdenticalToUnpackedKernel) {
   for (const std::int64_t m : kParityM) {
     for (const std::int64_t n : kParityN) {
+      if (m * n > kParityMaxCells) continue;
       for (const std::int64_t k : kParityK) {
         const dense::HostMatrix a = random_matrix(m, k, 23);
         const dense::HostMatrix b = random_matrix(n, k, 24);
         dense::HostMatrix c_tiled = parity_mask(m, n, 25);
         dense::HostMatrix c_oracle = c_tiled;
-        dense::tiled::gemm_a_bt_relu_masked(a.view(), b.view(),
-                                            c_tiled.view());
+        kernels_->gemm_a_bt_relu_masked(a.view(), b.view(), c_tiled.view());
         dense::unpacked_tiled::gemm_a_bt_relu_masked(a.view(), b.view(),
                                                      c_oracle.view());
         EXPECT_TRUE(same_bits(c_tiled, c_oracle))
@@ -273,15 +352,16 @@ TEST(KernelPolicyParity, MaskedGemmBitIdenticalToUnpackedKernel) {
   }
 }
 
-TEST(KernelPolicyParity, ConcurrentCallsShareNoPackScratch) {
+TEST_P(TiledIsaParity, ConcurrentCallsShareNoPackScratch) {
   // Each thread packs B into its own scratch buffer, grown on demand and
   // reused, and A into a sliver on its own stack: two threads interleaving
   // calls with different (and growing, then shrinking) m, n and k must each
   // match the oracle bit for bit, in both A layouts. A shared buffer would
   // be repacked (or reallocated) under the other thread.
+  const dense::DenseKernelTable& kernels = *kernels_;
   std::atomic<int> ready{0};
-  auto worker = [&ready](std::int64_t n0, std::uint64_t seed,
-                         int* mismatches) {
+  auto worker = [&ready, &kernels](std::int64_t n0, std::uint64_t seed,
+                                   int* mismatches) {
     ++ready;
     while (ready.load() < 2) std::this_thread::yield();
     constexpr std::int64_t kDepths[] = {300, 47, 600};
@@ -294,15 +374,15 @@ TEST(KernelPolicyParity, ConcurrentCallsShareNoPackScratch) {
       const dense::HostMatrix b = random_matrix(k, n, seed + 100 + round);
       const dense::HostMatrix bt = random_matrix(n, k, seed + 200 + round);
       dense::HostMatrix c(m, n), c_oracle(m, n);
-      dense::tiled::gemm(a.view(), b.view(), c.view(), 1.0f, 0.0f);
+      kernels.gemm(a.view(), b.view(), c.view(), 1.0f, 0.0f);
       dense::unpacked_tiled::gemm(a.view(), b.view(), c_oracle.view(), 1.0f,
                                   0.0f);
       *mismatches += same_bits(c, c_oracle) ? 0 : 1;
-      dense::tiled::gemm_at_b(at.view(), b.view(), c.view(), 1.0f, 0.0f);
+      kernels.gemm_at_b(at.view(), b.view(), c.view(), 1.0f, 0.0f);
       dense::unpacked_tiled::gemm_at_b(at.view(), b.view(), c_oracle.view(),
                                        1.0f, 0.0f);
       *mismatches += same_bits(c, c_oracle) ? 0 : 1;
-      dense::tiled::gemm_a_bt(a.view(), bt.view(), c.view(), 1.0f, 0.0f);
+      kernels.gemm_a_bt(a.view(), bt.view(), c.view(), 1.0f, 0.0f);
       dense::unpacked_tiled::gemm_a_bt(a.view(), bt.view(), c_oracle.view(),
                                        1.0f, 0.0f);
       *mismatches += same_bits(c, c_oracle) ? 0 : 1;
@@ -315,6 +395,24 @@ TEST(KernelPolicyParity, ConcurrentCallsShareNoPackScratch) {
   t1.join();
   EXPECT_EQ(mismatches0, 0);
   EXPECT_EQ(mismatches1, 0);
+}
+
+TEST(TiledIsa, ReportsTheSelectedVariant) {
+  // The dispatch picks the last variant the CPU runs: the default is always
+  // runnable and comes first. The line below is what CI greps for.
+  const auto variants = dense::tiled::isa_variants();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_TRUE(variants.front().supported);
+  const dense::tiled::IsaVariant* expected = &variants.front();
+  std::string built;
+  for (const dense::tiled::IsaVariant& variant : variants) {
+    if (variant.supported) expected = &variant;
+    built += (built.empty() ? "" : ", ") + std::string(variant.name);
+  }
+  EXPECT_EQ(&dense::tiled::selected_isa_variant(), expected);
+  EXPECT_STREQ(dense::tiled_gemm_isa(), expected->name);
+  std::cout << "tiled GeMM ISA variants built: " << built
+            << "; selected: " << dense::tiled_gemm_isa() << std::endl;
 }
 
 /// Floats in [-1, 1) with 24 significant bits from an integer LCG: no libm
@@ -367,6 +465,45 @@ TEST(KernelPolicyParity, TiledOutputBitsArePinned) {
     hash = fold_bits(hash, c);
   }
   EXPECT_EQ(hash, 0x2810558918ab6dfcULL) << std::hex << hash;
+}
+
+TEST(KernelPolicyParity, Model1ProductBitsArePinned) {
+  // The five GeMMs of a Model 1 layer pair (104 -> 512 -> 47, Products) at a
+  // reduced row count: both forward products, both weight gradients and the
+  // ReLU-masked input gradient. The hash was recorded before the x86-64-v4
+  // variant existed; the dispatched kernels and every variant this CPU runs
+  // must reproduce it.
+  constexpr std::int64_t kRows = 777;  // ragged against every tile
+  const dense::HostMatrix x = lcg_matrix(kRows, 104, 6);
+  const dense::HostMatrix w1 = lcg_matrix(104, 512, 7);
+  const dense::HostMatrix w2 = lcg_matrix(512, 47, 8);
+  const dense::HostMatrix g2 = lcg_matrix(kRows, 47, 9);
+  const dense::HostMatrix activation = lcg_matrix(kRows, 512, 10);
+  auto model1_hash = [&](const dense::DenseKernelTable& kernels) {
+    dense::HostMatrix h1(kRows, 512), h2(kRows, 47), dw1(104, 512),
+        dw2(512, 47);
+    kernels.gemm(x.view(), w1.view(), h1.view(), 1.0f, 0.0f);
+    kernels.gemm(activation.view(), w2.view(), h2.view(), 1.0f, 0.0f);
+    kernels.gemm_at_b(x.view(), h1.view(), dw1.view(), 1.0f, 0.0f);
+    kernels.gemm_at_b(activation.view(), g2.view(), dw2.view(), 1.0f, 0.0f);
+    dense::HostMatrix dh1 = activation;
+    kernels.gemm_a_bt_relu_masked(g2.view(), w2.view(), dh1.view());
+    std::uint64_t hash = 14695981039346656037ULL;
+    for (const dense::HostMatrix* m : {&h1, &h2, &dw1, &dw2, &dh1}) {
+      hash = fold_bits(hash, *m);
+    }
+    return hash;
+  };
+  constexpr std::uint64_t kPinned = 0x3dec390b8abd5834ULL;
+  const std::uint64_t dispatched =
+      model1_hash(dense::dense_kernels(dense::KernelPolicy::kTiled));
+  EXPECT_EQ(dispatched, kPinned) << std::hex << dispatched;
+  for (const dense::tiled::IsaVariant& variant :
+       dense::tiled::isa_variants()) {
+    if (!variant.supported) continue;
+    const std::uint64_t hash = model1_hash(*variant.kernels);
+    EXPECT_EQ(hash, kPinned) << variant.name << ": " << std::hex << hash;
+  }
 }
 
 // --- ReLU ----------------------------------------------------------------
