@@ -55,16 +55,15 @@ std::span<const IsaVariant> isa_variants() {
 }
 
 const IsaVariant& selected_isa_variant() {
-  // The last variant the CPU runs: variants are listed in ascending ISA.
-  static const IsaVariant* const selected = [] {
+  // x86-64-v4 when this build has it and the CPU runs it, else the default.
+  static const IsaVariant& selected = []() -> const IsaVariant& {
     const std::span<const IsaVariant> variants = isa_variants();
-    const IsaVariant* pick = &variants.front();
-    for (const IsaVariant& variant : variants) {
-      if (variant.supported) pick = &variant;
-    }
-    return pick;
+#if MGGCN_TILED_HAS_V4
+    if (variants[1].supported) return variants[1];
+#endif
+    return variants[0];
   }();
-  return *selected;
+  return selected;
 }
 
 }  // namespace tiled

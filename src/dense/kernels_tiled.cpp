@@ -33,10 +33,12 @@
 //     strips (one vector, at least kW) and kRows A rows at a time run
 //     against one strip, vectorized across the strip's output columns. The
 //     rows are independent, so their ordered tails and partial-sum
-//     reductions (serial add chains) overlap. The fused ReLU-masked variant
-//     skips a group of rows whose mask entries on the strip are all
-//     inactive. Longer k keeps the dot-product form (strip-mined partial
-//     sums along k) with A/B row blocks sized for L2.
+//     reductions (serial add chains) overlap. One kernel call owns its
+//     kRows x kSw tile of C: it loads the tile first (the ReLU mask, or C
+//     for beta), so the loads overlap the products, and stores the result
+//     itself. The fused ReLU-masked variant skips a tile whose mask entries
+//     are all inactive. Longer k keeps the dot-product form (strip-mined
+//     partial sums along k) with A/B row blocks sized for L2.
 //
 // Every output element sees the same sequence of IEEE operations as the
 // unpacked kernels these replaced (same k order, the same kKc panel split
@@ -139,8 +141,8 @@ constexpr std::int64_t kW = 8;
 constexpr std::int64_t kSw = kW > kV ? kW : kV;
 static_assert(kSw % kV == 0);
 /// A rows the short-k A * B^T kernel interleaves against one strip, each
-/// holding a running sum and a partial sum per strip vector: 4 rows with 16
-/// vector registers, 8 with AVX-512's 32.
+/// holding a running sum, a partial sum and its C tile row per strip
+/// vector: 4 rows with 16 vector registers, 8 with AVX-512's 32.
 constexpr std::int64_t kRows = kRegisters / 4;
 /// Row block of A swept against one packed strip (short-k A * B^T), so the
 /// strip stays L1-resident across the block. The long-k A * B^T kernel
@@ -414,18 +416,55 @@ void pack_bt(const float* __restrict b, std::int64_t k, std::int64_t n,
   }
 }
 
-/// kSw short dot products for each of kRows A rows against one packed B^T
-/// strip, vectorized across the strip's columns: dots[r][j] =
-/// alpha * (rows[r] . b_j). Each output keeps the per-element operation
-/// order of a kW-wide strip-mined dot: partial sum l accumulates
-/// p = l, l + kW, ... over the whole kW blocks from 0.0f; the k % kW tail is
-/// summed in order from 0.0f; then partial sums 0..kW-1 are added to it in
-/// order. Partial sum l is built just before it is added, so only two
-/// vectors per row and strip vector are live.
+/// One kRows x kSw tile of a short-k A * B^T: kSw short dot products for
+/// each of kRows A rows against one packed B^T strip, vectorized across the
+/// strip's columns, written to the first `live` rows of the tile at c (row
+/// stride ldc) as store_dot writes each element. Each dot product keeps the
+/// per-element operation order of a kW-wide strip-mined dot: partial sum l
+/// accumulates p = l, l + kW, ... over the whole kW blocks from 0.0f; the
+/// k % kW tail is summed in order from 0.0f; then partial sums 0..kW-1 are
+/// added to it in order, and the sum is scaled by alpha. Partial sum l is
+/// built just before it is added, so only two vectors per row and strip
+/// vector are live. The tile of C is read before the products (the ReLU
+/// mask, or C when beta != 0), so its cache misses overlap them; the masked
+/// kernel stores zeros and returns when no mask entry of the tile is
+/// active.
+template <bool kReluMask>
 [[gnu::noinline]] void dots_short(const float* const (&rows)[kRows],
                                   const float* __restrict bs, std::int64_t k,
-                                  float alpha, float (&dots)[kRows][kSw]) {
+                                  float alpha, float beta, float* c,
+                                  std::int64_t ldc, std::int64_t live) {
   constexpr std::int64_t kH = kSw / kV;  // vectors per row of outputs
+  vf cv[kRows][kH] = {};
+  if (kReluMask || beta != 0.0f) {
+#pragma GCC unroll 16
+    for (std::int64_t r = 0; r < kRows; ++r) {
+      if (r >= live) break;
+#pragma GCC unroll 16
+      for (std::int64_t h = 0; h < kH; ++h) {
+        load(cv[r][h], c + r * ldc + h * kV);
+      }
+    }
+  }
+  if constexpr (kReluMask) {
+    // Tested without branches: on sign-random activations an early-exit
+    // scan mispredicts. Rows past `live` hold zeros, which are inactive.
+    using vi = std::int32_t __attribute__((vector_size(sizeof(vf))));
+    vi active{};
+#pragma GCC unroll 16
+    for (std::int64_t r = 0; r < kRows; ++r) {
+#pragma GCC unroll 16
+      for (std::int64_t h = 0; h < kH; ++h) active |= cv[r][h] > 0.0f;
+    }
+    int any = 0;
+    for (std::int64_t j = 0; j < kV; ++j) any |= active[j];
+    if (any == 0) {
+      for (std::int64_t r = 0; r < live; ++r) {
+        for (std::int64_t h = 0; h < kH; ++h) store(c + r * ldc + h * kV, vf{});
+      }
+      return;
+    }
+  }
   const std::int64_t whole = k - k % kW;
   vf sum[kRows][kH] = {};
   for (std::int64_t p = whole; p < k; ++p) {
@@ -458,9 +497,17 @@ void pack_bt(const float* __restrict b, std::int64_t k, std::int64_t n,
   }
 #pragma GCC unroll 16
   for (std::int64_t r = 0; r < kRows; ++r) {
+    if (r >= live) break;
 #pragma GCC unroll 16
     for (std::int64_t h = 0; h < kH; ++h) {
-      store(dots[r] + h * kV, alpha * sum[r][h]);
+      const vf dot = alpha * sum[r][h];
+      vf out;
+      if constexpr (kReluMask) {
+        out = cv[r][h] > 0.0f ? dot : vf{};
+      } else {
+        out = beta == 0.0f ? dot + vf{} : dot + beta * cv[r][h];
+      }
+      store(c + r * ldc + h * kV, out);
     }
   }
 }
@@ -521,64 +568,14 @@ template <bool kReluMask>
   }
 }
 
-/// Writes one row's kSw A * B^T outputs from their dot products (alpha
-/// applied) into C row segment `ci` of nr columns, as store_dot does per
-/// element; a full segment as whole vectors.
-template <bool kReluMask>
-inline void store_dots(float* ci, const float (&dots)[kSw], std::int64_t nr,
-                       float beta) {
-  if (nr < kSw) {
-    for (std::int64_t j = 0; j < nr; ++j) {
-      store_dot<kReluMask>(ci + j, dots[j], beta);
-    }
-    return;
-  }
-  for (std::int64_t h = 0; h < kSw; h += kV) {
-    vf dot, cv{}, out;
-    load(dot, dots + h);
-    if (kReluMask || beta != 0.0f) load(cv, ci + h);
-    if constexpr (kReluMask) {
-      out = cv > 0.0f ? dot : vf{};
-    } else {
-      out = beta == 0.0f ? dot + vf{} : dot + beta * cv;
-    }
-    store(ci + h, out);
-  }
-}
-
-/// Whether any of the ReLU mask entries in C rows `ci` (nr columns each)
-/// is active (> 0). A full segment is tested without branches: on
-/// sign-random activations an early-exit scan mispredicts.
-inline bool any_active(float* const (&ci)[kRows], std::int64_t rows,
-                       std::int64_t nr) {
-  int any = 0;
-  if (nr == kSw) {
-    using vi = std::int32_t __attribute__((vector_size(sizeof(vf))));
-    vi active{};
-    for (std::int64_t r = 0; r < rows; ++r) {
-      for (std::int64_t h = 0; h < kSw; h += kV) {
-        vf cv;
-        load(cv, ci[r] + h);
-        active |= cv > 0.0f;
-      }
-    }
-    for (std::int64_t j = 0; j < kV; ++j) any |= active[j];
-  } else {
-    for (std::int64_t r = 0; r < rows; ++r) {
-      for (std::int64_t j = 0; j < nr; ++j) any |= ci[r][j] > 0.0f;
-    }
-  }
-  return any != 0;
-}
-
 /// A * B^T for k < 4 * kPr: B^T packed into kSw-column strips, the kIb A
-/// rows of a block swept against one strip at a time, kRows rows per
-/// dots_short call. The masked kernel skips a group of rows whose mask
-/// entries on the strip are all inactive.
+/// rows of a block swept against one strip at a time, one dots_short tile
+/// of kRows rows per call. A short last strip runs on a copy of its columns
+/// padded to kSw.
 template <bool kReluMask>
 [[gnu::noinline]] void a_bt_short(ConstMatrixView a, ConstMatrixView b,
                                   MatrixView c, float alpha, float beta) {
-  const std::int64_t m = a.rows, k = a.cols, n = b.rows;
+  const std::int64_t m = a.rows, k = a.cols, n = b.rows, ldc = c.cols;
   const std::int64_t strips = (n + kSw - 1) / kSw;
   float* packed = pack_scratch(strips * kSw * k);
   pack_bt(b.data, k, n, packed);
@@ -593,24 +590,26 @@ template <bool kReluMask>
         // computed and dropped.
         const std::int64_t rows = std::min(kRows, i_end - g);
         const float* a_rows[kRows];
-        float* c_rows[kRows];
         for (std::int64_t r = 0; r < kRows; ++r) {
           a_rows[r] = a.row(g + std::min(r, rows - 1));
-          c_rows[r] = c.row(g + std::min(r, rows - 1)) + j0;
         }
+        float* const cg = c.row(g) + j0;
         for (std::int64_t r = 0; r < rows; ++r) {
-          prefetch(c_rows[r], kPrefetchC);
+          prefetch(cg + r * ldc, kPrefetchC);
         }
-        if (kReluMask && !any_active(c_rows, rows, nr)) {
-          for (std::int64_t r = 0; r < rows; ++r) {
-            for (std::int64_t j = 0; j < nr; ++j) c_rows[r][j] = 0.0f;
-          }
+        if (nr == kSw) {
+          dots_short<kReluMask>(a_rows, bs, k, alpha, beta, cg, ldc, rows);
           continue;
         }
-        float dots[kRows][kSw];
-        dots_short(a_rows, bs, k, alpha, dots);
+        // Padding columns hold zeros: inactive under the mask, finite for
+        // beta. Their outputs are dropped.
+        float tile[kRows][kSw] = {};
         for (std::int64_t r = 0; r < rows; ++r) {
-          store_dots<kReluMask>(c_rows[r], dots[r], nr, beta);
+          for (std::int64_t j = 0; j < nr; ++j) tile[r][j] = cg[r * ldc + j];
+        }
+        dots_short<kReluMask>(a_rows, bs, k, alpha, beta, tile[0], kSw, rows);
+        for (std::int64_t r = 0; r < rows; ++r) {
+          for (std::int64_t j = 0; j < nr; ++j) cg[r * ldc + j] = tile[r][j];
         }
       }
     }

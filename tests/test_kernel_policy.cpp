@@ -10,6 +10,7 @@
 // (dense/tiled_isa.hpp). The knob itself is covered by tests/test_util.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -180,13 +181,23 @@ constexpr std::int64_t kParityK[] = {0,   1,   7,   8,   47, 127,
                                      128, 255, 256, 257, 600};
 constexpr float kParityAlphas[] = {0.0f, 1.0f, -0.5f};
 static_assert(std::size(kParityAlphas) == std::size(kBetas));
-/// m * n * k up to which every alpha runs with every beta.
-constexpr std::int64_t kSweepWork = std::int64_t{1} << 20;
-/// Largest m * n in the grid: n = 512 runs with up to 25 rows and m = 1031
-/// with up to 31 columns. The larger pairings reach no tile path that
-/// these miss, yet would multiply the test's time, which also runs under
-/// the sanitizers.
+/// The m and n values added for the x86-64-v4 tiles (12-row A * B tiles,
+/// 8-row A * B^T groups, 32-column strips and their one-vector tails). A
+/// shape with one of them is "thinned": it runs only up to kParityMaxCells
+/// outputs (n = 512 with m <= 25, m = 1031 with n <= 31), and past
+/// kSweepWork only with the diagonal alpha/beta pairs. The larger pairings
+/// reach no tile path these miss, yet would multiply the test's time, which
+/// also runs under the sanitizers. Every other shape runs every k with every
+/// alpha/beta pair.
+constexpr std::int64_t kThinnedM[] = {11, 12, 24, 25};
+constexpr std::int64_t kThinnedN[] = {31, 32, 33, 48, 63, 64, 65, 512};
 constexpr std::int64_t kParityMaxCells = std::int64_t{1} << 15;
+constexpr std::int64_t kSweepWork = std::int64_t{1} << 20;
+
+bool thinned(std::int64_t m, std::int64_t n) {
+  return std::ranges::find(kThinnedM, m) != std::end(kThinnedM) ||
+         std::ranges::find(kThinnedN, n) != std::end(kThinnedN);
+}
 
 bool same_bits(const dense::HostMatrix& a, const dense::HostMatrix& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
@@ -226,10 +237,9 @@ dense::HostMatrix parity_mask(std::int64_t m, std::int64_t n,
 using GemmFn = void (*)(dense::ConstMatrixView, dense::ConstMatrixView,
                         dense::MatrixView, float, float);
 
-/// Runs `tiled` and `oracle` from the same C over every parity shape of at
-/// most kParityMaxCells outputs and every alpha/beta pair (the diagonal
-/// pairs only past kSweepWork); A and B take the kernel's layout via
-/// `a_rows_k` (A is k x m) and `b_rows_n` (B is n x k).
+/// Runs `tiled` and `oracle` from the same C over every parity shape and
+/// alpha/beta pair (fewer for the thinned shapes); A and B take the
+/// kernel's layout via `a_rows_k` (A is k x m) and `b_rows_n` (B is n x k).
 void expect_gemm_parity(const char* kernel, GemmFn tiled, GemmFn oracle,
                         bool a_rows_k, bool b_rows_n) {
   // Each operand is a function of its shape alone: draw it once.
@@ -248,17 +258,17 @@ void expect_gemm_parity(const char* kernel, GemmFn tiled, GemmFn oracle,
     }
     for (std::size_t ni = 0; ni < std::size(kParityN); ++ni) {
       const std::int64_t n = kParityN[ni];
-      if (m * n > kParityMaxCells) continue;
+      const bool thin = thinned(m, n);
+      if (thin && m * n > kParityMaxCells) continue;
       std::vector<dense::HostMatrix> c0;  // [beta]
       for (const float beta : kBetas) c0.push_back(parity_c0(m, n, beta, 22));
       for (std::size_t ki = 0; ki < std::size(kParityK); ++ki) {
         const std::int64_t k = kParityK[ki];
         const dense::HostMatrix& a = as[ki];
         const dense::HostMatrix& b = bs[ni * std::size(kParityK) + ki];
-        // Past kSweepWork the products only pair alpha i with beta i:
-        // (0, 0) still checks the edge store, and the test stays fast
-        // under the sanitizers.
-        const bool sweep = m * n * k <= kSweepWork;
+        // A thinned shape past kSweepWork only pairs alpha i with beta i:
+        // (0, 0) still checks the edge store.
+        const bool sweep = !thin || m * n * k <= kSweepWork;
         for (std::size_t ai = 0; ai < std::size(kParityAlphas); ++ai) {
           const float alpha = kParityAlphas[ai];
           for (std::size_t bi = 0; bi < std::size(kBetas); ++bi) {
@@ -336,7 +346,7 @@ TEST_P(TiledIsaParity, GemmABtBitIdenticalToUnpackedKernel) {
 TEST_P(TiledIsaParity, MaskedGemmBitIdenticalToUnpackedKernel) {
   for (const std::int64_t m : kParityM) {
     for (const std::int64_t n : kParityN) {
-      if (m * n > kParityMaxCells) continue;
+      if (thinned(m, n) && m * n > kParityMaxCells) continue;
       for (const std::int64_t k : kParityK) {
         const dense::HostMatrix a = random_matrix(m, k, 23);
         const dense::HostMatrix b = random_matrix(n, k, 24);
@@ -398,17 +408,16 @@ TEST_P(TiledIsaParity, ConcurrentCallsShareNoPackScratch) {
 }
 
 TEST(TiledIsa, ReportsTheSelectedVariant) {
-  // The dispatch picks the last variant the CPU runs: the default is always
-  // runnable and comes first. The line below is what CI greps for.
+  // The dispatch picks the x86-64-v4 variant when it was built (it follows
+  // the always-runnable default) and the CPU runs it, else the default. The
+  // line below is what CI greps for.
   const auto variants = dense::tiled::isa_variants();
-  ASSERT_FALSE(variants.empty());
-  EXPECT_TRUE(variants.front().supported);
-  const dense::tiled::IsaVariant* expected = &variants.front();
-  std::string built;
-  for (const dense::tiled::IsaVariant& variant : variants) {
-    if (variant.supported) expected = &variant;
-    built += (built.empty() ? "" : ", ") + std::string(variant.name);
-  }
+  ASSERT_TRUE(variants.size() == 1 || variants.size() == 2);
+  EXPECT_TRUE(variants[0].supported);
+  const bool v4 = variants.size() == 2 && variants[1].supported;
+  const dense::tiled::IsaVariant* expected = &variants[v4 ? 1 : 0];
+  std::string built = variants[0].name;
+  if (variants.size() == 2) built += ", " + std::string(variants[1].name);
   EXPECT_EQ(&dense::tiled::selected_isa_variant(), expected);
   EXPECT_STREQ(dense::tiled_gemm_isa(), expected->name);
   std::cout << "tiled GeMM ISA variants built: " << built
