@@ -50,9 +50,25 @@ dense::HostMatrix read_matrix(std::ifstream& is, std::int64_t rows,
 
 }  // namespace
 
+bool Checkpoint::consistent() const {
+  if (adam_m.size() != num_layers() || adam_v.size() != num_layers()) {
+    return false;
+  }
+  const auto same_shape = [](const dense::HostMatrix& x,
+                             const dense::HostMatrix& y) {
+    return x.rows() == y.rows() && x.cols() == y.cols();
+  };
+  for (std::size_t l = 0; l < num_layers(); ++l) {
+    if (!same_shape(adam_m[l], weights[l]) ||
+        !same_shape(adam_v[l], weights[l])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void save_checkpoint(const Checkpoint& checkpoint, const std::string& path) {
-  MGGCN_CHECK(checkpoint.adam_m.size() == checkpoint.num_layers() &&
-              checkpoint.adam_v.size() == checkpoint.num_layers());
+  MGGCN_CHECK(checkpoint.consistent());
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   MGGCN_CHECK_MSG(os.is_open(), "cannot open for writing: " + path);
 
@@ -62,8 +78,6 @@ void save_checkpoint(const Checkpoint& checkpoint, const std::string& path) {
   write_pod(os, static_cast<std::uint32_t>(checkpoint.num_layers()));
   for (std::size_t l = 0; l < checkpoint.num_layers(); ++l) {
     const auto& w = checkpoint.weights[l];
-    MGGCN_CHECK(checkpoint.adam_m[l].rows() == w.rows() &&
-                checkpoint.adam_v[l].cols() == w.cols());
     write_pod(os, w.rows());
     write_pod(os, w.cols());
     write_matrix(os, w);

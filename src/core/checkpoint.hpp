@@ -23,6 +23,8 @@ struct Checkpoint {
   std::vector<dense::HostMatrix> adam_v;
 
   [[nodiscard]] std::size_t num_layers() const { return weights.size(); }
+  /// Whether there is one m and one v per layer, each of its W's shape.
+  [[nodiscard]] bool consistent() const;
 };
 
 void save_checkpoint(const Checkpoint& checkpoint, const std::string& path);

@@ -85,8 +85,7 @@ struct DistResult {
 inline sim::KernelCost scaled(sim::KernelCost cost, const DistIo& io) {
   cost.stream_bytes *= io.traffic_factor;
   cost.gather_bytes *= io.traffic_factor;
-  cost.launches = static_cast<int>(cost.launches * io.launch_multiplier + 0.5);
-  return cost;
+  return sim::scale_launches(cost, io.launch_multiplier);
 }
 
 class DistExecutor {

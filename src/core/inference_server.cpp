@@ -107,21 +107,12 @@ InferenceServer::InferenceServer(sim::Machine& machine, MgGcnTrainer& trainer,
           pool, device, static_cast<std::size_t>(options_.max_batch * d_store_),
           "SERVE_TMP");
     }
-    if (pool != nullptr) {
-      // Long-lived serving state: join any previous tenants' completion
-      // events at the stream level once, so every later serving task
-      // inherits the reuse edge.
-      const auto guard = [&](const mem::PooledBuffer& buf) {
-        for (const sim::Event& e : buf.ready()) {
-          if (!e.valid()) continue;
-          device.compute_stream().wait_event(e);
-          device.comm_stream().wait_event(e);
-        }
-      };
-      guard(rep.store_shard);
-      guard(rep.out);
-      guard(rep.tmp);
-    }
+    // Long-lived serving state: join any previous tenants' completion
+    // events at the stream level once, so every later serving task
+    // inherits the reuse edge.
+    mem::order_streams_after(device, rep.store_shard);
+    mem::order_streams_after(device, rep.out);
+    mem::order_streams_after(device, rep.tmp);
     if (real && store_.rows() > 0 && partition_.size(r) > 0) {
       dense::copy(store_.view().row(partition_.begin(r)),
                   rep.store_shard.span().data(),
@@ -199,13 +190,7 @@ void InferenceServer::build_caches() {
     auto& rep = replicas_[static_cast<std::size_t>(r)];
     rep.cache = FeatureCache(pool, device, d_store_, decision.capacity_rows,
                              decision.mode);
-    if (pool != nullptr) {
-      for (const sim::Event& e : rep.cache.lease().ready()) {
-        if (!e.valid()) continue;
-        device.compute_stream().wait_event(e);
-        device.comm_stream().wait_event(e);
-      }
-    }
+    mem::order_streams_after(device, rep.cache.lease());
     if (!rep.cache.enabled()) continue;
     any_enabled = true;
 
@@ -707,13 +692,7 @@ ServeStats InferenceServer::serve(std::span<const serve::Request> requests,
     replicas_[r].scratch = mem::acquire_or_alloc(
         pool, device, static_cast<std::size_t>(max_rows[r] * d_store_),
         "SERVE_GATHER");
-    if (pool != nullptr) {
-      for (const sim::Event& e : replicas_[r].scratch.ready()) {
-        if (!e.valid()) continue;
-        device.compute_stream().wait_event(e);
-        device.comm_stream().wait_event(e);
-      }
-    }
+    mem::order_streams_after(device, replicas_[r].scratch);
     replicas_[r].chain = sim::Event::signaled(base);
   }
   predictions_ =

@@ -5,11 +5,9 @@
 #include <deque>
 #include <utility>
 
-#include "core/gcn_kernels.hpp"
+#include "core/layer_ops.hpp"
 #include "core/trainer.hpp"
-#include "dense/kernels.hpp"
 #include "sim/cost_model.hpp"
-#include "sparse/spmm.hpp"
 #include "sparse/spmm_plan.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -212,21 +210,12 @@ SampledPipeline::SampledPipeline(sim::Machine& machine,
 
     // Persistent leases may reuse blocks with previous tenants still in
     // flight: order everything this engine enqueues after them.
-    if (pool != nullptr) {
-      auto guard = [&](const mem::PooledBuffer& buf) {
-        for (const sim::Event& e : buf.ready()) {
-          if (!e.valid()) continue;
-          device.compute_stream().wait_event(e);
-          device.comm_stream().wait_event(e);
-        }
-      };
-      guard(state->features);
-      for (const auto& b : state->weights) guard(b);
-      for (const auto& b : state->wgrad) guard(b);
-      for (const auto& b : state->adam_m) guard(b);
-      for (const auto& b : state->adam_v) guard(b);
-      guard(state->cache.lease());
-    }
+    mem::order_streams_after(device, state->features);
+    for (const auto& b : state->weights) mem::order_streams_after(device, b);
+    for (const auto& b : state->wgrad) mem::order_streams_after(device, b);
+    for (const auto& b : state->adam_m) mem::order_streams_after(device, b);
+    for (const auto& b : state->adam_v) mem::order_streams_after(device, b);
+    mem::order_streams_after(device, state->cache.lease());
 
     // Per-rank training shard: the rank's own vertices, or the global list
     // when a rank owns none (it still contributes a synchronized batch).
@@ -612,6 +601,19 @@ void SampledPipeline::enqueue_train(RoundState& round) {
     global_seeds += static_cast<std::int64_t>(batch.sub.layers.front().size());
   }
   const int step = ++adam_step_;
+  // Every train task of this round: stamped with the round, priced into the
+  // stage's seconds, and run in order on rank r's compute stream.
+  const auto enqueue = [&](int r, sim::TaskDesc task) {
+    sim::Device& device = machine_.device(r);
+    task.stage = round.index;
+    seconds += sim::CostModel::seconds(task.cost, device.profile());
+    return device.compute_stream().enqueue(std::move(task));
+  };
+  // Layer l's d_l x d_{l+1} matrix in a per-layer parameter list.
+  const auto param = [&](std::vector<mem::PooledBuffer>& buffers,
+                         std::size_t l) {
+    return Operand{&buffers[l].buffer(), dims_[l], dims_[l + 1]};
+  };
 
   // Per-rank compute chain; wgrad completion events feed the allreduces.
   std::vector<std::vector<sim::Event>> wgrad_ready(
@@ -620,16 +622,11 @@ void SampledPipeline::enqueue_train(RoundState& round) {
   for (int r = 0; r < P; ++r) {
     BatchState& batch = round.batches[static_cast<std::size_t>(r)];
     RankState& state = *ranks_[static_cast<std::size_t>(r)];
-    sim::Device& device = machine_.device(r);
-    sim::Stream& stream = device.compute_stream();
-    const auto price = [&](const sim::KernelCost& cost) {
-      seconds += sim::CostModel::seconds(cost, device.profile());
-    };
 
-    // Forward.
-    sim::DeviceBuffer* prev = &batch.gx.buffer();
-    std::int64_t prev_rows =
-        static_cast<std::int64_t>(batch.sub.layers.back().size());
+    // Forward: `in` is level l's input, the gathered features at level 0.
+    Operand in{&batch.gx.buffer(),
+               static_cast<std::int64_t>(batch.sub.layers.back().size()),
+               dims_.front()};
     for (int l = 0; l < layers; ++l) {
       const auto ll = static_cast<std::size_t>(l);
       const sparse::Csr& block =
@@ -646,121 +643,50 @@ void SampledPipeline::enqueue_train(RoundState& round) {
             static_cast<std::size_t>(block.rows() * dims_[ll + 1]), "SMB:h",
             sim::Fill::kNone);
       }
+      const Operand z{&batch.z[ll].buffer(), block.rows(), dims_[ll]};
+      const Operand h{&batch.h[ll].buffer(), block.rows(), dims_[ll + 1]};
 
-      sim::TaskDesc spmm;
-      spmm.label = "mb-spmm-f";
-      spmm.kind = sim::TaskKind::kSpMM;
-      spmm.stage = round.index;
-      spmm.cost = sparse::spmm_cost(block, dims_[ll]);
+      sim::TaskDesc spmm = spmm_task("mb-spmm-f", block, in, z);
       if (l == 0) spmm.waits.push_back(batch.extract_done);
       mem::append_ready(&spmm.waits, batch.z[ll]);  // first writer
-      spmm.reads.push_back(prev->access());
-      spmm.writes.push_back(batch.z[ll].access());
-      spmm.body = [&batch, &block, prev, prev_rows, ll, this] {
-        sparse::spmm(block,
-                     {prev->data(), prev_rows, dims_[ll]},
-                     {batch.z[ll].data(), block.rows(), dims_[ll]});
-      };
-      price(spmm.cost);
-      const sim::Event spmm_done = stream.enqueue(std::move(spmm));
+      const sim::Event spmm_done = enqueue(r, std::move(spmm));
       if (l == 0) {
         // The level-0 forward SpMM is the gather block's last consumer
         // (the scatter that wrote it is already ordered before).
         batch.gx.recycle(spmm_done);
       }
 
-      sim::TaskDesc gemm;
-      gemm.label = "mb-gemm-f";
-      gemm.kind = sim::TaskKind::kGeMM;
-      gemm.stage = round.index;
-      gemm.cost = dense::gemm_cost(block.rows(), dims_[ll + 1], dims_[ll]);
+      sim::TaskDesc gemm =
+          gemm_task("mb-gemm-f", z, param(state.weights, ll), h);
       mem::append_ready(&gemm.waits, batch.h[ll]);  // first writer
-      gemm.reads.push_back(batch.z[ll].access());
-      gemm.reads.push_back(state.weights[ll].access());
-      gemm.writes.push_back(batch.h[ll].access());
-      gemm.body = [&batch, &state, &block, ll, this] {
-        dense::gemm({batch.z[ll].data(), block.rows(), dims_[ll]},
-                    {state.weights[ll].data(), dims_[ll], dims_[ll + 1]},
-                    {batch.h[ll].data(), block.rows(), dims_[ll + 1]});
-      };
-      price(gemm.cost);
-      stream.enqueue(std::move(gemm));
-
-      if (l + 1 < layers) {
-        sim::TaskDesc relu;
-        relu.label = "mb-relu";
-        relu.kind = sim::TaskKind::kActivation;
-        relu.stage = round.index;
-        const std::int64_t count = block.rows() * dims_[ll + 1];
-        relu.cost = dense::elementwise_cost(count, 1, 1);
-        relu.reads.push_back(batch.h[ll].access());
-        relu.writes.push_back(batch.h[ll].access());
-        relu.body = [&batch, ll, count] {
-          dense::relu_forward(batch.h[ll].data(), batch.h[ll].data(), count);
-        };
-        price(relu.cost);
-        stream.enqueue(std::move(relu));
-      }
-
-      prev = &batch.h[ll].buffer();
-      prev_rows = block.rows();
+      enqueue(r, std::move(gemm));
+      if (l + 1 < layers) enqueue(r, relu_task("mb-relu", h));
+      in = h;
     }
 
-    // Fused loss + logits gradient, in place.
-    {
-      const auto seeds =
-          static_cast<std::int64_t>(batch.sub.layers.front().size());
-      const auto last = static_cast<std::size_t>(layers - 1);
-      sim::TaskDesc loss;
-      loss.label = "mb-loss";
-      loss.kind = sim::TaskKind::kLoss;
-      loss.stage = round.index;
-      loss.cost = loss_cost(seeds, dims_.back());
-      loss.reads.push_back(batch.h[last].access());
-      loss.writes.push_back(batch.h[last].access());
-      loss.body = [&batch, seeds, last, global_seeds, this] {
-        batch.loss = softmax_cross_entropy_inplace(
-            {batch.h[last].data(), seeds, dims_.back()}, batch.labels.data(),
-            nullptr, global_seeds);
-      };
-      price(loss.cost);
-      stream.enqueue(std::move(loss));
-    }
+    // Fused loss + logits gradient, in place in the seeds' logits.
+    enqueue(r, loss_task("mb-loss", in, batch.labels.data(), nullptr,
+                         global_seeds, &batch.loss));
 
     // Backward. `grad_lease` tracks which lease backs `grad` so it can be
     // handed back the moment its last reader is enqueued — together with
     // the per-level dz/dh recycling below, backward temporaries of
     // different levels share pool blocks (the footprint win the pool
     // exists for; a no-op chain when unpooled).
-    sim::DeviceBuffer* grad =
-        &batch.h[static_cast<std::size_t>(layers - 1)].buffer();
     mem::PooledBuffer* grad_lease =
         &batch.h[static_cast<std::size_t>(layers - 1)];
-    std::int64_t grad_rows =
-        static_cast<std::int64_t>(batch.sub.layers.front().size());
+    Operand grad = in;
     for (int l = layers - 1; l >= 0; --l) {
       const auto ll = static_cast<std::size_t>(l);
       const sparse::Csr& block =
           batch.sub.blocks[static_cast<std::size_t>(layers - 1 - l)];
 
-      sim::TaskDesc wgrad;
-      wgrad.label = "mb-wgrad";
-      wgrad.kind = sim::TaskKind::kGeMM;
-      wgrad.stage = round.index;
-      wgrad.cost = dense::gemm_cost(dims_[ll], dims_[ll + 1], block.rows());
-      wgrad.reads.push_back(batch.z[ll].access());
-      wgrad.reads.push_back(grad->access());
-      wgrad.writes.push_back(state.wgrad[ll].access());
-      wgrad.body = [&batch, &state, &block, grad, grad_rows, ll, this] {
-        dense::gemm_at_b({batch.z[ll].data(), block.rows(), dims_[ll]},
-                         {grad->data(), grad_rows, dims_[ll + 1]},
-                         {state.wgrad[ll].data(), dims_[ll], dims_[ll + 1]});
-      };
-      price(wgrad.cost);
-      wgrad_ready[static_cast<std::size_t>(r)][ll] =
-          stream.enqueue(std::move(wgrad));
+      sim::Event& wgrad_done = wgrad_ready[static_cast<std::size_t>(r)][ll];
+      wgrad_done = enqueue(r, gemm_at_b_task(
+          "mb-wgrad", {&batch.z[ll].buffer(), block.rows(), dims_[ll]}, grad,
+          param(state.wgrad, ll)));
       // The weight gradient is z's last reader.
-      batch.z[ll].recycle(wgrad_ready[static_cast<std::size_t>(r)][ll]);
+      batch.z[ll].recycle(wgrad_done);
 
       if (l > 0) {
         const sparse::Csr& block_t = batch.blocks_t[ll];
@@ -775,72 +701,36 @@ void SampledPipeline::enqueue_train(RoundState& round) {
               static_cast<std::size_t>(block_t.rows() * dims_[ll]), "SMB:dh",
               sim::Fill::kNone);
         }
+        const Operand dz{&batch.dz[ll].buffer(), block.rows(), dims_[ll]};
+        const Operand dh{&batch.dh[ll].buffer(), block_t.rows(), dims_[ll]};
 
-        sim::TaskDesc dz;
-        dz.label = "mb-dz";
-        dz.kind = sim::TaskKind::kGeMM;
-        dz.stage = round.index;
-        dz.cost = dense::gemm_cost(block.rows(), dims_[ll], dims_[ll + 1]);
-        mem::append_ready(&dz.waits, batch.dz[ll]);  // first writer
-        dz.reads.push_back(grad->access());
-        dz.reads.push_back(state.weights[ll].access());
-        dz.writes.push_back(batch.dz[ll].access());
-        dz.body = [&batch, &state, &block, grad, grad_rows, ll, this] {
-          dense::gemm_a_bt(
-              {grad->data(), grad_rows, dims_[ll + 1]},
-              {state.weights[ll].data(), dims_[ll], dims_[ll + 1]},
-              {batch.dz[ll].data(), block.rows(), dims_[ll]});
-        };
-        price(dz.cost);
-        const sim::Event dz_done = stream.enqueue(std::move(dz));
+        sim::TaskDesc dz_task =
+            gemm_a_bt_task("mb-dz", grad, param(state.weights, ll), dz);
+        mem::append_ready(&dz_task.waits, batch.dz[ll]);  // first writer
+        const sim::Event dz_done = enqueue(r, std::move(dz_task));
         // dz's GeMM is the incoming gradient's last reader (the wgrad read
         // precedes it on the same stream).
         grad_lease->recycle(dz_done);
 
-        sim::TaskDesc spmm;
-        spmm.label = "mb-spmm-b";
-        spmm.kind = sim::TaskKind::kSpMM;
-        spmm.stage = round.index;
-        spmm.cost = sparse::spmm_cost(block_t, dims_[ll]);
+        sim::TaskDesc spmm = spmm_task("mb-spmm-b", block_t, dz, dh);
         mem::append_ready(&spmm.waits, batch.dh[ll]);  // first writer
-        spmm.reads.push_back(batch.dz[ll].access());
-        spmm.writes.push_back(batch.dh[ll].access());
-        spmm.body = [&batch, &block, &block_t, ll, this] {
-          sparse::spmm(block_t,
-                       {batch.dz[ll].data(), block.rows(), dims_[ll]},
-                       {batch.dh[ll].data(), block_t.rows(), dims_[ll]});
-        };
-        price(spmm.cost);
-        const sim::Event spmm_done = stream.enqueue(std::move(spmm));
+        const sim::Event spmm_done = enqueue(r, std::move(spmm));
         // The backward SpMM is dz's only reader.
         batch.dz[ll].recycle(spmm_done);
 
         // Mask by this level's input activation (h[l-1], post-ReLU).
-        sim::TaskDesc mask;
-        mask.label = "mb-relu-b";
-        mask.kind = sim::TaskKind::kActivation;
-        mask.stage = round.index;
-        const std::int64_t count = block_t.rows() * dims_[ll];
-        mask.cost = dense::elementwise_cost(count, 2, 1);
-        mask.reads.push_back(batch.dh[ll].access());
-        mask.reads.push_back(batch.h[ll - 1].access());
-        mask.writes.push_back(batch.dh[ll].access());
-        mask.body = [&batch, ll, count] {
-          dense::relu_backward(batch.dh[ll].data(), batch.h[ll - 1].data(),
-                               batch.dh[ll].data(), count);
-        };
-        price(mask.cost);
-        const sim::Event mask_done = stream.enqueue(std::move(mask));
+        const sim::Event mask_done = enqueue(r, relu_mask_task(
+            "mb-relu-b", dh,
+            {&batch.h[ll - 1].buffer(), block_t.rows(), dims_[ll]}));
         // The mask is the last reader of the saved activation h[l-1].
         batch.h[ll - 1].recycle(mask_done);
 
-        grad = &batch.dh[ll].buffer();
+        grad = dh;
         grad_lease = &batch.dh[ll];
-        grad_rows = block_t.rows();
       } else {
         // Level 0 propagates no gradient further; the wgrad above was the
         // incoming gradient's last reader.
-        grad_lease->recycle(wgrad_ready[static_cast<std::size_t>(r)][ll]);
+        grad_lease->recycle(wgrad_done);
       }
     }
   }
@@ -866,34 +756,18 @@ void SampledPipeline::enqueue_train(RoundState& round) {
   // Adam (compute streams), each layer gated on its allreduce.
   for (int r = 0; r < P; ++r) {
     RankState& state = *ranks_[static_cast<std::size_t>(r)];
-    sim::Device& device = machine_.device(r);
     for (int l = layers - 1; l >= 0; --l) {
       const auto ll = static_cast<std::size_t>(l);
-      const std::int64_t count = dims_[ll] * dims_[ll + 1];
-      sim::TaskDesc adam;
-      adam.label = "mb-adam";
-      adam.kind = sim::TaskKind::kOptimizer;
-      adam.stage = round.index;
-      adam.cost = adam_cost(count);
+      sim::TaskDesc adam = adam_task(
+          "mb-adam", param(state.weights, ll), param(state.wgrad, ll),
+          param(state.adam_m, ll), param(state.adam_v, ll), step,
+          options_.learning_rate, options_.beta1, options_.beta2,
+          options_.epsilon);
       adam.waits.push_back(reduced[ll][static_cast<std::size_t>(r)]);
-      adam.reads.push_back(state.wgrad[ll].access());
-      adam.reads.push_back(state.weights[ll].access());
-      adam.reads.push_back(state.adam_m[ll].access());
-      adam.reads.push_back(state.adam_v[ll].access());
-      adam.writes.push_back(state.weights[ll].access());
-      adam.writes.push_back(state.adam_m[ll].access());
-      adam.writes.push_back(state.adam_v[ll].access());
-      adam.body = [&state, ll, count, step, this] {
-        adam_update(state.weights[ll].data(), state.wgrad[ll].data(),
-                    state.adam_m[ll].data(), state.adam_v[ll].data(), count,
-                    step, options_.learning_rate, options_.beta1,
-                    options_.beta2, options_.epsilon);
-      };
-      seconds += sim::CostModel::seconds(adam.cost, device.profile());
-      device.compute_stream().enqueue(std::move(adam));
+      enqueue(r, std::move(adam));
     }
     round.batches[static_cast<std::size_t>(r)].train_done =
-        device.compute_stream().record_event();
+        machine_.device(r).compute_stream().record_event();
   }
 
   stage_seconds_.train += seconds;

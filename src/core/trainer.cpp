@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
-#include "core/gcn_kernels.hpp"
+#include "core/layer_ops.hpp"
 #include "dense/kernels.hpp"
-#include "sparse/spmm.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
 
@@ -218,25 +217,16 @@ void MgGcnTrainer::allocate_buffers() {
     // everything this trainer will enqueue after them (the stream-level
     // equivalent of per-task ready() waits — these buffers live for the
     // whole trainer, so stream granularity costs nothing).
-    if (pool != nullptr) {
-      auto guard = [&](const mem::PooledBuffer& buf) {
-        for (const sim::Event& e : buf.ready()) {
-          if (!e.valid()) continue;
-          device.compute_stream().wait_event(e);
-          device.comm_stream().wait_event(e);
-        }
-      };
-      guard(rank.x);
-      for (const auto& b : rank.outputs) guard(b);
-      guard(rank.hw);
-      for (const auto& b : rank.ballast) guard(b);
-      guard(rank.bc1);
-      guard(rank.bc2);
-      for (const auto& b : rank.w) guard(b);
-      for (const auto& b : rank.w_grad) guard(b);
-      for (const auto& b : rank.adam_m) guard(b);
-      for (const auto& b : rank.adam_v) guard(b);
-    }
+    mem::order_streams_after(device, rank.x);
+    for (const auto& b : rank.outputs) mem::order_streams_after(device, b);
+    mem::order_streams_after(device, rank.hw);
+    for (const auto& b : rank.ballast) mem::order_streams_after(device, b);
+    mem::order_streams_after(device, rank.bc1);
+    mem::order_streams_after(device, rank.bc2);
+    for (const auto& b : rank.w) mem::order_streams_after(device, b);
+    for (const auto& b : rank.w_grad) mem::order_streams_after(device, b);
+    for (const auto& b : rank.adam_m) mem::order_streams_after(device, b);
+    for (const auto& b : rank.adam_v) mem::order_streams_after(device, b);
   }
 }
 
@@ -252,7 +242,6 @@ void MgGcnTrainer::upload_inputs(const graph::Dataset& dataset) {
   // Scatter permuted feature rows, labels, and masks to their owner ranks.
   for (int r = 0; r < p; ++r) {
     auto& rank = ranks_[static_cast<std::size_t>(r)];
-    const std::int64_t begin = partition_.begin(r);
     const std::int64_t n_r = partition_.size(r);
     rank.labels.assign(static_cast<std::size_t>(n_r), 0);
     rank.train_mask.assign(static_cast<std::size_t>(n_r), 0);
@@ -264,7 +253,6 @@ void MgGcnTrainer::upload_inputs(const graph::Dataset& dataset) {
                     static_cast<std::int64_t>(span.size()));
       }
     }
-    (void)begin;
   }
 
   if (!dataset.has_features()) return;
@@ -292,12 +280,6 @@ void MgGcnTrainer::upload_inputs(const graph::Dataset& dataset) {
   MGGCN_CHECK_MSG(total_train_ > 0, "dataset has no training vertices");
 }
 
-sim::KernelCost MgGcnTrainer::with_overhead(sim::KernelCost cost) const {
-  cost.launches = static_cast<int>(
-      cost.launches * config_.kernel_overhead_multiplier + 0.5);
-  return cost;
-}
-
 std::vector<sim::DeviceBuffer*> MgGcnTrainer::buffers_of(
     mem::PooledBuffer RankState::* member) {
   std::vector<sim::DeviceBuffer*> out;
@@ -306,9 +288,10 @@ std::vector<sim::DeviceBuffer*> MgGcnTrainer::buffers_of(
   return out;
 }
 
-DistIo MgGcnTrainer::dist_io(std::vector<sim::DeviceBuffer*> input,
-                             std::vector<sim::DeviceBuffer*> output,
-                             std::int64_t d, std::vector<sim::Event> ready) {
+std::vector<sim::Event> MgGcnTrainer::run_product(
+    Planner& planner, std::vector<sim::DeviceBuffer*> input,
+    std::vector<sim::DeviceBuffer*> output, std::int64_t d,
+    std::vector<sim::Event> ready) {
   DistIo io;
   io.input = std::move(input);
   io.output = std::move(output);
@@ -321,7 +304,12 @@ DistIo MgGcnTrainer::dist_io(std::vector<sim::DeviceBuffer*> input,
   io.slot_readers = &bc_slot_readers_;
   io.traffic_factor = config_.spmm_traffic_factor;
   io.launch_multiplier = config_.kernel_overhead_multiplier;
-  return io;
+  DistResult result = planner.run(io);
+  for (int r = 0; r < machine_.num_devices(); ++r) {
+    machine_.device(r).compute_stream().wait_event(
+        result.input_released[static_cast<std::size_t>(r)]);
+  }
+  return std::move(result.done);
 }
 
 std::vector<sim::DeviceBuffer*> MgGcnTrainer::layer_buffers(int layer) {
@@ -341,93 +329,46 @@ void MgGcnTrainer::enqueue_forward(std::vector<sim::Event>* logits_ready) {
   std::vector<sim::Event> input_ready(np);  // invalid: already available
 
   for (int l = 0; l < num_layers(); ++l) {
-    const auto& plan = plan_[static_cast<std::size_t>(l)];
+    const auto ll = static_cast<std::size_t>(l);
+    const auto& plan = plan_[ll];
     std::vector<sim::DeviceBuffer*> layer_in =
         l == 0 ? buffers_of(&RankState::x) : layer_buffers(l - 1);
     std::vector<sim::DeviceBuffer*> layer_out = layer_buffers(l);
+    std::vector<sim::DeviceBuffer*> hw = buffers_of(&RankState::hw);
+
+    // The distributed SpMM runs on the narrower side of the GeMM (§4.4):
+    // HW = Â^T X_l then O_l = HW W_l, or HW = X_l W_l then O_l = Â^T HW.
+    // Every product's output is ordered with the compute streams
+    // (DistResult), so the GeMMs need no waits.
+    if (plan.spmm_first) {
+      run_product(*forward_planner_, layer_in, hw, plan.d_in,
+                  std::move(input_ready));
+    }
+    const auto& gemm_in = plan.spmm_first ? hw : layer_in;
+    const auto& gemm_out = plan.spmm_first ? layer_out : hw;
     std::vector<sim::Event> next_ready(np);
-
+    for (int r = 0; r < p; ++r) {
+      const auto rr = static_cast<std::size_t>(r);
+      const std::int64_t n_r = partition_.size(r);
+      next_ready[rr] = machine_.device(r).compute_stream().enqueue(gemm_task(
+          plan.spmm_first ? "gemm_out" : "gemm_hw",
+          {gemm_in[rr], n_r, plan.d_in},
+          {&ranks_[rr].w[ll].buffer(), plan.d_in, plan.d_out},
+          {gemm_out[rr], n_r, plan.d_out}, config_.kernel_overhead_multiplier));
+    }
     if (!plan.spmm_first) {
-      // GeMM (HW = X_l * W_l), then distributed SpMM into O_l.
-      std::vector<sim::Event> hw_ready(np);
-      for (int r = 0; r < p; ++r) {
-        const auto rr = static_cast<std::size_t>(r);
-        auto& rank = ranks_[rr];
-        const std::int64_t n_r = partition_.size(r);
-
-        sim::TaskDesc task;
-        task.label = "gemm_hw";
-        task.kind = sim::TaskKind::kGeMM;
-        task.cost = with_overhead(dense::gemm_cost(n_r, plan.d_out, plan.d_in));
-        task.reads.push_back(layer_in[rr]->access());
-        task.reads.push_back(rank.w[static_cast<std::size_t>(l)].access());
-        task.writes.push_back(rank.hw.access());
-        float* in = layer_in[rr]->data();
-        float* w = rank.w[static_cast<std::size_t>(l)].data();
-        float* hw = rank.hw.data();
-        task.body = [in, w, hw, n_r, plan] {
-          dense::gemm({in, n_r, plan.d_in}, {w, plan.d_in, plan.d_out},
-                      {hw, n_r, plan.d_out});
-        };
-        hw_ready[rr] =
-            machine_.device(r).compute_stream().enqueue(std::move(task));
-      }
-
-      DistResult result = forward_planner_->run(dist_io(
-          buffers_of(&RankState::hw), layer_out, plan.d_out, hw_ready));
-      for (int r = 0; r < p; ++r) {
-        machine_.device(r).compute_stream().wait_event(
-            result.input_released[static_cast<std::size_t>(r)]);
-      }
-      next_ready = result.done;
-    } else {
-      // Distributed SpMM on the narrow input (HW = Â^T X_l), then GeMM.
-      DistResult result = forward_planner_->run(dist_io(
-          layer_in, buffers_of(&RankState::hw), plan.d_in, input_ready));
-      for (int r = 0; r < p; ++r) {
-        machine_.device(r).compute_stream().wait_event(
-            result.input_released[static_cast<std::size_t>(r)]);
-      }
-
-      for (int r = 0; r < p; ++r) {
-        const auto rr = static_cast<std::size_t>(r);
-        auto& rank = ranks_[rr];
-        const std::int64_t n_r = partition_.size(r);
-
-        sim::TaskDesc task;
-        task.label = "gemm_out";
-        task.kind = sim::TaskKind::kGeMM;
-        task.cost = with_overhead(dense::gemm_cost(n_r, plan.d_out, plan.d_in));
-        task.reads.push_back(rank.hw.access());
-        task.reads.push_back(rank.w[static_cast<std::size_t>(l)].access());
-        task.writes.push_back(layer_out[rr]->access());
-        float* hw = rank.hw.data();
-        float* w = rank.w[static_cast<std::size_t>(l)].data();
-        float* out = layer_out[rr]->data();
-        task.body = [hw, w, out, n_r, plan] {
-          dense::gemm({hw, n_r, plan.d_in}, {w, plan.d_in, plan.d_out},
-                      {out, n_r, plan.d_out});
-        };
-        next_ready[rr] =
-            machine_.device(r).compute_stream().enqueue(std::move(task));
-      }
+      next_ready = run_product(*forward_planner_, hw, layer_out, plan.d_out,
+                               std::move(next_ready));
     }
 
     if (plan.has_relu) {
       for (int r = 0; r < p; ++r) {
-        const auto rr = static_cast<std::size_t>(r);
-        const std::int64_t count = partition_.size(r) * plan.d_out;
-
-        sim::TaskDesc task;
-        task.label = "relu";
-        task.kind = sim::TaskKind::kActivation;
-        task.cost = with_overhead(dense::elementwise_cost(count, 1, 1));
-        task.reads.push_back(layer_out[rr]->access());
-        task.writes.push_back(layer_out[rr]->access());
-        float* out = layer_out[rr]->data();
-        task.body = [out, count] { dense::relu_forward(out, out, count); };
-        next_ready[rr] =
-            machine_.device(r).compute_stream().enqueue(std::move(task));
+        next_ready[static_cast<std::size_t>(r)] =
+            machine_.device(r).compute_stream().enqueue(relu_task(
+                "relu",
+                {layer_out[static_cast<std::size_t>(r)], partition_.size(r),
+                 plan.d_out},
+                config_.kernel_overhead_multiplier));
       }
     }
     input_ready = std::move(next_ready);
@@ -439,31 +380,18 @@ void MgGcnTrainer::enqueue_forward(std::vector<sim::Event>* logits_ready) {
 std::vector<sim::Event> MgGcnTrainer::enqueue_loss(
     const std::vector<sim::Event>& ready) {
   const int p = machine_.num_devices();
-  const std::int64_t classes = dims_.back();
   std::vector<sim::Event> events(static_cast<std::size_t>(p));
 
   for (int r = 0; r < p; ++r) {
     const auto rr = static_cast<std::size_t>(r);
     auto& rank = ranks_[rr];
-    const std::int64_t n_r = partition_.size(r);
-
-    sim::TaskDesc task;
-    task.label = "softmax_xent";
-    task.kind = sim::TaskKind::kLoss;
-    task.cost = with_overhead(loss_cost(n_r, classes));
+    sim::TaskDesc task = loss_task(
+        "softmax_xent",
+        {&rank.outputs.back().buffer(), partition_.size(r), dims_.back()},
+        rank.labels.data(), rank.train_mask.data(),
+        std::max<std::int64_t>(total_train_, 1), &rank_loss_[rr],
+        config_.kernel_overhead_multiplier);
     if (!ready.empty() && ready[rr].valid()) task.waits.push_back(ready[rr]);
-    task.reads.push_back(rank.outputs.back().access());
-    task.writes.push_back(rank.outputs.back().access());
-
-    float* logits = rank.outputs.back().data();
-    const std::int32_t* labels = rank.labels.data();
-    const std::uint8_t* mask = rank.train_mask.data();
-    const std::int64_t total_train = std::max<std::int64_t>(total_train_, 1);
-    LossResult* slot = &rank_loss_[rr];
-    task.body = [logits, labels, mask, n_r, classes, total_train, slot] {
-      *slot = softmax_cross_entropy_inplace({logits, n_r, classes}, labels,
-                                            mask, total_train);
-    };
     events[rr] = machine_.device(r).compute_stream().enqueue(std::move(task));
   }
   return events;
@@ -473,6 +401,7 @@ void MgGcnTrainer::enqueue_backward(std::vector<sim::Event> grad_ready) {
   const int p = machine_.num_devices();
   const auto np = static_cast<std::size_t>(p);
   const int layers = num_layers();
+  const double launches = config_.kernel_overhead_multiplier;
 
   // Deferred Adam steps: (layer, per-rank allreduce events). The paper
   // reduces W gradients "at the end of every epoch" so the reductions
@@ -480,7 +409,8 @@ void MgGcnTrainer::enqueue_backward(std::vector<sim::Event> grad_ready) {
   std::vector<std::pair<int, std::vector<sim::Event>>> pending_adam;
 
   for (int l = layers - 1; l >= 0; --l) {
-    const auto& plan = plan_[static_cast<std::size_t>(l)];
+    const auto ll = static_cast<std::size_t>(l);
+    const auto& plan = plan_[ll];
     // Gradient carousel (§4.2, eq. (21)): the gradient w.r.t. O_l lives in
     // O_l itself — the loss writes it there for the top layer, and each
     // layer's fused masked H_G GeMM writes it there for the layer below.
@@ -490,44 +420,25 @@ void MgGcnTrainer::enqueue_backward(std::vector<sim::Event> grad_ready) {
 
     // (1) Backward SpMM Z = Â * G' (eq. (9)) into the shared HW buffer —
     // or §4.4's first-layer skip: use G' directly.
-    std::vector<sim::DeviceBuffer*> z_buf;
+    std::vector<sim::DeviceBuffer*> z_buf = grad_buf;
     if (!plan.skip_backward_spmm) {
-      DistResult result = backward_planner_->run(dist_io(
-          grad_buf, buffers_of(&RankState::hw), plan.d_out, grad_ready));
-      for (int r = 0; r < p; ++r) {
-        machine_.device(r).compute_stream().wait_event(
-            result.input_released[static_cast<std::size_t>(r)]);
-      }
       z_buf = buffers_of(&RankState::hw);
-      grad_ready = result.done;
-    } else {
-      z_buf = grad_buf;
+      grad_ready = run_product(*backward_planner_, grad_buf, z_buf,
+                               plan.d_out, std::move(grad_ready));
     }
 
     // (2) Weight gradient W_G = X_l^T Z (eq. (10)), local partial.
     std::vector<sim::Event> wg_partial(np);
     for (int r = 0; r < p; ++r) {
       const auto rr = static_cast<std::size_t>(r);
-      auto& rank = ranks_[rr];
       const std::int64_t n_r = partition_.size(r);
-
-      sim::TaskDesc task;
-      task.label = "gemm_wgrad";
-      task.kind = sim::TaskKind::kGeMM;
-      task.cost = with_overhead(dense::gemm_cost(plan.d_in, plan.d_out, n_r));
+      sim::TaskDesc task = gemm_at_b_task(
+          "gemm_wgrad", {layer_in[rr], n_r, plan.d_in},
+          {z_buf[rr], n_r, plan.d_out},
+          {&ranks_[rr].w_grad[ll].buffer(), plan.d_in, plan.d_out}, launches);
       if (plan.skip_backward_spmm && grad_ready[rr].valid()) {
         task.waits.push_back(grad_ready[rr]);
       }
-      task.reads.push_back(layer_in[rr]->access());
-      task.reads.push_back(z_buf[rr]->access());
-      task.writes.push_back(rank.w_grad[static_cast<std::size_t>(l)].access());
-      const float* x = layer_in[rr]->data();
-      const float* z = z_buf[rr]->data();
-      float* wg = rank.w_grad[static_cast<std::size_t>(l)].data();
-      task.body = [x, z, wg, n_r, plan] {
-        dense::gemm_at_b({x, n_r, plan.d_in}, {z, n_r, plan.d_out},
-                         {wg, plan.d_in, plan.d_out});
-      };
       wg_partial[rr] =
           machine_.device(r).compute_stream().enqueue(std::move(task));
     }
@@ -536,7 +447,7 @@ void MgGcnTrainer::enqueue_backward(std::vector<sim::Event> grad_ready) {
     std::vector<comm::RankPart> parts(np);
     for (int r = 0; r < p; ++r) {
       const auto rr = static_cast<std::size_t>(r);
-      parts[rr].buffer = &ranks_[rr].w_grad[static_cast<std::size_t>(l)].buffer();
+      parts[rr].buffer = &ranks_[rr].w_grad[ll].buffer();
       parts[rr].waits.push_back(wg_partial[rr]);
     }
     std::vector<sim::Event> reduced = comm_->allreduce_sum(
@@ -553,30 +464,12 @@ void MgGcnTrainer::enqueue_backward(std::vector<sim::Event> grad_ready) {
       std::vector<sim::Event> next_grad(np);
       for (int r = 0; r < p; ++r) {
         const auto rr = static_cast<std::size_t>(r);
-        auto& rank = ranks_[rr];
         const std::int64_t n_r = partition_.size(r);
-
-        sim::TaskDesc task;
-        task.label = "gemm_hgrad_masked";
-        task.kind = sim::TaskKind::kGeMM;
-        task.cost = with_overhead(dense::gemm_cost(n_r, plan.d_in, plan.d_out));
-        task.cost += dense::elementwise_cost(n_r * plan.d_in, 1, 0);
-        task.reads.push_back(z_buf[rr]->access());
-        task.reads.push_back(rank.w[static_cast<std::size_t>(l)].access());
-        // In-place hand-off (eq. (21)): O_{l-1} is both the activation read
-        // by the ReLU mask and the gradient written.
-        task.reads.push_back(layer_in[rr]->access());
-        task.writes.push_back(layer_in[rr]->access());
-        const float* z = z_buf[rr]->data();
-        const float* w = rank.w[static_cast<std::size_t>(l)].data();
-        float* out = layer_in[rr]->data();  // O_{l-1}: activation -> gradient
-        task.body = [z, w, out, n_r, plan] {
-          dense::gemm_a_bt_relu_masked({z, n_r, plan.d_out},
-                                       {w, plan.d_in, plan.d_out},
-                                       {out, n_r, plan.d_in});
-        };
         next_grad[rr] =
-            machine_.device(r).compute_stream().enqueue(std::move(task));
+            machine_.device(r).compute_stream().enqueue(gemm_a_bt_masked_task(
+                "gemm_hgrad_masked", {z_buf[rr], n_r, plan.d_out},
+                {&ranks_[rr].w[ll].buffer(), plan.d_in, plan.d_out},
+                {layer_in[rr], n_r, plan.d_in}, launches));
       }
       grad_ready = std::move(next_grad);
     }
@@ -585,34 +478,19 @@ void MgGcnTrainer::enqueue_backward(std::vector<sim::Event> grad_ready) {
   // (6) Adam steps — one per layer per rank, gated on the allreduce.
   ++adam_step_;
   for (auto& [l, reduced] : pending_adam) {
-    const auto& plan = plan_[static_cast<std::size_t>(l)];
-    const std::int64_t count = plan.d_in * plan.d_out;
+    const auto ll = static_cast<std::size_t>(l);
+    const auto& plan = plan_[ll];
     for (int r = 0; r < p; ++r) {
       const auto rr = static_cast<std::size_t>(r);
       auto& rank = ranks_[rr];
-
-      sim::TaskDesc task;
-      task.label = "adam";
-      task.kind = sim::TaskKind::kOptimizer;
-      task.cost = with_overhead(adam_cost(count));
-      task.waits.push_back(reduced[rr]);
-      task.reads.push_back(rank.w_grad[static_cast<std::size_t>(l)].access());
-      for (auto* buf : {&rank.w[static_cast<std::size_t>(l)],
-                        &rank.adam_m[static_cast<std::size_t>(l)],
-                        &rank.adam_v[static_cast<std::size_t>(l)]}) {
-        task.reads.push_back(buf->access());
-        task.writes.push_back(buf->access());
-      }
-      float* w = rank.w[static_cast<std::size_t>(l)].data();
-      const float* g = rank.w_grad[static_cast<std::size_t>(l)].data();
-      float* m = rank.adam_m[static_cast<std::size_t>(l)].data();
-      float* v = rank.adam_v[static_cast<std::size_t>(l)].data();
-      const int step = adam_step_;
-      const TrainConfig cfg = config_;
-      task.body = [w, g, m, v, count, step, cfg] {
-        adam_update(w, g, m, v, count, step, cfg.learning_rate, cfg.beta1,
-                    cfg.beta2, cfg.epsilon);
+      const auto param = [&](std::vector<mem::PooledBuffer>& buffers) {
+        return Operand{&buffers[ll].buffer(), plan.d_in, plan.d_out};
       };
+      sim::TaskDesc task = adam_task(
+          "adam", param(rank.w), param(rank.w_grad), param(rank.adam_m),
+          param(rank.adam_v), adam_step_, config_.learning_rate,
+          config_.beta1, config_.beta2, config_.epsilon, launches);
+      task.waits.push_back(reduced[rr]);
       machine_.device(r).compute_stream().enqueue(std::move(task));
     }
   }
@@ -733,6 +611,13 @@ Checkpoint MgGcnTrainer::checkpoint() {
 void MgGcnTrainer::restore(const Checkpoint& snapshot) {
   MGGCN_CHECK_MSG(static_cast<int>(snapshot.num_layers()) == num_layers(),
                   "checkpoint layer count mismatch");
+  MGGCN_CHECK_MSG(snapshot.consistent(), "checkpoint moments mismatch W");
+  for (int l = 0; l < num_layers(); ++l) {
+    const auto ll = static_cast<std::size_t>(l);
+    MGGCN_CHECK_MSG(snapshot.weights[ll].rows() == plan_[ll].d_in &&
+                        snapshot.weights[ll].cols() == plan_[ll].d_out,
+                    "checkpoint shape mismatch");
+  }
   machine_.synchronize();
   adam_step_ = snapshot.adam_step;
   // One Adam step per epoch, so the snapshot's step count is also the
@@ -742,10 +627,6 @@ void MgGcnTrainer::restore(const Checkpoint& snapshot) {
   for (auto& rank : ranks_) {
     for (int l = 0; l < num_layers(); ++l) {
       const auto ll = static_cast<std::size_t>(l);
-      const auto& plan = plan_[ll];
-      MGGCN_CHECK_MSG(snapshot.weights[ll].rows() == plan.d_in &&
-                          snapshot.weights[ll].cols() == plan.d_out,
-                      "checkpoint shape mismatch");
       auto push = [&](const dense::HostMatrix& m, mem::PooledBuffer& buffer) {
         auto span = buffer.span();
         MGGCN_CHECK_MSG(!span.empty(), "restore requires real mode");

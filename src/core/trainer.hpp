@@ -165,18 +165,20 @@ class MgGcnTrainer {
   std::vector<sim::Event> enqueue_loss(const std::vector<sim::Event>& ready);
   void enqueue_backward(std::vector<sim::Event> grad_ready);
 
-  [[nodiscard]] sim::KernelCost with_overhead(sim::KernelCost cost) const;
-
   [[nodiscard]] std::vector<sim::DeviceBuffer*> buffers_of(
       mem::PooledBuffer RankState::* member);
   [[nodiscard]] std::vector<sim::DeviceBuffer*> layer_buffers(int layer);
-  /// One distributed product's inputs: `input` -> `output` at width `d`,
-  /// the input readable once `ready` fires; the broadcast buffers, their
-  /// hazard state, the overlap setting and the baseline-emulation knobs
-  /// are the trainer's.
-  [[nodiscard]] DistIo dist_io(std::vector<sim::DeviceBuffer*> input,
-                               std::vector<sim::DeviceBuffer*> output,
-                               std::int64_t d, std::vector<sim::Event> ready);
+  /// Runs one distributed product through `planner`: `input` -> `output`
+  /// at width `d`, the input readable once `ready` fires; the broadcast
+  /// buffers, their hazard state, the overlap setting and the
+  /// baseline-emulation knobs are the trainer's. Each rank's compute stream
+  /// then waits for the release of its input block; returns the per-rank
+  /// completion of the output.
+  std::vector<sim::Event> run_product(Planner& planner,
+                                      std::vector<sim::DeviceBuffer*> input,
+                                      std::vector<sim::DeviceBuffer*> output,
+                                      std::int64_t d,
+                                      std::vector<sim::Event> ready);
 
   sim::Machine& machine_;
   TrainConfig config_;

@@ -513,4 +513,12 @@ void append_ready(std::vector<sim::Event>* waits, const PooledBuffer& lease) {
   }
 }
 
+void order_streams_after(sim::Device& device, const PooledBuffer& lease) {
+  for (const sim::Event& e : lease.ready()) {
+    if (!e.valid()) continue;
+    device.compute_stream().wait_event(e);
+    device.comm_stream().wait_event(e);
+  }
+}
+
 }  // namespace mggcn::mem

@@ -254,4 +254,10 @@ class PoolSet {
 /// on the first task that touches a freshly acquired lease.
 void append_ready(std::vector<sim::Event>* waits, const PooledBuffer& lease);
 
+/// Makes every task later enqueued on `device`'s compute and comm streams
+/// wait for `lease.ready()` (compute stream first, per event) — the
+/// stream-level form of append_ready, for leases held for an engine's whole
+/// life. A no-op for fresh blocks and owning leases.
+void order_streams_after(sim::Device& device, const PooledBuffer& lease);
+
 }  // namespace mggcn::mem

@@ -48,6 +48,15 @@ struct KernelCost {
   }
 };
 
+/// `cost` with its launch count times `multiplier`, rounded to the nearest
+/// count: how a baseline's per-op dispatch overhead is charged (an eager
+/// framework pays several launches where MG-GCN pays one).
+[[nodiscard]] inline KernelCost scale_launches(KernelCost cost,
+                                               double multiplier) {
+  cost.launches = static_cast<int>(cost.launches * multiplier + 0.5);
+  return cost;
+}
+
 class CostModel {
  public:
   /// Residual miss cost for gathers that hit L2 (L2 is fast, not free).

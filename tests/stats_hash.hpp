@@ -1,15 +1,19 @@
-// FNV-1a over the bit patterns of values, for the *ArePinned tests, and
-// over every core::EpochStats field for the EpochStatsArePinned tests,
-// which pin the whole per-epoch stats record (timings, busy split,
+// FNV-1a over the bit patterns of values, for the *ArePinned tests; over
+// every core::EpochStats field for the EpochStatsArePinned tests, which pin
+// the whole per-epoch stats record (timings, busy split,
 // comm/plan/pipeline/cache/pool counters, partition quality, loss bits) of
-// the two training engines.
+// the two training engines; and over a trace's per-stream timeline for the
+// EpochTimelineIsPinned tests, which pin where every task sits.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <tuple>
 #include <vector>
 
 #include "core/metrics.hpp"
+#include "sim/trace.hpp"
 
 namespace mggcn::testing {
 
@@ -74,6 +78,30 @@ inline std::uint64_t hash_epoch_stats(
     h.mix(s.part_inter_node_ghost_rows);
     h.mix(s.part_avg_ghost_density);
     h.mix(s.part_imbalance);
+  }
+  return h.value();
+}
+
+/// Every record in per-stream timeline order (device, stream, simulated
+/// begin and end, then kind, stage and label, so ties do not depend on the
+/// order workers appended them), with its label, kind, stage and simulated
+/// begin/end bits.
+inline std::uint64_t hash_timeline(std::vector<sim::TraceRecord> records) {
+  std::ranges::sort(records, [](const auto& x, const auto& y) {
+    return std::tie(x.device, x.stream, x.t_begin, x.t_end, x.kind, x.stage,
+                    x.label) < std::tie(y.device, y.stream, y.t_begin,
+                                        y.t_end, y.kind, y.stage, y.label);
+  });
+  Fnv1a h;
+  for (const sim::TraceRecord& rec : records) {
+    h.mix(rec.device);
+    h.mix(rec.stream);
+    h.mix(rec.kind);
+    h.mix(rec.stage);
+    h.mix(rec.t_begin);
+    h.mix(rec.t_end);
+    h.mix(rec.label.size());
+    for (const char c : rec.label) h.mix(c);
   }
   return h.value();
 }

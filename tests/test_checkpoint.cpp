@@ -219,6 +219,42 @@ TEST(Checkpoint, RestoreRejectsMismatchedShape) {
   wrong.adam_m.emplace_back(3, 3);
   wrong.adam_v.emplace_back(3, 3);
   EXPECT_THROW(trainer.restore(wrong), InvalidArgumentError);
+
+  // Right weights, wrong moments. The trainer's layers are 18 x 12 and
+  // 12 x 4: a transposed m has W's element count but not its shape, a
+  // taller v would be copied past the end of its device buffer, and a
+  // missing v entry would be read past the end of the list.
+  const Checkpoint good = trainer.checkpoint();
+  Checkpoint m_transposed = good;
+  m_transposed.adam_m[0] = dense::HostMatrix(12, 18);
+  EXPECT_THROW(trainer.restore(m_transposed), InvalidArgumentError);
+  Checkpoint v_taller = good;
+  v_taller.adam_v[1] = dense::HostMatrix(13, 4);
+  EXPECT_THROW(trainer.restore(v_taller), InvalidArgumentError);
+  Checkpoint v_missing = good;
+  v_missing.adam_v.pop_back();
+  EXPECT_THROW(trainer.restore(v_missing), InvalidArgumentError);
+  trainer.restore(good);
+}
+
+TEST(Checkpoint, SaveRejectsMismatchedShape) {
+  // Every moment matrix must have its layer's full W shape and count: the
+  // file stores one shape per layer, so a mis-shaped m or v would be read
+  // back at W's shape.
+  const auto layer = [](std::int64_t m_cols, std::int64_t v_rows) {
+    Checkpoint c;
+    c.weights.emplace_back(4, 6);
+    c.adam_m.emplace_back(4, m_cols);
+    c.adam_v.emplace_back(v_rows, 6);
+    return c;
+  };
+  const std::string path = temp_path("mggcn_test_ckpt_shape.bin");
+  EXPECT_THROW(save_checkpoint(layer(5, 4), path), InvalidArgumentError);
+  EXPECT_THROW(save_checkpoint(layer(6, 3), path), InvalidArgumentError);
+  Checkpoint v_missing = layer(6, 4);
+  v_missing.adam_v.clear();
+  EXPECT_THROW(save_checkpoint(v_missing, path), InvalidArgumentError);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -40,6 +41,13 @@ SampledPipeline::Options small_options() {
   options.seed = 3;
   options.cache_mode = CacheMode::kFreq;
   options.cache_capacity_fraction = 0.1;
+  return options;
+}
+
+SampledPipeline::Options three_layer_options() {
+  SampledPipeline::Options options = small_options();
+  options.hidden_dims = {16, 8};
+  options.fanout = {6, 6, 6};
   return options;
 }
 
@@ -114,18 +122,45 @@ TEST(SampledPipeline, EpochStatsArePinned) {
   // LossBitsArePinned pins the numerics only. FNV-1a over the bits of every
   // EpochStats field of three epochs also pins the accounting: the cache
   // and per-stage counters, the comm deltas, the busy split and the pool
-  // high-water marks, statically allocated and pooled.
+  // high-water marks, statically allocated and pooled. The 3-layer model
+  // has a middle level that both takes and hands on a masked gradient.
   const util::Knob<dense::KernelPolicy>::Scoped kernels(
       dense::kernel_policy_knob, dense::KernelPolicy::kPlanned);
   const graph::Dataset ds = sampled_dataset();
-  for (const auto& [mode, expected] :
-       {std::pair{mem::PoolMode::kOff, 0xf3697d658287f518ULL},
-        std::pair{mem::PoolMode::kOn, 0xa39af7120aa705c5ULL}}) {
-    SampledPipeline::Options options = small_options();
+  for (const auto& [layers, mode, expected] :
+       {std::tuple{2, mem::PoolMode::kOff, 0xf3697d658287f518ULL},
+        std::tuple{2, mem::PoolMode::kOn, 0xa39af7120aa705c5ULL},
+        std::tuple{3, mem::PoolMode::kOff, 0x0efdd80358b57579ULL},
+        std::tuple{3, mem::PoolMode::kOn, 0x499b5587683e4ef3ULL}}) {
+    SampledPipeline::Options options =
+        layers == 3 ? three_layer_options() : small_options();
     options.pool_mode = mode;
     sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kReal);
     SampledPipeline pipeline(machine, ds, options);
     const std::uint64_t hash = testing::hash_epoch_stats(pipeline.train(3));
+    EXPECT_EQ(hash, expected) << layers << " layers, "
+                              << mem::pool_mode_name(mode) << ": 0x"
+                              << std::hex << hash;
+  }
+}
+
+TEST(SampledPipeline, EpochTimelineIsPinned) {
+  // EpochStatsArePinned pins an epoch's totals; this pins where each of its
+  // tasks sits: the label, kind, round and simulated begin/end of every
+  // record of one epoch of the 3-layer model, per stream.
+  const util::Knob<dense::KernelPolicy>::Scoped kernels(
+      dense::kernel_policy_knob, dense::KernelPolicy::kPlanned);
+  const graph::Dataset ds = sampled_dataset();
+  for (const auto& [mode, expected] :
+       {std::pair{mem::PoolMode::kOff, 0xc40953cf50e0eae4ULL},
+        std::pair{mem::PoolMode::kOn, 0xc40953cf50e0eae4ULL}}) {
+    SampledPipeline::Options options = three_layer_options();
+    options.pool_mode = mode;
+    sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kReal);
+    SampledPipeline pipeline(machine, ds, options);
+    (void)pipeline.train_epoch();
+    const std::uint64_t hash =
+        testing::hash_timeline(machine.trace().records());
     EXPECT_EQ(hash, expected) << mem::pool_mode_name(mode) << ": 0x"
                               << std::hex << hash;
   }

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "core/reference.hpp"
 #include "core/trainer.hpp"
@@ -110,29 +112,69 @@ TEST(MgGcnTrainer, PhantomModeProducesTimings) {
   EXPECT_GT(stats.peak_memory_bytes, 0u);
 }
 
+/// A pinned trainer: its hidden widths, pool mode and expected hash, with
+/// every knob a CI axis flips fixed.
+struct PinCase {
+  std::vector<std::int64_t> hidden;
+  mem::PoolMode pool;
+  std::uint64_t expected;
+
+  [[nodiscard]] core::TrainConfig config() const {
+    core::TrainConfig config = small_config();
+    config.hidden_dims = hidden;
+    config.part_mode = core::PartMode::kRandom;
+    config.comm_mode = comm::CommMode::kAuto;
+    config.plan_mode = core::PlanMode::kAuto;
+    config.pool_mode = pool;
+    return config;
+  }
+};
+
 TEST(MgGcnTrainer, EpochStatsArePinned) {
   // The reference comparisons above check losses within a tolerance, so a
   // change that only moves the accounting (the busy split, the comm deltas,
   // the planner counters, the pool high-water marks) passes them. FNV-1a
   // over the bits of every EpochStats field of three epochs pins all of
   // it, statically allocated and pooled. Every knob the CI axes flip is
-  // pinned here, so the hash holds on each axis.
+  // pinned here, so the hash holds on each axis. The 3-layer model has a
+  // middle layer that both takes and hands on a masked gradient.
   const util::Knob<dense::KernelPolicy>::Scoped kernels(
       dense::kernel_policy_knob, dense::KernelPolicy::kPlanned);
   const graph::Dataset ds = small_dataset();
-  for (const auto& [mode, expected] :
-       {std::pair{mem::PoolMode::kOff, 0x3adf49815ab58e9dULL},
-        std::pair{mem::PoolMode::kOn, 0x6ac069a3320aaaabULL}}) {
-    core::TrainConfig config = small_config();
-    config.part_mode = core::PartMode::kRandom;
-    config.comm_mode = comm::CommMode::kAuto;
-    config.plan_mode = core::PlanMode::kAuto;
-    config.pool_mode = mode;
+  for (const PinCase& c :
+       {PinCase{{16}, mem::PoolMode::kOff, 0x3adf49815ab58e9dULL},
+        PinCase{{16}, mem::PoolMode::kOn, 0x6ac069a3320aaaabULL},
+        PinCase{{16, 8}, mem::PoolMode::kOff, 0x79566a83c37726feULL},
+        PinCase{{16, 8}, mem::PoolMode::kOn, 0xc69d0c78ebdcefbaULL}}) {
     sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kReal);
-    core::MgGcnTrainer trainer(machine, ds, config);
+    core::MgGcnTrainer trainer(machine, ds, c.config());
     const std::uint64_t hash = testing::hash_epoch_stats(trainer.train(3));
-    EXPECT_EQ(hash, expected) << mem::pool_mode_name(mode) << ": 0x"
-                              << std::hex << hash;
+    EXPECT_EQ(hash, c.expected)
+        << c.hidden.size() + 1 << " layers, " << mem::pool_mode_name(c.pool)
+        << ": 0x" << std::hex << hash;
+  }
+}
+
+TEST(MgGcnTrainer, EpochTimelineIsPinned) {
+  // EpochStatsArePinned pins an epoch's totals; this pins where each of its
+  // tasks sits: the label, kind and simulated begin/end of every record of
+  // one epoch, per stream. Hidden {40, 8} runs the first layer's SpMM
+  // before its GeMM (§4.4) and has a middle layer.
+  const util::Knob<dense::KernelPolicy>::Scoped kernels(
+      dense::kernel_policy_knob, dense::KernelPolicy::kPlanned);
+  const graph::Dataset ds = small_dataset();
+  for (const PinCase& c :
+       {PinCase{{16, 8}, mem::PoolMode::kOff, 0x866ad0ffc8a03daaULL},
+        PinCase{{16, 8}, mem::PoolMode::kOn, 0x866ad0ffc8a03daaULL},
+        PinCase{{40, 8}, mem::PoolMode::kOff, 0xe58b745dc9e4b7ceULL}}) {
+    sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kReal);
+    core::MgGcnTrainer trainer(machine, ds, c.config());
+    (void)trainer.train_epoch();
+    const std::uint64_t hash =
+        testing::hash_timeline(machine.trace().records());
+    EXPECT_EQ(hash, c.expected)
+        << "hidden " << c.hidden.front() << "," << c.hidden.back() << ", "
+        << mem::pool_mode_name(c.pool) << ": 0x" << std::hex << hash;
   }
 }
 
