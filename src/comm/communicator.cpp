@@ -83,14 +83,13 @@ double Communicator::resolve_faults(const char* label) {
 }
 
 std::vector<sim::Event> Communicator::launch(std::vector<RankPart> parts,
-                                             std::size_t count, int executor,
+                                             std::size_t count,
                                              double duration,
                                              const char* label,
                                              std::function<void()> action,
                                              StreamChoice stream, int stage) {
   MGGCN_CHECK_MSG(parts.size() == devices_.size(),
                   "collective needs one part per rank");
-  MGGCN_CHECK(executor >= 0 && executor < size());
 
   const double fault_penalty = resolve_faults(label);
   const double bandwidth_scale =
@@ -113,7 +112,6 @@ std::vector<sim::Event> Communicator::launch(std::vector<RankPart> parts,
     desc.reads = std::move(part.reads);
     desc.writes = std::move(part.writes);
     desc.collective = group;
-    desc.collective_executor = rank == executor;
     events.push_back(stream_of(rank, stream).enqueue(std::move(desc)));
   }
   (void)count;
@@ -135,8 +133,8 @@ std::vector<sim::Event> Communicator::broadcast(std::vector<RankPart> parts,
   }
   if (size() == 1) {
     // Degenerate collective: nothing moves, but callers still get events.
-    return launch(std::move(parts), count, 0, 0.0, "broadcast", nullptr,
-                  stream, stage);
+    return launch(std::move(parts), count, 0.0, "broadcast", nullptr, stream,
+                  stage);
   }
 
   const std::uint64_t bytes = count * sizeof(float);
@@ -159,7 +157,7 @@ std::vector<sim::Event> Communicator::broadcast(std::vector<RankPart> parts,
       }
     }
   };
-  return launch(std::move(parts), count, root, duration, "broadcast",
+  return launch(std::move(parts), count, duration, "broadcast",
                 std::move(action), stream, stage);
 }
 
@@ -271,7 +269,7 @@ std::vector<sim::Event> Communicator::sendv_rows(
     }
   }
   if (size() == 1) {
-    return launch(std::move(parts), 0, 0, 0.0, "sendv_rows", nullptr, stream,
+    return launch(std::move(parts), 0, 0.0, "sendv_rows", nullptr, stream,
                   stage);
   }
 
@@ -307,8 +305,7 @@ std::vector<sim::Event> Communicator::sendv_rows(
   return launch(std::move(parts),
                 static_cast<std::size_t>(total_rows) *
                     static_cast<std::size_t>(d),
-                root, duration, "sendv_rows", std::move(action), stream,
-                stage);
+                duration, "sendv_rows", std::move(action), stream, stage);
 }
 
 std::vector<sim::Event> Communicator::allreduce_sum(std::vector<RankPart> parts,
@@ -320,8 +317,7 @@ std::vector<sim::Event> Communicator::allreduce_sum(std::vector<RankPart> parts,
     if (size() > 1) part.writes.push_back(part.buffer->access());
   }
   if (size() == 1) {
-    return launch(std::move(parts), count, 0, 0.0, "allreduce", nullptr,
-                  stream);
+    return launch(std::move(parts), count, 0.0, "allreduce", nullptr, stream);
   }
 
   const std::uint64_t bytes = count * sizeof(float);
@@ -343,8 +339,8 @@ std::vector<sim::Event> Communicator::allreduce_sum(std::vector<RankPart> parts,
       std::memcpy(bufs[rank], bufs[0], count * sizeof(float));
     }
   };
-  return launch(std::move(parts), count, /*executor=*/0, duration,
-                "allreduce", std::move(action), stream);
+  return launch(std::move(parts), count, duration, "allreduce",
+                std::move(action), stream);
 }
 
 std::vector<sim::Event> Communicator::reduce_sum(std::vector<RankPart> parts,
@@ -359,7 +355,7 @@ std::vector<sim::Event> Communicator::reduce_sum(std::vector<RankPart> parts,
     }
   }
   if (size() == 1) {
-    return launch(std::move(parts), count, 0, 0.0, "reduce", nullptr, stream);
+    return launch(std::move(parts), count, 0.0, "reduce", nullptr, stream);
   }
 
   const std::uint64_t bytes = count * sizeof(float);
@@ -380,7 +376,7 @@ std::vector<sim::Event> Communicator::reduce_sum(std::vector<RankPart> parts,
       for (std::size_t i = 0; i < count; ++i) dst[i] += bufs[rank][i];
     }
   };
-  return launch(std::move(parts), count, root, duration, "reduce",
+  return launch(std::move(parts), count, duration, "reduce",
                 std::move(action), stream);
 }
 
@@ -396,8 +392,7 @@ std::vector<sim::Event> Communicator::allgather(
   std::size_t total = 0;
   for (const std::size_t c : counts) total += c;
   if (size() == 1) {
-    return launch(std::move(parts), total, 0, 0.0, "allgather", nullptr,
-                  stream);
+    return launch(std::move(parts), total, 0.0, "allgather", nullptr, stream);
   }
 
   const double duration =
@@ -424,13 +419,13 @@ std::vector<sim::Event> Communicator::allgather(
       std::memcpy(dst, image.data(), total * sizeof(float));
     }
   };
-  return launch(std::move(parts), total, /*executor=*/0, duration,
-                "allgather", std::move(action), stream);
+  return launch(std::move(parts), total, duration, "allgather",
+                std::move(action), stream);
 }
 
 std::vector<sim::Event> Communicator::barrier(StreamChoice stream) {
   std::vector<RankPart> parts(static_cast<std::size_t>(size()));
-  return launch(std::move(parts), 0, 0, topology_.base_latency(), "barrier",
+  return launch(std::move(parts), 0, topology_.base_latency(), "barrier",
                 nullptr, stream);
 }
 

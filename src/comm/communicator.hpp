@@ -2,10 +2,10 @@
 //
 // Semantics follow NCCL: every participating rank enqueues its part of the
 // collective onto one of its streams; a rank's part completes when the whole
-// collective does. Data movement is real (the designated executor rank
-// copies/reduces between the devices' buffers, which share the host address
-// space — the stand-in for NVLink peer access); duration comes from the
-// Topology model. Simulated start time is synchronized across ranks, so
+// collective does. Data movement is real (the last rank's part to become
+// ready copies/reduces between the devices' buffers, which share the host
+// address space — the stand-in for NVLink peer access); duration comes from
+// the Topology model. Simulated start time is synchronized across ranks, so
 // stragglers delay everyone — exactly the load-imbalance effect the paper's
 // Fig. 6 visualizes.
 #pragma once
@@ -173,15 +173,15 @@ class Communicator {
 
  private:
   std::vector<sim::Event> launch(std::vector<RankPart> parts,
-                                 std::size_t count, int executor,
-                                 double duration, const char* label,
+                                 std::size_t count, double duration,
+                                 const char* label,
                                  std::function<void()> action,
                                  StreamChoice stream, int stage = -1);
 
   /// Fault hook run before any rank part is enqueued: throws
   /// DeviceLostError if a participant is lost (pre-checked so a collective
-  /// is never left with a partial rendezvous group, which would deadlock
-  /// the arrived ranks), and converts the fault plan's injected transient
+  /// is never left with a partial join node, whose arrived parts would
+  /// never complete), and converts the fault plan's injected transient
   /// failures into a simulated retry/backoff delay — or CommError once the
   /// retry budget is exhausted.
   [[nodiscard]] double resolve_faults(const char* label);

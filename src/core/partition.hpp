@@ -77,7 +77,7 @@ struct TileGrid {
   /// copy (a deep copy's fresh tile storage rebuilds them on first use).
   /// plan(), build_plans() and claim_inspect_charge() must be called from
   /// one thread at a time — DistSpmm resolves plans on the enqueue thread,
-  /// never inside stream worker bodies.
+  /// never inside task bodies.
   [[nodiscard]] const sparse::SpmmPlan& plan(int i, int j) const;
   /// Whether plan(i, j) has already been built (i.e. whether the next
   /// plan(i, j) call is free).

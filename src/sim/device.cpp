@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <limits>
 #include <sstream>
 
+#include "sim/executor.hpp"
 #include "util/format.hpp"
-#include "util/knob.hpp"
 #include "util/logging.hpp"
 
 namespace mggcn::sim {
@@ -17,65 +16,37 @@ namespace {
 /// Monotonic identity source for DeviceBuffer (0 is "no buffer").
 std::atomic<std::uint64_t> next_buffer_id{1};
 
-/// splitmix64: tiny, high-quality, and deterministic — the fuzz delays
-/// must replay bit-identically for a given (seed, rank, stream).
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-/// MGGCN_SCHED_FUZZ=<seed> enables schedule fuzzing; a malformed seed
-/// throws. Read per Stream (not cached process-wide) so tests can flip the
-/// variable between machines.
-constinit const util::Knob<std::uint64_t> sched_fuzz_knob{
-    "MGGCN_SCHED_FUZZ", 0, 0, std::numeric_limits<std::uint64_t>::max(),
-    "an unsigned integer seed (decimal, 0x hex, or 0 octal)", /*base=*/0};
-
 }  // namespace
 
 // ---------------------------------------------------------------- Event --
 
 Event Event::signaled(double sim_time) {
   auto state = std::make_shared<Event::State>();
-  state->done = true;
   state->sim_time = sim_time;
+  state->done.store(true, std::memory_order_release);
   return Event(std::move(state));
 }
 
 double Event::wait() const {
   MGGCN_CHECK_MSG(state_ != nullptr, "waiting on a null event");
-  std::unique_lock lock(state_->mutex);
-  state_->cv.wait(lock, [&] { return state_->done; });
-  return state_->sim_time;
+  if (state_->done.load(std::memory_order_acquire)) return state_->sim_time;
+  return state_->executor->wait(*state_);
 }
 
 bool Event::is_complete() const {
   if (!state_) return false;
-  std::lock_guard lock(state_->mutex);
-  return state_->done;
+  if (state_->done.load(std::memory_order_acquire)) return true;
+  state_->executor->flush();
+  return state_->done.load(std::memory_order_acquire);
 }
 
 // --------------------------------------------------------------- Stream --
 
-Stream::Stream(Device& device, int id) : device_(device), id_(id) {
+Stream::Stream(Device& device, int id, Executor& executor)
+    : device_(device), id_(id), executor_(executor) {
   if (device_.hazard() != nullptr) {
     hb_slot_ = device_.hazard()->register_stream();
   }
-  if (const auto seed = sched_fuzz_knob.read_env()) {
-    fuzz_ = true;
-    // Distinct per-(rank, stream) delay sequences from one seed.
-    fuzz_state_ = *seed + 0x9e3779b97f4a7c15ULL *
-                             (static_cast<std::uint64_t>(device.rank()) * 2 +
-                              static_cast<std::uint64_t>(id) + 1);
-  }
-  worker_ = std::thread([this] { worker_loop(); });
-}
-
-Stream::~Stream() {
-  queue_.close();
-  if (worker_.joinable()) worker_.join();
 }
 
 Event Stream::enqueue(TaskDesc desc) {
@@ -85,14 +56,11 @@ Event Stream::enqueue(TaskDesc desc) {
        << desc.label << "'";
     throw DeviceLostError(os.str(), device_.rank());
   }
-  auto state = std::make_shared<Event::State>();
-  PendingTask pending{std::move(desc), state, {}};
+  HbClock enqueue_clock;
   if (device_.hazard() != nullptr) {
-    pending.enqueue_clock = device_.hazard()->host_clock();
+    enqueue_clock = device_.hazard()->host_clock();
   }
-  const bool accepted = queue_.push(std::move(pending));
-  MGGCN_CHECK_MSG(accepted, "enqueue on a destroyed stream");
-  return Event(state);
+  return executor_.submit(*this, std::move(desc), std::move(enqueue_clock));
 }
 
 Event Stream::record_event() {
@@ -116,153 +84,26 @@ void Stream::synchronize() {
   if (device_.hazard() != nullptr) {
     // The host has now observed everything this stream retired; later
     // enqueues (on any stream) are ordered after it via host program order.
-    HbClock clock;
-    {
-      std::lock_guard lock(event.state()->mutex);
-      clock = event.state()->hb_clock;
-    }
-    device_.hazard()->join_host_clock(clock);
+    device_.hazard()->join_host_clock(event.state()->hb_clock);
   }
 }
 
 double Stream::sim_time() const {
-  std::lock_guard lock(time_mutex_);
-  return sim_time_;
-}
-
-void Stream::worker_loop() {
-  while (true) {
-    if (fuzz_) {
-      // Deterministic seed-derived jitter before each dequeue: perturbs
-      // host-thread interleavings (what the hazard checker audits) without
-      // touching simulated time or numerics.
-      const std::uint64_t delay_us = splitmix64(fuzz_state_) % 181;
-      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-    }
-    auto task = queue_.pop();
-    if (!task) break;
-    run_task(*task);
-  }
-}
-
-void Stream::run_task(PendingTask& task) {
-  TaskDesc& desc = task.desc;
-  HazardChecker* const checker = device_.hazard();
-
-  // Happens-before: the task inherits this stream's program order (clock_),
-  // the host clock at enqueue time, and every awaited event's clock.
-  if (checker != nullptr) {
-    clock_join(clock_, task.enqueue_clock);
-  }
-
-  // Resolve dependencies: host-block until every awaited event is signaled,
-  // taking the max of their simulated timestamps.
-  double ready = sim_time();
-  for (const Event& event : desc.waits) {
-    ready = std::max(ready, event.wait());
-    if (checker != nullptr) {
-      std::lock_guard lock(event.state()->mutex);
-      clock_join(clock_, event.state()->hb_clock);
-    }
-  }
-
-  // Tick this stream's slot so the clock uniquely stamps the task.
-  if (checker != nullptr) {
-    if (clock_.size() <= static_cast<std::size_t>(hb_slot_)) {
-      clock_.resize(static_cast<std::size_t>(hb_slot_) + 1, 0);
-    }
-    ++clock_[static_cast<std::size_t>(hb_slot_)];
-  }
-
-  double t_begin = ready;
-  double t_end = ready;
-
-  if (desc.collective) {
-    CollectiveGroup& group = *desc.collective;
-    std::unique_lock lock(group.mutex);
-    // Every participant contributes its (ticked) clock before the
-    // rendezvous completes; joining the result back afterwards gives all
-    // parts one shared post-rendezvous stamp, so a collective orders all
-    // ranks' prior work before all ranks' subsequent work — including the
-    // parts' own declared accesses (the data movement happens inside the
-    // rendezvous).
-    if (checker != nullptr) clock_join(group.hb_join, clock_);
-    group.start_max = std::max(group.start_max, ready);
-    if (++group.arrived == group.nranks) {
-      group.cv.notify_all();
-    } else {
-      group.cv.wait(lock, [&] { return group.arrived == group.nranks; });
-    }
-    if (desc.collective_executor) {
-      if (group.action && device_.mode() == ExecutionMode::kReal) {
-        lock.unlock();
-        group.action();
-        lock.lock();
-      }
-      group.action_done = true;
-      group.cv.notify_all();
-    } else {
-      group.cv.wait(lock, [&] { return group.action_done; });
-    }
-    if (checker != nullptr) clock_join(clock_, group.hb_join);
-    t_begin = group.start_max;
-    t_end = t_begin + group.duration;
-  } else {
-    if (desc.body && device_.mode() == ExecutionMode::kReal) {
-      desc.body();
-    }
-    const bool has_cost = desc.cost.stream_bytes > 0.0 ||
-                          desc.cost.gather_bytes > 0.0 ||
-                          desc.cost.flops > 0.0;
-    const double duration =
-        has_cost || desc.traced
-            ? CostModel::seconds(desc.cost, device_.profile(),
-                                 desc.bandwidth_scale)
-            : 0.0;
-    t_end = t_begin + duration;
-  }
-
-  {
-    std::lock_guard lock(time_mutex_);
-    sim_time_ = t_end;
-  }
-
-  if (checker != nullptr && (!desc.reads.empty() || !desc.writes.empty())) {
-    checker->on_task(desc.label, clock_, desc.reads, desc.writes);
-  }
-
-  if (desc.traced && device_.trace() != nullptr) {
-    device_.trace()->record(TraceRecord{
-        .device = device_.rank(),
-        .stream = id_,
-        .kind = desc.collective ? TaskKind::kComm : desc.kind,
-        .label = desc.label,
-        .stage = desc.stage,
-        .t_begin = t_begin,
-        .t_end = t_end,
-    });
-  }
-
-  {
-    std::lock_guard lock(task.signal->mutex);
-    task.signal->done = true;
-    task.signal->sim_time = t_end;
-    if (checker != nullptr) task.signal->hb_clock = clock_;
-  }
-  task.signal->cv.notify_all();
+  return sim_time_.load(std::memory_order_relaxed);
 }
 
 // --------------------------------------------------------------- Device --
 
 Device::Device(int rank, DeviceProfile profile, ExecutionMode mode,
-               Trace* trace, HazardChecker* hazard)
+               Trace* trace, HazardChecker* hazard, Executor& executor)
     : rank_(rank),
       profile_(std::move(profile)),
       mode_(mode),
       trace_(trace),
       hazard_(hazard) {
-  streams_.push_back(std::make_unique<Stream>(*this, kComputeStream));
-  streams_.push_back(std::make_unique<Stream>(*this, kCommStream));
+  streams_.push_back(
+      std::make_unique<Stream>(*this, kComputeStream, executor));
+  streams_.push_back(std::make_unique<Stream>(*this, kCommStream, executor));
 }
 
 Device::~Device() = default;

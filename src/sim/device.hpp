@@ -2,38 +2,38 @@
 //
 // Programming model = CUDA's: a Device owns in-order Streams; work is
 // enqueued asynchronously; Events provide cross-stream and host
-// synchronization. Execution is real (each stream is a host worker thread
-// that runs the task bodies, so data hazards and ordering bugs are real
-// bugs), while *time* is simulated: every task carries a KernelCost and the
-// stream advances a simulated clock by the cost model's duration. Event
-// timestamps propagate simulated time through the dependency DAG, so the
-// resulting timeline is deterministic regardless of host thread scheduling.
+// synchronization. Execution is real (the machine's Executor runs the task
+// bodies on a pool of host threads, in dependency order, so data hazards
+// and ordering bugs are real bugs), while *time* is simulated: every task
+// carries a KernelCost and the stream advances a simulated clock by the
+// cost model's duration. Event timestamps propagate simulated time through
+// the dependency DAG, so the resulting timeline is deterministic regardless
+// of which host thread runs which task, or when.
 //
 // MG-GCN uses exactly two streams per device (§4.3): stream 0 for compute,
 // stream 1 for communication.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/cost_model.hpp"
 #include "sim/hazard.hpp"
 #include "sim/profile.hpp"
 #include "sim/trace.hpp"
-#include "util/blocking_queue.hpp"
 #include "util/error.hpp"
 
 namespace mggcn::sim {
 
 class Device;
+class Executor;
+struct PendingTask;
 
 /// Whether task bodies actually execute.
 enum class ExecutionMode {
@@ -42,17 +42,24 @@ enum class ExecutionMode {
 };
 
 /// A completion marker with a simulated timestamp. Copyable handle to
-/// shared state; signaled exactly once by the owning stream.
+/// shared state; signaled exactly once by the owning stream's executor.
 class Event {
  public:
   struct State {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
+    explicit State(Executor* executor = nullptr) : executor(executor) {}
+
+    /// Set once, after sim_time and hb_clock are final.
+    std::atomic<bool> done{false};
     double sim_time = 0.0;
     /// Completing task's vector clock (empty unless hazard checking is on);
     /// waiting tasks join it so event edges count as happens-before edges.
     HbClock hb_clock;
+    /// The executor that signals this event; null for Event::signaled().
+    Executor* executor = nullptr;
+    /// Guarded by the executor's lock: tasks whose start waits on this
+    /// event, and host threads blocked in wait().
+    std::vector<PendingTask*> waiters;
+    int host_waiters = 0;
   };
 
   Event() = default;
@@ -65,8 +72,11 @@ class Event {
   [[nodiscard]] bool valid() const { return state_ != nullptr; }
 
   /// Host-blocks until signaled; returns the simulated completion time.
+  /// Wakes the executor's workers for the tasks enqueued so far.
   double wait() const;
 
+  /// Whether the event is signaled; if not, wakes the executor's workers
+  /// like wait() does.
   [[nodiscard]] bool is_complete() const;
 
   [[nodiscard]] const std::shared_ptr<State>& state() const { return state_; }
@@ -75,9 +85,9 @@ class Event {
   std::shared_ptr<State> state_;
 };
 
-/// Rendezvous shared by the per-rank tasks of one collective operation.
+/// Join node shared by the per-rank tasks of one collective operation.
 /// All participating streams synchronize their simulated start times (a
-/// collective begins when the last rank arrives), one designated rank
+/// collective begins when the last rank arrives), the last part to arrive
 /// performs the data movement, and all ranks complete at start + duration.
 struct CollectiveGroup {
   explicit CollectiveGroup(int nranks) : nranks(nranks) {}
@@ -85,15 +95,13 @@ struct CollectiveGroup {
   int nranks;
   /// Simulated duration of the collective (set by the communicator).
   double duration = 0.0;
-  /// Executed once (by the executor rank) after all ranks arrive;
-  /// may be empty in phantom mode.
+  /// Executed once, by the last part to arrive; skipped in phantom mode.
   std::function<void()> action;
 
-  std::mutex mutex;
-  std::condition_variable cv;
-  int arrived = 0;
+  /// Guarded by the executor's lock: the parts whose dependencies have
+  /// resolved and the max of their ready times.
+  std::vector<PendingTask*> arrived;
   double start_max = 0.0;
-  bool action_done = false;
   /// Join of every participant's clock; a collective orders all ranks'
   /// prior work before all ranks' subsequent work (hazard checking only).
   HbClock hb_join;
@@ -119,17 +127,15 @@ struct TaskDesc {
   bool traced = true;
 
   /// Collective participation: when set, cost/body are ignored and the
-  /// group protocol above runs instead. `collective_executor` marks the
-  /// single rank that runs group->action.
+  /// group protocol above runs instead.
   std::shared_ptr<CollectiveGroup> collective;
-  bool collective_executor = false;
 };
 
-/// In-order asynchronous work queue backed by one host worker thread.
+/// In-order asynchronous work queue; its tasks run on the machine's
+/// Executor.
 class Stream {
  public:
-  Stream(Device& device, int id);
-  ~Stream();
+  Stream(Device& device, int id, Executor& executor);
 
   Stream(const Stream&) = delete;
   Stream& operator=(const Stream&) = delete;
@@ -154,30 +160,21 @@ class Stream {
   [[nodiscard]] Device& device() const { return device_; }
 
  private:
-  struct PendingTask {
-    TaskDesc desc;
-    std::shared_ptr<Event::State> signal;
-    /// Host clock at enqueue time: host program order (enqueue after a
-    /// synchronize) is a happens-before edge (hazard checking only).
-    HbClock enqueue_clock;
-  };
-
-  void worker_loop();
-  void run_task(PendingTask& task);
+  friend class Executor;
 
   Device& device_;
   int id_;
-  util::BlockingQueue<PendingTask> queue_;
-  mutable std::mutex time_mutex_;
-  double sim_time_ = 0.0;
-  /// Hazard-checking state, touched only by the worker thread after
-  /// construction: this stream's clock slot and running vector clock.
+  Executor& executor_;
+  /// The queue, guarded by the executor's lock: head is the only task of
+  /// this stream that may be running.
+  PendingTask* head_ = nullptr;
+  PendingTask* tail_ = nullptr;
+  /// Written by whoever runs the head task.
+  std::atomic<double> sim_time_{0.0};
+  /// Hazard-checking state, touched only by whoever runs the head task:
+  /// this stream's clock slot and running vector clock.
   int hb_slot_ = -1;
   HbClock clock_;
-  /// MGGCN_SCHED_FUZZ: deterministic per-stream delay injection.
-  bool fuzz_ = false;
-  std::uint64_t fuzz_state_ = 0;
-  std::thread worker_;
 };
 
 /// A simulated GPU: memory accounting + two streams + its half of the
@@ -188,7 +185,7 @@ class Device {
   static constexpr int kCommStream = 1;
 
   Device(int rank, DeviceProfile profile, ExecutionMode mode, Trace* trace,
-         HazardChecker* hazard = nullptr);
+         HazardChecker* hazard, Executor& executor);
   ~Device();
 
   Device(const Device&) = delete;

@@ -76,8 +76,8 @@ void HazardChecker::report(HazardKind kind, const std::string& buffer,
 namespace {
 
 /// Two accesses race iff their clocks are incomparable. Checking both
-/// directions keeps the verdict independent of the order worker threads
-/// happen to deliver tasks to the checker: under schedule fuzzing a
+/// directions keeps the verdict independent of the order the executor's
+/// workers happen to deliver tasks to the checker: under schedule fuzzing a
 /// collective part can be reported after a task that causally follows it,
 /// and a one-directional "ordered after the last write" test would flag
 /// that legal schedule.

@@ -1,9 +1,9 @@
 // Happens-before hazard auditing for the simulated runtime.
 //
 // Tasks declare the DeviceBuffers they read and write (TaskDesc::reads /
-// TaskDesc::writes); the stream workers maintain vector clocks — one slot
-// per stream, joined across event edges, collective rendezvous, and
-// host-side synchronization — and feed every completed task into the
+// TaskDesc::writes); the executor maintains vector clocks — one slot per
+// stream, joined across event edges, collective join nodes, and host-side
+// synchronization — and feeds every completed task into the
 // HazardChecker. The checker keeps, per buffer, the last write and the
 // reads since that write, and reports any conflicting pair of accesses
 // whose clocks are incomparable (neither happens-before the other).

@@ -6,15 +6,17 @@ namespace mggcn::sim {
 
 Machine::Machine(MachineProfile profile, int num_devices, ExecutionMode mode,
                  bool hazard_check)
-    : profile_(std::move(profile)), mode_(mode) {
+    : profile_(std::move(profile)),
+      mode_(mode),
+      executor_(mode, num_devices) {
   MGGCN_CHECK_MSG(num_devices > 0, "machine needs at least one device");
   MGGCN_CHECK_MSG(num_devices <= profile_.max_devices,
                   "machine profile does not have that many devices");
   if (hazard_check) hazard_ = std::make_unique<HazardChecker>(&trace_);
   devices_.reserve(static_cast<std::size_t>(num_devices));
   for (int rank = 0; rank < num_devices; ++rank) {
-    devices_.push_back(std::make_unique<Device>(rank, profile_.device, mode,
-                                                &trace_, hazard_.get()));
+    devices_.push_back(std::make_unique<Device>(
+        rank, profile_.device, mode, &trace_, hazard_.get(), executor_));
   }
 }
 

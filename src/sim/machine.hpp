@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sim/device.hpp"
+#include "sim/executor.hpp"
 #include "sim/fault.hpp"
 #include "sim/hazard.hpp"
 #include "sim/profile.hpp"
@@ -13,6 +14,7 @@
 
 namespace mggcn::sim {
 
+/// Owns the devices and the one Executor that runs all their streams.
 class Machine {
  public:
   /// `hazard_check` enables the happens-before hazard audit (one
@@ -72,6 +74,9 @@ class Machine {
   std::shared_ptr<FaultPlan> fault_plan_;
   std::unique_ptr<HazardChecker> hazard_;  ///< must outlive devices_
   std::vector<std::unique_ptr<Device>> devices_;
+  /// Runs every stream's tasks. Declared after devices_, so its destructor
+  /// retires every enqueued task before any stream goes away.
+  Executor executor_;
 };
 
 }  // namespace mggcn::sim

@@ -2,7 +2,8 @@
 // every core::EpochStats field for the EpochStatsArePinned tests, which pin
 // the whole per-epoch stats record (timings, busy split,
 // comm/plan/pipeline/cache/pool counters, partition quality, loss bits) of
-// the two training engines; and over a trace's per-stream timeline for the
+// the two training engines; over every core::ServeStats field of a run of
+// serve() calls; and over a trace's per-stream timeline for the
 // EpochTimelineIsPinned tests, which pin where every task sits.
 #pragma once
 
@@ -12,6 +13,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/inference_server.hpp"
 #include "core/metrics.hpp"
 #include "sim/trace.hpp"
 
@@ -78,6 +80,31 @@ inline std::uint64_t hash_epoch_stats(
     h.mix(s.part_inter_node_ghost_rows);
     h.mix(s.part_avg_ghost_density);
     h.mix(s.part_imbalance);
+  }
+  return h.value();
+}
+
+inline std::uint64_t hash_serve_stats(
+    const std::vector<core::ServeStats>& calls) {
+  Fnv1a h;
+  for (const core::ServeStats& s : calls) {
+    h.mix(s.serve_requests);
+    h.mix(s.serve_batches);
+    h.mix(s.serve_mean_batch_size);
+    h.mix(s.serve_span_seconds);
+    h.mix(s.serve_qps);
+    h.mix(s.serve_p50_latency);
+    h.mix(s.serve_p99_latency);
+    h.mix(s.serve_max_latency);
+    h.mix(s.serve_mean_latency);
+    h.mix(s.serve_deadline_miss_rate);
+    h.mix(s.serve_cache_hits);
+    h.mix(s.serve_cache_misses);
+    h.mix(s.serve_cache_hit_rate);
+    h.mix(s.serve_graph_updates);
+    h.mix(s.serve_invalidations);
+    h.mix(s.serve_gather_seconds);
+    h.mix(s.serve_infer_seconds);
   }
   return h.value();
 }

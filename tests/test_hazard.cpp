@@ -1,8 +1,8 @@
 // HazardChecker and schedule-fuzzing tests: the happens-before audit over
 // declared buffer accesses (§4.2/§4.3's hand-threaded event dependencies),
 // the regression for the DistSpmm input_released contract, and the
-// MGGCN_SCHED_FUZZ determinism requirement (bit-identical losses across
-// seeds).
+// MGGCN_SCHED_FUZZ determinism requirement (bit-identical losses and stats
+// across seeds).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,8 +14,11 @@
 #include "comm/communicator.hpp"
 #include "core/dist_spmm.hpp"
 #include "core/elastic.hpp"
+#include "core/inference_server.hpp"
 #include "core/partition.hpp"
+#include "core/sampled_pipeline.hpp"
 #include "core/trainer.hpp"
+#include "core/workload.hpp"
 #include "dense/kernels.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
@@ -24,6 +27,7 @@
 #include "sim/hazard.hpp"
 #include "sim/machine.hpp"
 #include "sparse/spmm.hpp"
+#include "stats_hash.hpp"
 #include "util/rng.hpp"
 
 namespace mggcn {
@@ -338,8 +342,75 @@ TEST(HazardChecker, TrainerPipelineIsCleanWithoutOverlap) {
 
 // --- schedule fuzzing ------------------------------------------------------
 
-// MGGCN_SCHED_FUZZ perturbs host-thread interleavings only: training must
-// be bit-identical across seeds (and hazard-free under every one).
+/// Every EpochStats field of three epochs of a 4-device SampledPipeline on
+/// a hazard-checked machine.
+std::uint64_t sampled_pipeline_stats_hash() {
+  graph::DatasetSpec spec = graph::arxiv();
+  spec.n = 600;
+  spec.feature_dim = 24;
+  spec.num_classes = 5;
+  spec.avg_degree = 12.0;
+  graph::DatasetOptions data_options;
+  data_options.seed = 33;
+  data_options.feature_snr = 2.0;
+  const graph::Dataset dataset = graph::make_dataset(spec, data_options);
+
+  core::SampledPipeline::Options options;
+  options.hidden_dims = {16};
+  options.fanout = {8, 8};
+  options.batch_size = 48;
+  options.seed = 3;
+  options.cache_mode = core::CacheMode::kFreq;
+  options.cache_capacity_fraction = 0.1;
+  sim::Machine machine = checked_machine(4);
+  core::SampledPipeline pipeline(machine, dataset, options);
+  const std::uint64_t hash = testing::hash_epoch_stats(pipeline.train(3));
+  machine.synchronize();
+  EXPECT_EQ(machine.trace().hazard_count(), 0u);
+  return hash;
+}
+
+/// Every ServeStats field and prediction bit of three serve() calls (with
+/// graph updates) on a hazard-checked machine.
+std::uint64_t serve_stats_hash(const graph::Dataset& dataset) {
+  sim::Machine machine = checked_machine(4);
+  core::MgGcnTrainer trainer(machine, dataset, small_config());
+  trainer.train(1);
+  trainer.run_forward();
+  core::ServeOptions options;
+  options.cache_mode = core::ServeCacheMode::kEmbed;
+  core::InferenceServer server(machine, trainer, dataset, options);
+
+  std::vector<core::ServeStats> calls;
+  testing::Fnv1a hash;
+  for (std::uint64_t call = 0; call < 3; ++call) {
+    serve::WorkloadOptions load;
+    load.rate_qps = 50000.0;
+    load.deadline = 2e-3;
+    load.skew = serve::QuerySkew::kZipf;
+    load.update_rate = 5000.0;
+    load.update_touch = 40;
+    load.seed = 11 + call;
+    serve::WorkloadGen gen(dataset.n(), load);
+    const auto requests = gen.generate(200);
+    const auto updates = gen.generate_updates(requests.back().arrival);
+    calls.push_back(server.serve(requests, updates));
+    const dense::HostMatrix& predictions = server.predictions();
+    for (std::int64_t i = 0; i < predictions.rows(); ++i) {
+      for (std::int64_t c = 0; c < predictions.cols(); ++c) {
+        hash.mix(predictions.at(i, c));
+      }
+    }
+  }
+  hash.mix(testing::hash_serve_stats(calls));
+  EXPECT_EQ(machine.trace().hazard_count(), 0u);
+  return hash.value();
+}
+
+// MGGCN_SCHED_FUZZ changes only which ready task the executor runs next:
+// training must be bit-identical across seeds (and hazard-free under every
+// one), and so must every EpochStats field of the sampled pipeline and
+// every ServeStats field and prediction of the server, fuzzed or not.
 TEST(SchedFuzz, TrainingIsBitIdenticalAcrossSeeds) {
   const graph::Dataset dataset = small_dataset();
   const int epochs = 3;
@@ -365,9 +436,21 @@ TEST(SchedFuzz, TrainingIsBitIdenticalAcrossSeeds) {
       EXPECT_EQ(losses[i][e], losses[0][e]) << "seed " << i << " epoch " << e;
     }
   }
+
+  std::vector<std::uint64_t> pipeline_hashes;
+  std::vector<std::uint64_t> serve_hashes;
+  for (const char* seed : {"", "20220829", "1309"}) {
+    ScopedEnv fuzz("MGGCN_SCHED_FUZZ", seed);
+    pipeline_hashes.push_back(sampled_pipeline_stats_hash());
+    serve_hashes.push_back(serve_stats_hash(dataset));
+  }
+  for (std::size_t i = 1; i < pipeline_hashes.size(); ++i) {
+    EXPECT_EQ(pipeline_hashes[i], pipeline_hashes[0]) << "seed " << i;
+    EXPECT_EQ(serve_hashes[i], serve_hashes[0]) << "seed " << i;
+  }
 }
 
-// Both variables are read per Machine/Stream through strict parsers: a
+// Both variables are read per Machine through strict parsers: a
 // malformed value must fail loudly, never silently pick a seed or flip the
 // audit the wrong way.
 TEST(SchedFuzz, MalformedSeedThrowsNamingTheVariable) {

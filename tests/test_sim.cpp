@@ -1,5 +1,6 @@
 // Unit tests for the simulated-GPU runtime: streams, events, simulated
-// clocks, the cost model, memory accounting, and the trace.
+// clocks, the executor that runs them, the cost model, memory accounting,
+// and the trace.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -520,7 +521,6 @@ TEST(Collective, RendezvousSynchronizesStartTimes) {
 
   TaskDesc part0;
   part0.collective = group;
-  part0.collective_executor = true;
   part0.waits.push_back(busy);
   TaskDesc part1;
   part1.collective = group;
@@ -529,6 +529,101 @@ TEST(Collective, RendezvousSynchronizesStartTimes) {
   Event e0 = machine.device(0).comm_stream().enqueue(std::move(part0));
   EXPECT_NEAR(e0.wait(), e1.wait(), 1e-12);
   EXPECT_GT(e1.wait(), 10e-3);
+}
+
+TEST(Executor, MoreStreamsThanWorkersAndAReversedCollectiveFinish) {
+  // 8 devices are 16 streams, more than the worker pool on any host. A
+  // chain of events crosses all 16, then every comm stream enters one
+  // 8-rank collective whose parts are enqueued in reverse rank order. A
+  // pool whose workers blocked in the rendezvous would deadlock here.
+  const double link = CostModel::seconds(cheap_task(nullptr).cost,
+                                         dgx_v100().device);
+  for (const ExecutionMode mode :
+       {ExecutionMode::kReal, ExecutionMode::kPhantom}) {
+    Machine machine(dgx_v100(), 8, mode);
+    std::atomic<int> bodies{0};
+    Event previous;
+    double chain_end = 0.0;
+    for (int r = 0; r < 8; ++r) {
+      for (Stream* stream : {&machine.device(r).compute_stream(),
+                             &machine.device(r).comm_stream()}) {
+        TaskDesc task = cheap_task([&bodies] { ++bodies; });
+        if (previous.valid()) task.waits.push_back(previous);
+        previous = stream->enqueue(std::move(task));
+        chain_end += link;
+      }
+    }
+
+    auto group = std::make_shared<CollectiveGroup>(8);
+    group->duration = 1e-3;
+    std::atomic<int> actions{0};
+    group->action = [&actions] { ++actions; };
+    std::vector<Event> parts(8);
+    for (int r = 7; r >= 0; --r) {
+      TaskDesc part;
+      part.collective = group;
+      parts[static_cast<std::size_t>(r)] =
+          machine.device(r).comm_stream().enqueue(std::move(part));
+    }
+
+    // The collective starts when the chain's last link (rank 7's comm
+    // stream) is done, on every rank.
+    for (const Event& part : parts) {
+      EXPECT_EQ(part.wait(), chain_end + 1e-3);
+    }
+    EXPECT_EQ(previous.wait(), chain_end);
+    machine.synchronize();
+    const bool real = mode == ExecutionMode::kReal;
+    EXPECT_EQ(bodies.load(), real ? 16 : 0);
+    EXPECT_EQ(actions.load(), real ? 1 : 0);
+  }
+}
+
+TEST(Executor, IsCompleteWakesTheWorkers) {
+  // Host enqueues publish without a wake-up; polling is_complete() flushes
+  // them, so a host spinning on it makes progress.
+  Machine machine = make_machine(1);
+  std::atomic<bool> ran{false};
+  const Event done = machine.device(0).compute_stream().enqueue(
+      cheap_task([&ran] { ran = true; }));
+  while (!done.is_complete()) {
+  }
+  EXPECT_TRUE(ran);
+}
+
+TEST(Executor, DestroyingAMachineRunsEveryEnqueuedTaskOnce) {
+  // A Machine destroyed right after enqueueing, with no host wait, still
+  // runs every body exactly once: the executor drains before any stream
+  // goes away, and pops a task off its stream before signaling it. Run
+  // under ASan and TSan, this guards that teardown order.
+  constexpr int kTasks = 48;
+  for (int round = 0; round < 40; ++round) {
+    std::vector<std::atomic<int>> runs(kTasks);
+    std::atomic<int> actions{0};
+    {
+      Machine machine = make_machine(2);
+      std::vector<Event> events;
+      for (int i = 0; i < kTasks; ++i) {
+        Device& device = machine.device(i % 2);
+        Stream& stream =
+            (i / 2) % 2 == 0 ? device.compute_stream() : device.comm_stream();
+        TaskDesc task = cheap_task([&runs, i] { ++runs[i]; }, 1.0);
+        if (i >= 3) task.waits.push_back(events[i - 3]);
+        events.push_back(stream.enqueue(std::move(task)));
+      }
+      auto group = std::make_shared<CollectiveGroup>(2);
+      group->action = [&actions] { ++actions; };
+      for (int r = 1; r >= 0; --r) {
+        TaskDesc part;
+        part.collective = group;
+        machine.device(r).comm_stream().enqueue(std::move(part));
+      }
+    }
+    for (int i = 0; i < kTasks; ++i) {
+      ASSERT_EQ(runs[i].load(), 1) << "round " << round << " task " << i;
+    }
+    ASSERT_EQ(actions.load(), 1) << "round " << round;
+  }
 }
 
 }  // namespace

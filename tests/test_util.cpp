@@ -21,7 +21,6 @@
 #include "dense/kernel_policy.hpp"
 #include "mem/pool_mode.hpp"
 #include "scoped_env.hpp"
-#include "util/blocking_queue.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
@@ -440,41 +439,6 @@ TEST(Format, Seconds) {
 }
 
 TEST(Format, Speedup) { EXPECT_EQ(format_speedup(1.5), "1.50x"); }
-
-TEST(BlockingQueue, FifoOrder) {
-  BlockingQueue<int> q;
-  q.push(1);
-  q.push(2);
-  q.push(3);
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), 3);
-}
-
-TEST(BlockingQueue, CloseDrainsRemainingItems) {
-  BlockingQueue<int> q;
-  q.push(1);
-  q.push(2);
-  q.close();
-  EXPECT_FALSE(q.push(3));
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(BlockingQueue, CrossThreadHandoff) {
-  BlockingQueue<int> q;
-  std::thread producer([&] {
-    for (int i = 0; i < 100; ++i) q.push(i);
-    q.close();
-  });
-  int expected = 0;
-  while (auto v = q.pop()) {
-    EXPECT_EQ(*v, expected++);
-  }
-  EXPECT_EQ(expected, 100);
-  producer.join();
-}
 
 TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
   for (const std::int64_t n : {2, 3, 1000}) {
