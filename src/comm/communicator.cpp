@@ -3,11 +3,59 @@
 #include <algorithm>
 #include <cstring>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
 
 namespace mggcn::comm {
+
+namespace {
+
+/// Whether a data-moving collective moves data: true when every part that
+/// `takes_part(rank)` names carries storage, false when none does (phantom-
+/// mode buffers carry none). A mix would move some ranks' data and silently
+/// skip the rest, so it throws.
+template <typename TakesPart>
+bool carries_storage(const std::vector<RankPart>& parts, const char* label,
+                     const TakesPart& takes_part) {
+  std::size_t with = 0;
+  std::size_t without = 0;
+  std::size_t missing = 0;
+  for (std::size_t r = 0; r < parts.size(); ++r) {
+    if (!takes_part(r)) continue;
+    if (parts[r].buffer != nullptr && parts[r].buffer->data() != nullptr) {
+      ++with;
+    } else if (without++ == 0) {
+      missing = r;
+    }
+  }
+  if (with > 0 && without > 0) {
+    std::ostringstream os;
+    os << "collective '" << label << "': rank " << missing
+       << " has no buffer storage while " << with << " other rank(s) do";
+    throw InvalidArgumentError(os.str());
+  }
+  return with > 0;
+}
+
+/// Every part's buffer storage, in rank order (after carries_storage()).
+std::vector<float*> data_of(std::vector<RankPart>& parts) {
+  std::vector<float*> bufs;
+  bufs.reserve(parts.size());
+  for (RankPart& part : parts) bufs.push_back(part.buffer->data());
+  return bufs;
+}
+
+/// [lo, hi) of slice `s` when `count` elements split into `slices` near-
+/// equal contiguous slices.
+std::pair<std::size_t, std::size_t> element_slice(std::size_t count,
+                                                  std::size_t s,
+                                                  std::size_t slices) {
+  return {count * s / slices, count * (s + 1) / slices};
+}
+
+}  // namespace
 
 Communicator::Communicator(sim::Machine& machine, CommOptions options)
     : topology_(machine.profile().interconnect),
@@ -83,7 +131,6 @@ double Communicator::resolve_faults(const char* label) {
 }
 
 std::vector<sim::Event> Communicator::launch(std::vector<RankPart> parts,
-                                             std::size_t count,
                                              double duration,
                                              const char* label,
                                              std::function<void()> action,
@@ -108,13 +155,13 @@ std::vector<sim::Event> Communicator::launch(std::vector<RankPart> parts,
     desc.label = label;
     desc.kind = sim::TaskKind::kComm;
     desc.stage = stage;
+    desc.body = std::move(part.share);
     desc.waits = std::move(part.waits);
     desc.reads = std::move(part.reads);
     desc.writes = std::move(part.writes);
     desc.collective = group;
     events.push_back(stream_of(rank, stream).enqueue(std::move(desc)));
   }
-  (void)count;
   return events;
 }
 
@@ -133,32 +180,30 @@ std::vector<sim::Event> Communicator::broadcast(std::vector<RankPart> parts,
   }
   if (size() == 1) {
     // Degenerate collective: nothing moves, but callers still get events.
-    return launch(std::move(parts), count, 0.0, "broadcast", nullptr, stream,
-                  stage);
+    return launch(std::move(parts), 0.0, "broadcast", nullptr, stream, stage);
   }
 
   const std::uint64_t bytes = count * sizeof(float);
   const double duration = topology_.broadcast_seconds(bytes, size());
 
-  std::vector<float*> dsts;
-  const float* src = parts[static_cast<std::size_t>(root)].buffer != nullptr
-                         ? parts[static_cast<std::size_t>(root)].buffer->data()
-                         : nullptr;
-  for (auto& part : parts) {
-    dsts.push_back(part.buffer != nullptr ? part.buffer->data() : nullptr);
-  }
-
-  auto action = [src, dsts = std::move(dsts), count, root] {
-    if (src == nullptr) return;  // phantom-mode buffers carry no storage
-    for (std::size_t rank = 0; rank < dsts.size(); ++rank) {
-      if (static_cast<int>(rank) == root) continue;
-      if (dsts[rank] != nullptr && dsts[rank] != src) {
-        std::memcpy(dsts[rank], src, count * sizeof(float));
-      }
+  // The root and every rank with a buffer take part; a receiver without a
+  // buffer is sent nothing.
+  const auto root_index = static_cast<std::size_t>(root);
+  if (carries_storage(parts, "broadcast", [&](std::size_t r) {
+        return count > 0 && (r == root_index || parts[r].buffer != nullptr);
+      })) {
+    const float* src = parts[root_index].buffer->data();
+    for (std::size_t r = 0; r < parts.size(); ++r) {
+      if (r == root_index || parts[r].buffer == nullptr) continue;
+      float* dst = parts[r].buffer->data();
+      if (dst == src) continue;
+      parts[r].share = [src, dst, count] {
+        std::memcpy(dst, src, count * sizeof(float));
+      };
     }
-  };
-  return launch(std::move(parts), count, duration, "broadcast",
-                std::move(action), stream, stage);
+  }
+  return launch(std::move(parts), duration, "broadcast", nullptr, stream,
+                stage);
 }
 
 double Communicator::sendv_rows_seconds(std::uint64_t total_bytes,
@@ -269,43 +314,37 @@ std::vector<sim::Event> Communicator::sendv_rows(
     }
   }
   if (size() == 1) {
-    return launch(std::move(parts), 0, 0.0, "sendv_rows", nullptr, stream,
+    return launch(std::move(parts), 0.0, "sendv_rows", nullptr, stream,
                   stage);
   }
 
-  std::uint64_t total_rows = 0;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (static_cast<int>(r) == root) continue;
-    total_rows += rows[r].size();
-  }
   const SendvShape shape = sendv_shape(rows, d, root);
   const double duration = sendv_rows_seconds(shape);
 
-  const float* src = parts[static_cast<std::size_t>(root)].buffer != nullptr
-                         ? parts[static_cast<std::size_t>(root)].buffer->data()
-                         : nullptr;
-  std::vector<float*> dsts;
-  for (auto& part : parts) {
-    dsts.push_back(part.buffer != nullptr ? part.buffer->data() : nullptr);
+  // The root and every destination with rows take part.
+  const auto root_index = static_cast<std::size_t>(root);
+  bool any_rows = false;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    any_rows = any_rows || (r != root_index && !rows[r].empty());
   }
-
-  auto action = [src, dsts = std::move(dsts), rows = std::move(rows), d,
-                 root] {
-    if (src == nullptr) return;  // phantom-mode buffers carry no storage
-    for (std::size_t rank = 0; rank < dsts.size(); ++rank) {
-      if (static_cast<int>(rank) == root || dsts[rank] == nullptr) continue;
-      float* dst = dsts[rank];
-      for (std::size_t i = 0; i < rows[rank].size(); ++i) {
-        std::memcpy(dst + static_cast<std::int64_t>(i) * d,
-                    src + static_cast<std::int64_t>(rows[rank][i]) * d,
-                    static_cast<std::size_t>(d) * sizeof(float));
-      }
+  if (carries_storage(parts, "sendv_rows", [&](std::size_t r) {
+        return r == root_index ? any_rows : !rows[r].empty();
+      })) {
+    const float* src = parts[root_index].buffer->data();
+    for (std::size_t r = 0; r < parts.size(); ++r) {
+      if (r == root_index || rows[r].empty()) continue;
+      parts[r].share = [src, dst = parts[r].buffer->data(), list = rows[r],
+                        d] {
+        for (std::size_t i = 0; i < list.size(); ++i) {
+          std::memcpy(dst + static_cast<std::int64_t>(i) * d,
+                      src + static_cast<std::int64_t>(list[i]) * d,
+                      static_cast<std::size_t>(d) * sizeof(float));
+        }
+      };
     }
-  };
-  return launch(std::move(parts),
-                static_cast<std::size_t>(total_rows) *
-                    static_cast<std::size_t>(d),
-                duration, "sendv_rows", std::move(action), stream, stage);
+  }
+  return launch(std::move(parts), duration, "sendv_rows", nullptr, stream,
+                stage);
 }
 
 std::vector<sim::Event> Communicator::allreduce_sum(std::vector<RankPart> parts,
@@ -317,30 +356,31 @@ std::vector<sim::Event> Communicator::allreduce_sum(std::vector<RankPart> parts,
     if (size() > 1) part.writes.push_back(part.buffer->access());
   }
   if (size() == 1) {
-    return launch(std::move(parts), count, 0.0, "allreduce", nullptr, stream);
+    return launch(std::move(parts), 0.0, "allreduce", nullptr, stream);
   }
 
   const std::uint64_t bytes = count * sizeof(float);
   const double duration = topology_.allreduce_seconds(bytes, size());
 
-  std::vector<float*> bufs;
-  for (auto& part : parts) {
-    bufs.push_back(part.buffer != nullptr ? part.buffer->data() : nullptr);
+  if (carries_storage(parts, "allreduce",
+                      [&](std::size_t) { return count > 0; })) {
+    const std::vector<float*> bufs = data_of(parts);
+    for (std::size_t s = 0; s < parts.size(); ++s) {
+      const auto [lo, hi] = element_slice(count, s, parts.size());
+      if (lo == hi) continue;
+      // Rank-order reduction of the slice into rank 0, then broadcast
+      // back: each element sees the additions of one full-buffer sweep.
+      parts[s].share = [bufs, lo, hi] {
+        for (std::size_t rank = 1; rank < bufs.size(); ++rank) {
+          for (std::size_t i = lo; i < hi; ++i) bufs[0][i] += bufs[rank][i];
+        }
+        for (std::size_t rank = 1; rank < bufs.size(); ++rank) {
+          std::memcpy(bufs[rank] + lo, bufs[0] + lo, (hi - lo) * sizeof(float));
+        }
+      };
+    }
   }
-
-  auto action = [bufs = std::move(bufs), count] {
-    if (bufs.empty() || bufs[0] == nullptr) return;
-    // Deterministic rank-order reduction into rank 0, then broadcast back.
-    for (std::size_t rank = 1; rank < bufs.size(); ++rank) {
-      if (bufs[rank] == nullptr) return;
-      for (std::size_t i = 0; i < count; ++i) bufs[0][i] += bufs[rank][i];
-    }
-    for (std::size_t rank = 1; rank < bufs.size(); ++rank) {
-      std::memcpy(bufs[rank], bufs[0], count * sizeof(float));
-    }
-  };
-  return launch(std::move(parts), count, duration, "allreduce",
-                std::move(action), stream);
+  return launch(std::move(parts), duration, "allreduce", nullptr, stream);
 }
 
 std::vector<sim::Event> Communicator::reduce_sum(std::vector<RankPart> parts,
@@ -355,29 +395,29 @@ std::vector<sim::Event> Communicator::reduce_sum(std::vector<RankPart> parts,
     }
   }
   if (size() == 1) {
-    return launch(std::move(parts), count, 0.0, "reduce", nullptr, stream);
+    return launch(std::move(parts), 0.0, "reduce", nullptr, stream);
   }
 
   const std::uint64_t bytes = count * sizeof(float);
   const double duration = topology_.reduce_seconds(bytes, size());
 
-  std::vector<float*> bufs;
-  for (auto& part : parts) {
-    bufs.push_back(part.buffer != nullptr ? part.buffer->data() : nullptr);
-  }
-
-  auto action = [bufs = std::move(bufs), count, root] {
-    if (bufs.empty() || bufs[static_cast<std::size_t>(root)] == nullptr)
-      return;
-    float* dst = bufs[static_cast<std::size_t>(root)];
-    for (std::size_t rank = 0; rank < bufs.size(); ++rank) {
-      if (static_cast<int>(rank) == root) continue;
-      if (bufs[rank] == nullptr) return;
-      for (std::size_t i = 0; i < count; ++i) dst[i] += bufs[rank][i];
+  if (carries_storage(parts, "reduce",
+                      [&](std::size_t) { return count > 0; })) {
+    const std::vector<float*> bufs = data_of(parts);
+    const auto root_index = static_cast<std::size_t>(root);
+    for (std::size_t s = 0; s < parts.size(); ++s) {
+      const auto [lo, hi] = element_slice(count, s, parts.size());
+      if (lo == hi) continue;
+      parts[s].share = [bufs, lo, hi, root_index] {
+        float* dst = bufs[root_index];
+        for (std::size_t rank = 0; rank < bufs.size(); ++rank) {
+          if (rank == root_index) continue;
+          for (std::size_t i = lo; i < hi; ++i) dst[i] += bufs[rank][i];
+        }
+      };
     }
-  };
-  return launch(std::move(parts), count, duration, "reduce",
-                std::move(action), stream);
+  }
+  return launch(std::move(parts), duration, "reduce", nullptr, stream);
 }
 
 std::vector<sim::Event> Communicator::allgather(
@@ -392,40 +432,39 @@ std::vector<sim::Event> Communicator::allgather(
   std::size_t total = 0;
   for (const std::size_t c : counts) total += c;
   if (size() == 1) {
-    return launch(std::move(parts), total, 0.0, "allgather", nullptr, stream);
+    return launch(std::move(parts), 0.0, "allgather", nullptr, stream);
   }
 
   const double duration =
       topology_.allgather_seconds(total * sizeof(float), size());
 
-  std::vector<float*> bufs;
-  for (auto& part : parts) {
-    bufs.push_back(part.buffer != nullptr ? part.buffer->data() : nullptr);
+  // In place, every rank's head segment is also part of every other rank's
+  // result, so the gather stays one group action rather than per-part
+  // shares.
+  std::function<void()> action;
+  if (carries_storage(parts, "allgather",
+                      [&](std::size_t) { return total > 0; })) {
+    action = [bufs = data_of(parts), counts, total] {
+      // Gather every rank's head segment into a scratch image, then write
+      // the concatenation back to all ranks.
+      std::vector<float> image(total);
+      std::size_t offset = 0;
+      for (std::size_t r = 0; r < counts.size(); ++r) {
+        std::memcpy(image.data() + offset, bufs[r], counts[r] * sizeof(float));
+        offset += counts[r];
+      }
+      for (float* dst : bufs) {
+        std::memcpy(dst, image.data(), total * sizeof(float));
+      }
+    };
   }
-  auto action = [bufs = std::move(bufs), counts] {
-    if (bufs.empty() || bufs[0] == nullptr) return;
-    // Gather every rank's head segment into a scratch image, then write the
-    // concatenation back to all ranks (in-place safe for rank order).
-    std::size_t total = 0;
-    for (const std::size_t c : counts) total += c;
-    std::vector<float> image(total);
-    std::size_t offset = 0;
-    for (std::size_t r = 0; r < counts.size(); ++r) {
-      if (bufs[r] == nullptr) return;
-      std::memcpy(image.data() + offset, bufs[r], counts[r] * sizeof(float));
-      offset += counts[r];
-    }
-    for (float* dst : bufs) {
-      std::memcpy(dst, image.data(), total * sizeof(float));
-    }
-  };
-  return launch(std::move(parts), total, duration, "allgather",
-                std::move(action), stream);
+  return launch(std::move(parts), duration, "allgather", std::move(action),
+                stream);
 }
 
 std::vector<sim::Event> Communicator::barrier(StreamChoice stream) {
   std::vector<RankPart> parts(static_cast<std::size_t>(size()));
-  return launch(std::move(parts), 0, topology_.base_latency(), "barrier",
+  return launch(std::move(parts), topology_.base_latency(), "barrier",
                 nullptr, stream);
 }
 

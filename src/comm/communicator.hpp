@@ -2,12 +2,14 @@
 //
 // Semantics follow NCCL: every participating rank enqueues its part of the
 // collective onto one of its streams; a rank's part completes when the whole
-// collective does. Data movement is real (the last rank's part to become
-// ready copies/reduces between the devices' buffers, which share the host
-// address space — the stand-in for NVLink peer access); duration comes from
-// the Topology model. Simulated start time is synchronized across ranks, so
+// collective does. Data movement is real (once the last rank's part becomes
+// ready, each part's share copies into its destination or reduces its
+// element slice, between the devices' buffers, which share the host address
+// space — the stand-in for NVLink peer access); duration comes from the
+// Topology model. Simulated start time is synchronized across ranks, so
 // stragglers delay everyone — exactly the load-imbalance effect the paper's
-// Fig. 6 visualizes.
+// Fig. 6 visualizes. A data-moving collective whose parts mix buffers with
+// and without storage throws InvalidArgumentError at the call.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +31,16 @@ enum class StreamChoice { kCompute, kComm };
 /// wait for before the collective can start on that rank. Each collective
 /// fills `reads`/`writes` from its data-movement role (root reads, receivers
 /// are written, reductions do both) so the hazard checker audits collectives
-/// like any other task.
+/// like any other task, and `share` with the slice of the data movement
+/// this part's task runs once every part has arrived (a copy into one
+/// destination, or one element slice of a reduction; empty when the part
+/// has nothing to move).
 struct RankPart {
   sim::DeviceBuffer* buffer = nullptr;
   std::vector<sim::Event> waits;
   std::vector<sim::BufferAccess> reads;
   std::vector<sim::BufferAccess> writes;
+  std::function<void()> share;
 };
 
 /// A sendv payload classified by where it crosses: intra-node destinations
@@ -172,9 +178,11 @@ class Communicator {
   std::vector<sim::Event> barrier(StreamChoice stream = StreamChoice::kComm);
 
  private:
+  /// Enqueues one part per rank on a fresh join node; each part's share
+  /// becomes its task's body, `action` the group's (allgather's in-place
+  /// gather).
   std::vector<sim::Event> launch(std::vector<RankPart> parts,
-                                 std::size_t count, double duration,
-                                 const char* label,
+                                 double duration, const char* label,
                                  std::function<void()> action,
                                  StreamChoice stream, int stage = -1);
 

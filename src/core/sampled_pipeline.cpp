@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
+#include <future>
 #include <utility>
 
 #include "core/layer_ops.hpp"
@@ -250,10 +251,9 @@ SampledPipeline::MemoryBreakdown SampledPipeline::account_memory() const {
   return mem;
 }
 
-void SampledPipeline::prepare_batch(int round_index, int r,
-                                    BatchState& batch) {
+void SampledPipeline::sample_batch(int round_index, int r,
+                                   BatchState& batch) {
   RankState& state = *ranks_[static_cast<std::size_t>(r)];
-  const int P = machine_.num_devices();
   const int layers = num_layers();
 
   // Seeds: the next batch_size entries of this rank's shuffled shard,
@@ -283,6 +283,11 @@ void SampledPipeline::prepare_batch(int round_index, int r,
       batch.labels[i] = dataset_.labels[seed_layer[i]];
     }
   }
+}
+
+void SampledPipeline::split_batch(int r, BatchState& batch) {
+  RankState& state = *ranks_[static_cast<std::size_t>(r)];
+  const int P = machine_.num_devices();
 
   // Split the deepest frontier into local rows, cache hits, and per-owner
   // remote misses. The frontier is ascending, so per-owner lists come out
@@ -330,15 +335,27 @@ void SampledPipeline::prepare_batch(int round_index, int r,
   }
 }
 
+std::unique_ptr<SampledPipeline::RoundState> SampledPipeline::sample_round(
+    int index) {
+  const int P = machine_.num_devices();
+  auto round = std::make_unique<RoundState>();
+  round->index = index;
+  round->batches.resize(static_cast<std::size_t>(P));
+  util::parallel_for(P, [&](std::int64_t r) {
+    sample_batch(index, static_cast<int>(r),
+                 round->batches[static_cast<std::size_t>(r)]);
+  });
+  return round;
+}
+
 void SampledPipeline::prepare_round(RoundState& round) {
   const int P = machine_.num_devices();
   const std::int64_t d0 = dims_.front();
   const int layers = num_layers();
 
-  round.batches.resize(static_cast<std::size_t>(P));
   util::parallel_for(P, [&](std::int64_t r) {
-    prepare_batch(round.index, static_cast<int>(r),
-                  round.batches[static_cast<std::size_t>(r)]);
+    split_batch(static_cast<int>(r),
+                round.batches[static_cast<std::size_t>(r)]);
   });
 
   // Scratch buffers, on this thread in rank order (the pool is
@@ -809,9 +826,14 @@ EpochStats SampledPipeline::train_epoch() {
   for (auto& state : ranks_) state->rng.shuffle(state->order);
 
   std::deque<std::unique_ptr<RoundState>> inflight;
+  // The look-ahead: the pure host part of a later round, sampled on helper
+  // threads while the host waits out the round it just enqueued. The
+  // future's destructor joins it, so no sampling outlives this call, on
+  // return or throw, and none crosses into the next epoch's shuffle.
+  std::future<std::unique_ptr<RoundState>> ahead;
   const auto launch_front = [&](int index) {
-    auto round = std::make_unique<RoundState>();
-    round->index = index;
+    std::unique_ptr<RoundState> round =
+        ahead.valid() ? ahead.get() : sample_round(index);
     prepare_round(*round);
     enqueue_sample(*round);
     enqueue_extract(*round);
@@ -823,8 +845,16 @@ EpochStats SampledPipeline::train_epoch() {
     for (int k = 0; k < rounds_per_epoch_; ++k) {
       if (k + 1 < rounds_per_epoch_) launch_front(k + 1);
       enqueue_train(*inflight.front());
-      // Slide the window: wait out the round trained last iteration so at
-      // most two rounds of scratch buffers are ever alive.
+      // Each rank's Rng is drawn round by round: round k + 1 was sampled
+      // above, so round k + 2 may start now.
+      if (k + 2 < rounds_per_epoch_) {
+        ahead = std::async(std::launch::async, [this, index = k + 2] {
+          return sample_round(index);
+        });
+      }
+      // Slide the window: retire round k, whose training was just
+      // enqueued, so at most two rounds of scratch buffers (k's and
+      // k + 1's) are ever alive.
       if (inflight.size() > 1) {
         auto done = std::move(inflight.front());
         inflight.pop_front();
@@ -840,8 +870,7 @@ EpochStats SampledPipeline::train_epoch() {
     // Serialized baseline: machine-wide clock alignment between stages, so
     // no stage of any round overlaps another. Same tasks, same numerics.
     for (int k = 0; k < rounds_per_epoch_; ++k) {
-      auto round = std::make_unique<RoundState>();
-      round->index = k;
+      const std::unique_ptr<RoundState> round = sample_round(k);
       prepare_round(*round);
       enqueue_sample(*round);
       machine_.align_clocks();

@@ -28,7 +28,11 @@
 // With Options::pipeline on, sample/extract of round b+1 are enqueued before
 // train of round b, so the extraction wire time of the next batch hides
 // behind the current batch's compute — the §4.3 overlap applied to
-// mini-batch training. Every task declares its DeviceBuffer reads/writes, so
+// mini-batch training. On the host clock the same holds one round further
+// out: the pure part of round b+2's host preparation (sampling, transposes,
+// labels) runs on helper threads while the host waits for round b, so the
+// executor's workers keep running round b while a later batch is sampled.
+// Every task declares its DeviceBuffer reads/writes, so
 // MGGCN_HAZARD_CHECK audits the overlapped schedule; with pipeline off the
 // same tasks run with machine-wide clock alignment between stages, giving a
 // serialized baseline that is bit-identical in numerics (losses match the
@@ -153,16 +157,25 @@ class SampledPipeline {
   struct BatchState;
   struct RoundState;
 
-  /// Host-side work of one round: prepare_batch for every rank in
-  /// parallel, then scratch-buffer allocation on the calling thread in
+  /// The pure host part of round `index`: sample_batch for every rank in
+  /// parallel. The pipelined epoch runs it for round k + 2 on a helper
+  /// thread (the look-ahead) while round k trains.
+  std::unique_ptr<RoundState> sample_round(int index);
+  /// The rest of a sampled round's host work: split_batch for every rank
+  /// in parallel, then scratch-buffer allocation on the calling thread in
   /// rank order, so buffer ids and pool placement are deterministic and
   /// identical across schedules.
   void prepare_round(RoundState& round);
-  /// Rank r's host part of a round: sampling, cache lookup/admission, and
-  /// the split of the input frontier into local / cached / per-owner
-  /// remote rows. Touches only rank r's RankState and `batch` (the sampler
-  /// is const with thread-local scratch), so ranks run concurrently.
-  void prepare_batch(int round_index, int r, BatchState& batch);
+  /// Rank r's pure part of a round: the seeds from its shuffled shard, the
+  /// neighborhood sample (drawing rank r's Rng), the transposed blocks and
+  /// the labels. Touches only rank r's Rng and `batch` (the sampler is
+  /// const with thread-local scratch), so ranks run concurrently, and
+  /// nothing the cache part or the device tasks use.
+  void sample_batch(int round_index, int r, BatchState& batch);
+  /// Rank r's cache part of a round: the split of the input frontier into
+  /// local / cached / per-owner remote rows, and the cache lookup and
+  /// admission. Touches only rank r's FeatureCache and `batch`.
+  void split_batch(int r, BatchState& batch);
   void enqueue_sample(RoundState& round);
   void enqueue_extract(RoundState& round);
   void enqueue_train(RoundState& round);

@@ -87,21 +87,29 @@ class Event {
 
 /// Join node shared by the per-rank tasks of one collective operation.
 /// All participating streams synchronize their simulated start times (a
-/// collective begins when the last rank arrives), the last part to arrive
-/// performs the data movement, and all ranks complete at start + duration.
+/// collective begins when the last rank arrives). The last part to arrive
+/// runs the group's action, then publishes every part's share (its
+/// TaskDesc::body) to the ready list, so the shares of one collective run
+/// on as many workers as are free. The last share to finish completes all
+/// parts at start + duration. In phantom mode neither actions nor shares
+/// run, and the last part to arrive completes the group at once.
 struct CollectiveGroup {
   explicit CollectiveGroup(int nranks) : nranks(nranks) {}
 
   int nranks;
   /// Simulated duration of the collective (set by the communicator).
   double duration = 0.0;
-  /// Executed once, by the last part to arrive; skipped in phantom mode.
+  /// Executed once, by the last part to arrive, before any share runs;
+  /// skipped in phantom mode.
   std::function<void()> action;
 
   /// Guarded by the executor's lock: the parts whose dependencies have
   /// resolved and the max of their ready times.
   std::vector<PendingTask*> arrived;
   double start_max = 0.0;
+  /// Shares published and not finished yet; whoever brings it to zero
+  /// completes the group.
+  std::atomic<int> shares_left{0};
   /// Join of every participant's clock; a collective orders all ranks'
   /// prior work before all ranks' subsequent work (hazard checking only).
   HbClock hb_join;
@@ -115,7 +123,8 @@ struct TaskDesc {
   KernelCost cost;
   /// HBM bandwidth share available to this task (overlap contention).
   double bandwidth_scale = 1.0;
-  /// The kernel body (skipped in phantom mode); may be empty.
+  /// The kernel body (skipped in phantom mode); may be empty. For a
+  /// collective part, the part's share of the data movement.
   std::function<void()> body;
   /// Events this task waits on before starting.
   std::vector<Event> waits;
@@ -126,8 +135,8 @@ struct TaskDesc {
   /// Record in the trace (markers/syncs are not traced).
   bool traced = true;
 
-  /// Collective participation: when set, cost/body are ignored and the
-  /// group protocol above runs instead.
+  /// Collective participation: when set, cost is ignored and the group
+  /// protocol above runs instead, with `body` as this part's share.
   std::shared_ptr<CollectiveGroup> collective;
 };
 

@@ -41,6 +41,8 @@ struct PendingTask {
   PendingTask* next = nullptr;
   /// Awaited events that are not complete yet (set at the stream's head).
   int pending = 0;
+  /// A collective part whose group has joined: running it runs its share.
+  bool joined = false;
 };
 
 Executor::Executor(ExecutionMode mode, int num_devices) : mode_(mode) {
@@ -160,6 +162,7 @@ void Executor::run(PendingTask* task) {
 }
 
 PendingTask* Executor::step(PendingTask& task) {
+  if (task.joined) return run_share(task);
   Stream& stream = *task.stream;
   const TaskDesc& desc = task.desc;
   HazardChecker* const checker = stream.device_.hazard();
@@ -215,13 +218,51 @@ PendingTask* Executor::arrive(PendingTask& task, double ready) {
   }
 
   // The last part to arrive: every part's dependencies have resolved, and
-  // no other thread touches the group any more.
-  if (group.action && mode_ == ExecutionMode::kReal) group.action();
+  // no other part touches the group any more.
+  if (mode_ == ExecutionMode::kPhantom) return complete(group);
+  if (group.action) group.action();
+  std::vector<PendingTask*> shares;
+  for (PendingTask* part : group.arrived) {
+    if (part->desc.body) shares.push_back(part);
+  }
+  if (shares.empty()) return complete(group);
+
+  // Publish the shares; this runner keeps one unless fuzzing (which picks
+  // among all ready tasks). Each part stays its stream's head until the
+  // group completes, so nothing else of its stream runs meanwhile.
+  group.shares_left.store(static_cast<int>(shares.size()),
+                          std::memory_order_relaxed);
+  for (PendingTask* share : shares) share->joined = true;
+  const std::size_t kept = fuzz_ ? 0 : 1;
+  int wake = 0;
+  {
+    std::lock_guard lock(mutex_);
+    ready_.insert(ready_.end(), shares.begin() + kept, shares.end());
+    wake = wake_count(shares.size() - kept);
+  }
+  wake_workers(wake);
+  return kept == 1 ? shares.front() : nullptr;
+}
+
+PendingTask* Executor::run_share(PendingTask& task) {
+  task.desc.body();
+  CollectiveGroup& group = *task.desc.collective;
+  // acq_rel: the share that completes the group sees every share's writes,
+  // and retire() hands them on to the parts' successors.
+  if (group.shares_left.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+    return nullptr;
+  }
+  return complete(group);
+}
+
+PendingTask* Executor::complete(CollectiveGroup& group) {
   const double t_begin = group.start_max;
   const double t_end = t_begin + group.duration;
   const std::vector<PendingTask*> parts = std::move(group.arrived);
   for (PendingTask* part : parts) {
-    if (checker != nullptr) clock_join(part->stream->clock_, group.hb_join);
+    if (part->stream->device_.hazard() != nullptr) {
+      clock_join(part->stream->clock_, group.hb_join);
+    }
     record(*part, t_begin, t_end);
   }
   return retire(parts, t_end);

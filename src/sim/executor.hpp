@@ -3,9 +3,11 @@
 // Each stream is an in-order queue of tasks. When a task reaches its
 // stream's head it registers on every awaited event that is not complete
 // yet, and it becomes ready once that count reaches zero. A collective is a
-// join node: each part arrives once ready, and the last part to arrive runs
-// the group's action and completes every part. So no task ever blocks, and
-// any number of streams runs on any number of host threads.
+// join node: each part arrives once ready; the last part to arrive runs the
+// group's action and publishes every part's share (its body) as a ready
+// task of its own, and the last share to finish completes every part. So
+// no task ever blocks, any number of streams runs on any number of host
+// threads, and one collective's copies spread over the idle workers.
 //
 // In real mode a pool of min(hardware_concurrency, 2 x devices) workers
 // runs ready tasks. A worker that finishes a task runs one newly ready
@@ -68,6 +70,12 @@ class Executor {
   PendingTask* step(PendingTask& task);
   /// Unlocked: `task` is a collective part whose dependencies resolved.
   PendingTask* arrive(PendingTask& task, double ready);
+  /// Unlocked: runs a published collective share; the last one of its
+  /// group completes the group.
+  PendingTask* run_share(PendingTask& task);
+  /// Unlocked: records and retires every part of a joined group at
+  /// start_max + duration.
+  PendingTask* complete(CollectiveGroup& group);
   /// Unlocked: stream clock, hazard audit and trace of a finished task.
   void record(PendingTask& task, double t_begin, double t_end);
   /// Pops each finished task off its stream, signals its event and makes

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <tuple>
 
@@ -300,6 +301,134 @@ TEST(Communicator, SendvRowsDeliversSelectedRowsPerDestination) {
   // Root's own data is read-only for the exchange.
   for (std::size_t i = 0; i < src.size(); ++i) {
     ASSERT_EQ(src[i], static_cast<float>(100 + i));
+  }
+}
+
+/// A value per (rank, index) whose sums depend on the order of additions.
+float probe(int rank, std::size_t i) {
+  return static_cast<float>((rank * 7919 + static_cast<int>(i) * 104729) %
+                            1009) *
+             1.0e-3f +
+         static_cast<float>(rank) * 1.0e-7f;
+}
+
+TEST(Communicator, EightRankSharesAreByteIdenticalToTheReference) {
+  // Each part of an 8-rank collective moves its own share: a copy per
+  // destination (broadcast, sendv_rows) or an element slice of the
+  // reduction (allreduce_sum). Counts below 8 leave some slices empty and
+  // 1001 splits unevenly; the results must match a single rank-order sweep
+  // byte for byte.
+  const int gpus = 8;
+  sim::Machine machine(sim::dgx_v100(), gpus, sim::ExecutionMode::kReal);
+  Communicator comm(machine);
+  for (const std::size_t count : {std::size_t{5}, std::size_t{1001}}) {
+    auto buffers = make_buffers(machine, count);
+    const auto fill = [&] {
+      for (int r = 0; r < gpus; ++r) {
+        auto span = buffers[static_cast<std::size_t>(r)].span();
+        for (std::size_t i = 0; i < count; ++i) span[i] = probe(r, i);
+      }
+    };
+    const auto expect_bytes = [&](int r, const std::vector<float>& want,
+                                  const char* what) {
+      const auto got = buffers[static_cast<std::size_t>(r)].span();
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), count * sizeof(float)),
+                0)
+          << what << ", count " << count << ", rank " << r;
+    };
+
+    fill();
+    const int root = 5;
+    std::vector<float> from_root(count);
+    for (std::size_t i = 0; i < count; ++i) from_root[i] = probe(root, i);
+    for (auto& e : comm.broadcast(parts_of(buffers), count, root)) e.wait();
+    for (int r = 0; r < gpus; ++r) expect_bytes(r, from_root, "broadcast");
+
+    fill();
+    std::vector<float> sum(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      float acc = probe(0, i);
+      for (int r = 1; r < gpus; ++r) acc += probe(r, i);
+      sum[i] = acc;
+    }
+    for (auto& e : comm.allreduce_sum(parts_of(buffers), count)) e.wait();
+    for (int r = 0; r < gpus; ++r) expect_bytes(r, sum, "allreduce_sum");
+
+    // sendv_rows from root 3 with d = 1: rank r != 3 receives every
+    // (r + 1)-th source row, rank 6 nothing (its buffer stays as filled).
+    fill();
+    const int src_rank = 3;
+    std::vector<std::vector<std::uint32_t>> lists(gpus);
+    std::vector<std::span<const std::uint32_t>> rows(gpus);
+    std::vector<std::vector<float>> want(gpus);
+    for (int r = 0; r < gpus; ++r) {
+      auto& list = lists[static_cast<std::size_t>(r)];
+      auto& expected = want[static_cast<std::size_t>(r)];
+      for (std::size_t i = 0; i < count; ++i) expected.push_back(probe(r, i));
+      if (r == src_rank || r == 6) continue;
+      for (std::size_t i = 0; i < count;
+           i += static_cast<std::size_t>(r) + 1) {
+        list.push_back(static_cast<std::uint32_t>(i));
+      }
+      for (std::size_t j = 0; j < list.size(); ++j) {
+        expected[j] = probe(src_rank, list[j]);
+      }
+      rows[static_cast<std::size_t>(r)] = list;
+    }
+    for (auto& e : comm.sendv_rows(parts_of(buffers), rows, 1, src_rank)) {
+      e.wait();
+    }
+    for (int r = 0; r < gpus; ++r) {
+      expect_bytes(r, want[static_cast<std::size_t>(r)], "sendv_rows");
+    }
+  }
+}
+
+TEST(Communicator, MixedStorageFailsAtTheCall) {
+  // A data-moving collective whose parts mix buffers with and without
+  // storage throws before any part is enqueued, instead of moving part of
+  // the data (rank 0 half summed) and skipping the rest.
+  const int gpus = 4;
+  const std::size_t count = 16;
+  sim::Machine machine(sim::dgx_v100(), gpus, sim::ExecutionMode::kReal);
+  Communicator comm(machine);
+  auto buffers = make_buffers(machine, count);
+  for (auto& x : buffers[0].span()) x = 1.0f;
+  for (auto& x : buffers[1].span()) x = 2.0f;
+  sim::DeviceBuffer bare = sim::DeviceBuffer::view(
+      machine.device(2), count, nullptr, "bare", /*id=*/0);
+  const auto mixed = [&] {
+    std::vector<RankPart> parts = parts_of(buffers);
+    parts[2].buffer = &bare;
+    return parts;
+  };
+
+  EXPECT_THROW(comm.allreduce_sum(mixed(), count), InvalidArgumentError);
+  EXPECT_THROW(comm.reduce_sum(mixed(), count, 0), InvalidArgumentError);
+  EXPECT_THROW(comm.allgather(mixed(), {4, 4, 4, 4}), InvalidArgumentError);
+  EXPECT_THROW(comm.broadcast(mixed(), count, 0), InvalidArgumentError);
+  EXPECT_THROW(comm.broadcast(mixed(), count, 2), InvalidArgumentError);
+  const std::vector<std::uint32_t> some = {0, 3};
+  std::vector<std::span<const std::uint32_t>> rows(gpus);
+  rows[2] = some;
+  EXPECT_THROW(comm.sendv_rows(mixed(), rows, 4, 0), InvalidArgumentError);
+  machine.synchronize();
+  for (const float x : buffers[0].span()) ASSERT_EQ(x, 1.0f);
+  for (const float x : buffers[1].span()) ASSERT_EQ(x, 2.0f);
+
+  // A receiver that is sent no rows needs no storage.
+  rows[2] = {};
+  rows[1] = some;
+  for (auto& e : comm.sendv_rows(mixed(), rows, 4, 0)) e.wait();
+  EXPECT_EQ(buffers[1].span()[0], 1.0f);
+
+  // Phantom-mode buffers carry no storage at all: the collectives run
+  // (timing only).
+  sim::Machine phantom(sim::dgx_v100(), gpus, sim::ExecutionMode::kPhantom);
+  Communicator phantom_comm(phantom);
+  auto ghosts = make_buffers(phantom, count);
+  for (auto& e : phantom_comm.allreduce_sum(parts_of(ghosts), count)) {
+    EXPECT_GT(e.wait(), 0.0);
   }
 }
 

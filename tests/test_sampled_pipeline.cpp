@@ -44,6 +44,12 @@ SampledPipeline::Options small_options() {
   return options;
 }
 
+/// Small enough a batch that every pinned configuration below trains three
+/// rounds or more per epoch, so rounds from the third on are sampled by the
+/// look-ahead while an earlier round trains (the default batch of 48 gives
+/// two rounds at 4 devices and one at 8).
+constexpr std::int64_t kLookaheadBatch = 8;
+
 SampledPipeline::Options three_layer_options() {
   SampledPipeline::Options options = small_options();
   options.hidden_dims = {16, 8};
@@ -53,10 +59,14 @@ SampledPipeline::Options three_layer_options() {
 
 std::vector<double> run_losses(const graph::Dataset& ds,
                                SampledPipeline::Options options, int epochs,
-                               bool hazard_check = false, int devices = 4) {
+                               bool hazard_check = false, int devices = 4,
+                               int* rounds_per_epoch = nullptr) {
   sim::Machine machine(sim::dgx_v100(), devices, sim::ExecutionMode::kReal,
                        hazard_check);
   SampledPipeline pipeline(machine, ds, options);
+  if (rounds_per_epoch != nullptr) {
+    *rounds_per_epoch = pipeline.rounds_per_epoch();
+  }
   std::vector<double> losses;
   for (const auto& stats : pipeline.train(epochs)) {
     losses.push_back(stats.loss);
@@ -104,17 +114,27 @@ TEST(SampledPipeline, LossBitsArePinned) {
   // MGGCN_HAZARD_CHECK the no-fill round scratch is NaN-poisoned, so a
   // read-before-write changes the hash too.
   const graph::Dataset ds = sampled_dataset();
-  for (const auto& [devices, expected] :
-       {std::pair{1, 0x10156c83101209f9ULL},
-        std::pair{4, 0xd6ac77a3626c6a76ULL},
-        std::pair{8, 0x0b4ab1a9f07e14a4ULL}}) {
+  for (const auto& [devices, batch, expected] :
+       {std::tuple{1, std::int64_t{48}, 0x10156c83101209f9ULL},
+        std::tuple{4, std::int64_t{48}, 0xd6ac77a3626c6a76ULL},
+        std::tuple{8, std::int64_t{48}, 0x0b4ab1a9f07e14a4ULL},
+        std::tuple{4, kLookaheadBatch, 0x8c697ef93832226aULL},
+        std::tuple{8, kLookaheadBatch, 0xf7942768f53bb62bULL}}) {
+    SampledPipeline::Options options = small_options();
+    options.batch_size = batch;
+    int rounds = 0;
     testing::Fnv1a hash;
-    for (const double loss : run_losses(ds, small_options(), 3,
-                                        sim::hazard_check_env(), devices)) {
+    for (const double loss : run_losses(ds, options, 3,
+                                        sim::hazard_check_env(), devices,
+                                        &rounds)) {
       hash.mix(loss);
     }
+    if (batch == kLookaheadBatch) {
+      EXPECT_GE(rounds, 3);
+    }
     EXPECT_EQ(hash.value(), expected)
-        << devices << " devices: 0x" << std::hex << hash.value();
+        << devices << " devices, batch " << batch << ": 0x" << std::hex
+        << hash.value();
   }
 }
 
@@ -127,20 +147,32 @@ TEST(SampledPipeline, EpochStatsArePinned) {
   const util::Knob<dense::KernelPolicy>::Scoped kernels(
       dense::kernel_policy_knob, dense::KernelPolicy::kPlanned);
   const graph::Dataset ds = sampled_dataset();
-  for (const auto& [layers, mode, expected] :
-       {std::tuple{2, mem::PoolMode::kOff, 0xf3697d658287f518ULL},
-        std::tuple{2, mem::PoolMode::kOn, 0xa39af7120aa705c5ULL},
-        std::tuple{3, mem::PoolMode::kOff, 0x0efdd80358b57579ULL},
-        std::tuple{3, mem::PoolMode::kOn, 0x499b5587683e4ef3ULL}}) {
+  for (const auto& [layers, mode, batch, expected] :
+       {std::tuple{2, mem::PoolMode::kOff, std::int64_t{48},
+                   0xf3697d658287f518ULL},
+        std::tuple{2, mem::PoolMode::kOn, std::int64_t{48},
+                   0xa39af7120aa705c5ULL},
+        std::tuple{3, mem::PoolMode::kOff, std::int64_t{48},
+                   0x0efdd80358b57579ULL},
+        std::tuple{3, mem::PoolMode::kOn, std::int64_t{48},
+                   0x499b5587683e4ef3ULL},
+        std::tuple{2, mem::PoolMode::kOff, kLookaheadBatch,
+                   0x015f48b876238920ULL},
+        std::tuple{3, mem::PoolMode::kOn, kLookaheadBatch,
+                   0x74f20205150bcce1ULL}}) {
     SampledPipeline::Options options =
         layers == 3 ? three_layer_options() : small_options();
     options.pool_mode = mode;
+    options.batch_size = batch;
     sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kReal);
     SampledPipeline pipeline(machine, ds, options);
+    if (batch == kLookaheadBatch) {
+      EXPECT_GE(pipeline.rounds_per_epoch(), 3);
+    }
     const std::uint64_t hash = testing::hash_epoch_stats(pipeline.train(3));
     EXPECT_EQ(hash, expected) << layers << " layers, "
-                              << mem::pool_mode_name(mode) << ": 0x"
-                              << std::hex << hash;
+                              << mem::pool_mode_name(mode) << ", batch "
+                              << batch << ": 0x" << std::hex << hash;
   }
 }
 
@@ -151,18 +183,28 @@ TEST(SampledPipeline, EpochTimelineIsPinned) {
   const util::Knob<dense::KernelPolicy>::Scoped kernels(
       dense::kernel_policy_knob, dense::KernelPolicy::kPlanned);
   const graph::Dataset ds = sampled_dataset();
-  for (const auto& [mode, expected] :
-       {std::pair{mem::PoolMode::kOff, 0xc40953cf50e0eae4ULL},
-        std::pair{mem::PoolMode::kOn, 0xc40953cf50e0eae4ULL}}) {
+  for (const auto& [mode, batch, expected] :
+       {std::tuple{mem::PoolMode::kOff, std::int64_t{48},
+                   0xc40953cf50e0eae4ULL},
+        std::tuple{mem::PoolMode::kOn, std::int64_t{48},
+                   0xc40953cf50e0eae4ULL},
+        std::tuple{mem::PoolMode::kOff, kLookaheadBatch,
+                   0x065564600e762f74ULL},
+        std::tuple{mem::PoolMode::kOn, kLookaheadBatch,
+                   0x065564600e762f74ULL}}) {
     SampledPipeline::Options options = three_layer_options();
     options.pool_mode = mode;
+    options.batch_size = batch;
     sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kReal);
     SampledPipeline pipeline(machine, ds, options);
+    if (batch == kLookaheadBatch) {
+      EXPECT_GE(pipeline.rounds_per_epoch(), 3);
+    }
     (void)pipeline.train_epoch();
     const std::uint64_t hash =
         testing::hash_timeline(machine.trace().records());
-    EXPECT_EQ(hash, expected) << mem::pool_mode_name(mode) << ": 0x"
-                              << std::hex << hash;
+    EXPECT_EQ(hash, expected) << mem::pool_mode_name(mode) << ", batch "
+                              << batch << ": 0x" << std::hex << hash;
   }
 }
 

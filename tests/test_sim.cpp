@@ -3,6 +3,7 @@
 // and the trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -576,6 +577,62 @@ TEST(Executor, MoreStreamsThanWorkersAndAReversedCollectiveFinish) {
     const bool real = mode == ExecutionMode::kReal;
     EXPECT_EQ(bodies.load(), real ? 16 : 0);
     EXPECT_EQ(actions.load(), real ? 1 : 0);
+  }
+}
+
+TEST(Executor, CollectiveSharesRunOnceAndCompleteTogether) {
+  // An 8-rank collective whose parts each carry a share (its body). The
+  // shares are published together once the last part arrives, so on a host
+  // with fewer than 8 cores more shares are ready than the pool has
+  // workers. Every share runs exactly once (none in phantom mode), every
+  // part completes at the latest part's ready time plus the duration, and a
+  // task waiting on any one part sees every share's write.
+  for (const ExecutionMode mode :
+       {ExecutionMode::kReal, ExecutionMode::kPhantom}) {
+    Machine machine(dgx_v100(), 8, mode);
+    double ready_max = 0.0;
+    for (int r = 0; r < 8; ++r) {
+      // Rank r's comm stream is busy for r + 1 units before its part.
+      const TaskDesc busy = cheap_task(nullptr, 9e8 * (r + 1));
+      ready_max = std::max(
+          ready_max, CostModel::seconds(busy.cost, dgx_v100().device));
+      machine.device(r).comm_stream().enqueue(busy);
+    }
+
+    auto group = std::make_shared<CollectiveGroup>(8);
+    group->duration = 1e-3;
+    std::vector<std::atomic<int>> runs(8);
+    std::vector<int> slots(8, 0);  // share r writes slot r, unsynchronized
+    std::vector<Event> parts(8);
+    for (int r = 7; r >= 0; --r) {
+      TaskDesc part;
+      part.collective = group;
+      part.body = [&runs, &slots, r] {
+        ++runs[static_cast<std::size_t>(r)];
+        slots[static_cast<std::size_t>(r)] = r + 1;
+      };
+      parts[static_cast<std::size_t>(r)] =
+          machine.device(r).comm_stream().enqueue(std::move(part));
+    }
+    std::vector<int> seen(8, -1);
+    for (int r = 0; r < 8; ++r) {
+      TaskDesc reader = cheap_task([&seen, &slots, r] {
+        int sum = 0;
+        for (const int slot : slots) sum += slot;
+        seen[static_cast<std::size_t>(r)] = sum;
+      });
+      reader.waits.push_back(parts[static_cast<std::size_t>(r)]);
+      machine.device(r).compute_stream().enqueue(std::move(reader));
+    }
+    machine.synchronize();
+
+    const bool real = mode == ExecutionMode::kReal;
+    for (int r = 0; r < 8; ++r) {
+      const auto rr = static_cast<std::size_t>(r);
+      EXPECT_EQ(parts[rr].wait(), ready_max + 1e-3) << "rank " << r;
+      EXPECT_EQ(runs[rr].load(), real ? 1 : 0) << "rank " << r;
+      EXPECT_EQ(seen[rr], real ? 36 : -1) << "rank " << r;
+    }
   }
 }
 
