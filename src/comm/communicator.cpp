@@ -133,7 +133,6 @@ double Communicator::resolve_faults(const char* label) {
 std::vector<sim::Event> Communicator::launch(std::vector<RankPart> parts,
                                              double duration,
                                              const char* label,
-                                             std::function<void()> action,
                                              StreamChoice stream, int stage) {
   MGGCN_CHECK_MSG(parts.size() == devices_.size(),
                   "collective needs one part per rank");
@@ -145,7 +144,6 @@ std::vector<sim::Event> Communicator::launch(std::vector<RankPart> parts,
   auto group = std::make_shared<sim::CollectiveGroup>(size());
   group->duration =
       duration * options_.duration_scale / bandwidth_scale + fault_penalty;
-  group->action = std::move(action);
 
   std::vector<sim::Event> events;
   events.reserve(parts.size());
@@ -180,7 +178,7 @@ std::vector<sim::Event> Communicator::broadcast(std::vector<RankPart> parts,
   }
   if (size() == 1) {
     // Degenerate collective: nothing moves, but callers still get events.
-    return launch(std::move(parts), 0.0, "broadcast", nullptr, stream, stage);
+    return launch(std::move(parts), 0.0, "broadcast", stream, stage);
   }
 
   const std::uint64_t bytes = count * sizeof(float);
@@ -202,8 +200,7 @@ std::vector<sim::Event> Communicator::broadcast(std::vector<RankPart> parts,
       };
     }
   }
-  return launch(std::move(parts), duration, "broadcast", nullptr, stream,
-                stage);
+  return launch(std::move(parts), duration, "broadcast", stream, stage);
 }
 
 double Communicator::sendv_rows_seconds(std::uint64_t total_bytes,
@@ -314,8 +311,7 @@ std::vector<sim::Event> Communicator::sendv_rows(
     }
   }
   if (size() == 1) {
-    return launch(std::move(parts), 0.0, "sendv_rows", nullptr, stream,
-                  stage);
+    return launch(std::move(parts), 0.0, "sendv_rows", stream, stage);
   }
 
   const SendvShape shape = sendv_shape(rows, d, root);
@@ -343,8 +339,7 @@ std::vector<sim::Event> Communicator::sendv_rows(
       };
     }
   }
-  return launch(std::move(parts), duration, "sendv_rows", nullptr, stream,
-                stage);
+  return launch(std::move(parts), duration, "sendv_rows", stream, stage);
 }
 
 std::vector<sim::Event> Communicator::allreduce_sum(std::vector<RankPart> parts,
@@ -356,7 +351,7 @@ std::vector<sim::Event> Communicator::allreduce_sum(std::vector<RankPart> parts,
     if (size() > 1) part.writes.push_back(part.buffer->access());
   }
   if (size() == 1) {
-    return launch(std::move(parts), 0.0, "allreduce", nullptr, stream);
+    return launch(std::move(parts), 0.0, "allreduce", stream);
   }
 
   const std::uint64_t bytes = count * sizeof(float);
@@ -380,7 +375,7 @@ std::vector<sim::Event> Communicator::allreduce_sum(std::vector<RankPart> parts,
       };
     }
   }
-  return launch(std::move(parts), duration, "allreduce", nullptr, stream);
+  return launch(std::move(parts), duration, "allreduce", stream);
 }
 
 std::vector<sim::Event> Communicator::reduce_sum(std::vector<RankPart> parts,
@@ -395,7 +390,7 @@ std::vector<sim::Event> Communicator::reduce_sum(std::vector<RankPart> parts,
     }
   }
   if (size() == 1) {
-    return launch(std::move(parts), 0.0, "reduce", nullptr, stream);
+    return launch(std::move(parts), 0.0, "reduce", stream);
   }
 
   const std::uint64_t bytes = count * sizeof(float);
@@ -417,7 +412,7 @@ std::vector<sim::Event> Communicator::reduce_sum(std::vector<RankPart> parts,
       };
     }
   }
-  return launch(std::move(parts), duration, "reduce", nullptr, stream);
+  return launch(std::move(parts), duration, "reduce", stream);
 }
 
 std::vector<sim::Event> Communicator::allgather(
@@ -432,19 +427,18 @@ std::vector<sim::Event> Communicator::allgather(
   std::size_t total = 0;
   for (const std::size_t c : counts) total += c;
   if (size() == 1) {
-    return launch(std::move(parts), 0.0, "allgather", nullptr, stream);
+    return launch(std::move(parts), 0.0, "allgather", stream);
   }
 
   const double duration =
       topology_.allgather_seconds(total * sizeof(float), size());
 
   // In place, every rank's head segment is also part of every other rank's
-  // result, so the gather stays one group action rather than per-part
-  // shares.
-  std::function<void()> action;
+  // result, so the whole gather is one share, rank 0's, rather than one per
+  // destination.
   if (carries_storage(parts, "allgather",
                       [&](std::size_t) { return total > 0; })) {
-    action = [bufs = data_of(parts), counts, total] {
+    parts.front().share = [bufs = data_of(parts), counts, total] {
       // Gather every rank's head segment into a scratch image, then write
       // the concatenation back to all ranks.
       std::vector<float> image(total);
@@ -458,14 +452,12 @@ std::vector<sim::Event> Communicator::allgather(
       }
     };
   }
-  return launch(std::move(parts), duration, "allgather", std::move(action),
-                stream);
+  return launch(std::move(parts), duration, "allgather", stream);
 }
 
 std::vector<sim::Event> Communicator::barrier(StreamChoice stream) {
   std::vector<RankPart> parts(static_cast<std::size_t>(size()));
-  return launch(std::move(parts), topology_.base_latency(), "barrier",
-                nullptr, stream);
+  return launch(std::move(parts), topology_.base_latency(), "barrier", stream);
 }
 
 }  // namespace mggcn::comm

@@ -33,8 +33,9 @@ enum class StreamChoice { kCompute, kComm };
 /// are written, reductions do both) so the hazard checker audits collectives
 /// like any other task, and `share` with the slice of the data movement
 /// this part's task runs once every part has arrived (a copy into one
-/// destination, or one element slice of a reduction; empty when the part
-/// has nothing to move).
+/// destination, one element slice of a reduction, or, on rank 0 of an
+/// in-place allgather, the whole gather; empty when the part has nothing to
+/// move).
 struct RankPart {
   sim::DeviceBuffer* buffer = nullptr;
   std::vector<sim::Event> waits;
@@ -179,11 +180,9 @@ class Communicator {
 
  private:
   /// Enqueues one part per rank on a fresh join node; each part's share
-  /// becomes its task's body, `action` the group's (allgather's in-place
-  /// gather).
+  /// becomes its task's body.
   std::vector<sim::Event> launch(std::vector<RankPart> parts,
                                  double duration, const char* label,
-                                 std::function<void()> action,
                                  StreamChoice stream, int stage = -1);
 
   /// Fault hook run before any rank part is enqueued: throws

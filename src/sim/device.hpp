@@ -88,20 +88,17 @@ class Event {
 /// Join node shared by the per-rank tasks of one collective operation.
 /// All participating streams synchronize their simulated start times (a
 /// collective begins when the last rank arrives). The last part to arrive
-/// runs the group's action, then publishes every part's share (its
-/// TaskDesc::body) to the ready list, so the shares of one collective run
-/// on as many workers as are free. The last share to finish completes all
-/// parts at start + duration. In phantom mode neither actions nor shares
-/// run, and the last part to arrive completes the group at once.
+/// publishes every part's share (its TaskDesc::body) to the ready list, so
+/// the shares of one collective run on as many workers as are free. The
+/// last share to finish completes all parts at start + duration. In
+/// phantom mode no share runs, and the last part to arrive completes the
+/// group at once.
 struct CollectiveGroup {
   explicit CollectiveGroup(int nranks) : nranks(nranks) {}
 
   int nranks;
   /// Simulated duration of the collective (set by the communicator).
   double duration = 0.0;
-  /// Executed once, by the last part to arrive, before any share runs;
-  /// skipped in phantom mode.
-  std::function<void()> action;
 
   /// Guarded by the executor's lock: the parts whose dependencies have
   /// resolved and the max of their ready times.

@@ -220,7 +220,6 @@ PendingTask* Executor::arrive(PendingTask& task, double ready) {
   // The last part to arrive: every part's dependencies have resolved, and
   // no other part touches the group any more.
   if (mode_ == ExecutionMode::kPhantom) return complete(group);
-  if (group.action) group.action();
   std::vector<PendingTask*> shares;
   for (PendingTask* part : group.arrived) {
     if (part->desc.body) shares.push_back(part);

@@ -3,9 +3,9 @@
 // Each stream is an in-order queue of tasks. When a task reaches its
 // stream's head it registers on every awaited event that is not complete
 // yet, and it becomes ready once that count reaches zero. A collective is a
-// join node: each part arrives once ready; the last part to arrive runs the
-// group's action and publishes every part's share (its body) as a ready
-// task of its own, and the last share to finish completes every part. So
+// join node: each part arrives once ready; the last part to arrive
+// publishes every part's share (its body) as a ready task of its own, and
+// the last share to finish completes every part. So
 // no task ever blocks, any number of streams runs on any number of host
 // threads, and one collective's copies spread over the idle workers.
 //
