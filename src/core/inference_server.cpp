@@ -8,6 +8,7 @@
 #include "sim/cost_model.hpp"
 #include "sparse/spmm.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace mggcn::core {
 
@@ -82,8 +83,6 @@ InferenceServer::InferenceServer(sim::Machine& machine, MgGcnTrainer& trainer,
   a_hat_t_ = assemble_tile_grid(trainer.forward_planner().grid());
   MGGCN_CHECK_MSG(a_hat_t_.rows() == dataset.n(),
                   "serving dataset does not match the trainer's graph");
-  frontier_pos_.assign(static_cast<std::size_t>(a_hat_t_.cols()), 0);
-  frontier_stamp_.assign(static_cast<std::size_t>(a_hat_t_.cols()), 0);
 
   comm_ = std::make_unique<comm::Communicator>(machine_);
   pool_ = mem::resolve_pool(options_.pool, machine_, options_.pool_mode);
@@ -247,31 +246,27 @@ void InferenceServer::build_caches() {
   est_batch_seconds_ = seconds;
 }
 
-std::vector<InferenceServer::Batch> InferenceServer::plan_batches(
+std::vector<InferenceServer::PlannedBatch> InferenceServer::plan_batches(
     std::span<const serve::Request> requests) {
-  std::vector<Batch> batches;
+  // The boundary pass: which requests each batch takes and when it closes.
+  // Cheap, and each boundary depends on the one before it.
+  std::vector<PlannedBatch> batches;
   const auto n_req = static_cast<std::int64_t>(requests.size());
   const int parts = comm_->size();
   std::int64_t i = 0;
   int next_replica = 0;
   while (i < n_req) {
-    Batch batch;
+    PlannedBatch batch;
     batch.replica = next_replica;
     next_replica = (next_replica + 1) % parts;
-    batch.request_ids.push_back(i);
+    batch.first_request = i;
 
+    std::int64_t j = i + 1;
     if (options_.policy == BatchPolicy::kPerRequest) {
       batch.close_time = requests[static_cast<std::size_t>(i)].arrival;
-      ++i;
     } else if (options_.policy == BatchPolicy::kFixed) {
-      std::int64_t j = i + 1;
-      while (j < n_req && static_cast<std::int64_t>(
-                              batch.request_ids.size()) < options_.max_batch) {
-        batch.request_ids.push_back(j);
-        ++j;
-      }
+      j = std::min(n_req, i + options_.max_batch);
       batch.close_time = requests[static_cast<std::size_t>(j - 1)].arrival;
-      i = j;
     } else {
       // kDeadline: wait up to the slack, but never past the point where a
       // member's deadline could no longer absorb the priced service time.
@@ -281,56 +276,78 @@ std::vector<InferenceServer::Batch> InferenceServer::plan_batches(
         limit = std::min(
             limit, std::max(first.arrival, first.deadline - est_batch_seconds_));
       }
-      std::int64_t j = i + 1;
-      while (j < n_req &&
-             static_cast<std::int64_t>(batch.request_ids.size()) <
-                 options_.max_batch &&
+      while (j < n_req && j - i < options_.max_batch &&
              requests[static_cast<std::size_t>(j)].arrival <= limit) {
         const auto& req = requests[static_cast<std::size_t>(j)];
-        batch.request_ids.push_back(j);
         if (req.deadline > 0.0) {
           limit = std::min(
               limit, std::max(req.arrival, req.deadline - est_batch_seconds_));
         }
         ++j;
       }
-      const bool full = static_cast<std::int64_t>(batch.request_ids.size()) ==
-                        options_.max_batch;
+      const bool full = j - i == options_.max_batch;
       batch.close_time =
           full ? requests[static_cast<std::size_t>(j - 1)].arrival : limit;
-      i = j;
     }
-    plan_frontier(&batch, requests);
+    batch.num_requests = j - i;
+    i = j;
     batches.push_back(std::move(batch));
   }
+
+  // The per-batch plans, on every core: contiguous chunks of batches, each
+  // chunk with its own tables, so the chunks share nothing they write.
+  const auto n_batches = static_cast<std::int64_t>(batches.size());
+  const std::int64_t chunks = std::min(n_batches, util::hardware_threads());
+  if (static_cast<std::int64_t>(plan_tables_.size()) < chunks) {
+    plan_tables_.resize(
+        static_cast<std::size_t>(chunks),
+        PlanTables{std::vector<PlanSlot>(
+            static_cast<std::size_t>(a_hat_t_.cols()))});
+  }
+  util::parallel_for(chunks, [&](std::int64_t c) {
+    PlanTables* tables = &plan_tables_[static_cast<std::size_t>(c)];
+    for (std::int64_t b = c * n_batches / chunks;
+         b < (c + 1) * n_batches / chunks; ++b) {
+      plan_batch(&batches[static_cast<std::size_t>(b)], requests, tables);
+    }
+  });
   return batches;
 }
 
-void InferenceServer::plan_frontier(Batch* batch,
-                                    std::span<const serve::Request> requests) {
+void InferenceServer::plan_batch(PlannedBatch* batch,
+                                 std::span<const serve::Request> requests,
+                                 PlanTables* tables) const {
   const auto row_ptr = a_hat_t_.row_ptr();
   const auto col_idx = a_hat_t_.col_idx();
   const auto values = a_hat_t_.values();
+  const auto batch_requests = requests.subspan(
+      static_cast<std::size_t>(batch->first_request),
+      static_cast<std::size_t>(batch->num_requests));
+  std::vector<PlanSlot>& slots = tables->slots;
 
   // Dedupe the batch's neighbor columns with a per-batch stamp, then sort:
   // the same ascending union a sort + unique of every edge would give.
-  if (++stamp_ == 0) {
-    std::fill(frontier_stamp_.begin(), frontier_stamp_.end(), 0);
-    stamp_ = 1;
+  if (++tables->stamp == 0) {
+    std::fill(slots.begin(), slots.end(), PlanSlot{});
+    tables->stamp = 1;
   }
+  const std::uint32_t stamp = tables->stamp;
   std::vector<std::uint32_t>& frontier = batch->frontier;
-  for (const std::int64_t id : batch->request_ids) {
-    const std::uint32_t g =
-        perm_[requests[static_cast<std::size_t>(id)].vertex];
+  std::size_t edges = 0;
+  for (const serve::Request& req : batch_requests) {
+    const std::uint32_t g = perm_[req.vertex];
+    edges += static_cast<std::size_t>(row_ptr[g + 1] - row_ptr[g]);
     for (std::int64_t e = row_ptr[g]; e < row_ptr[g + 1]; ++e) {
       const std::uint32_t c = col_idx[static_cast<std::size_t>(e)];
-      if (frontier_stamp_[c] == stamp_) continue;
-      frontier_stamp_[c] = stamp_;
+      if (slots[c].stamp == stamp) continue;
+      slots[c].stamp = stamp;
       frontier.push_back(c);
     }
   }
   std::sort(frontier.begin(), frontier.end());
-  mark_frontier(frontier);
+  for (std::size_t pos = 0; pos < frontier.size(); ++pos) {
+    slots[frontier[pos]].pos = static_cast<std::uint32_t>(pos);
+  }
 
   // The batch adjacency with columns compacted to frontier positions. The
   // remap is monotone, so each output element accumulates its edges in the
@@ -339,66 +356,75 @@ void InferenceServer::plan_frontier(Batch* batch,
   std::vector<std::int64_t> bp;
   std::vector<std::uint32_t> bc;
   std::vector<float> bv;
-  bp.reserve(batch->request_ids.size() + 1);
+  bp.reserve(batch_requests.size() + 1);
+  bc.reserve(edges);
+  bv.reserve(edges);
   bp.push_back(0);
-  for (const std::int64_t id : batch->request_ids) {
-    const std::uint32_t g =
-        perm_[requests[static_cast<std::size_t>(id)].vertex];
+  for (const serve::Request& req : batch_requests) {
+    const std::uint32_t g = perm_[req.vertex];
     for (std::int64_t e = row_ptr[g]; e < row_ptr[g + 1]; ++e) {
-      bc.push_back(frontier_pos_[col_idx[static_cast<std::size_t>(e)]]);
+      bc.push_back(slots[col_idx[static_cast<std::size_t>(e)]].pos);
       bv.push_back(values[static_cast<std::size_t>(e)]);
     }
     bp.push_back(static_cast<std::int64_t>(bc.size()));
   }
-  batch->adj = sparse::Csr(static_cast<std::int64_t>(batch->request_ids.size()),
+  batch->adj = sparse::Csr(batch->num_requests,
                            static_cast<std::int64_t>(frontier.size()),
                            std::move(bp), std::move(bc), std::move(bv));
+
+  // The replica's shard is one contiguous id range, so its rows form one
+  // slice of the ascending frontier; the rest, in order, is remote.
+  const auto lower = [&](std::int64_t id) {
+    return std::lower_bound(frontier.begin(), frontier.end(),
+                            static_cast<std::uint32_t>(id)) -
+           frontier.begin();
+  };
+  batch->local_begin = lower(partition_.begin(batch->replica));
+  batch->local_end = lower(partition_.end(batch->replica));
+  batch->remote.reserve(frontier.size() -
+                        static_cast<std::size_t>(batch->local_end -
+                                                 batch->local_begin));
+  batch->remote.insert(batch->remote.end(), frontier.begin(),
+                       frontier.begin() + batch->local_begin);
+  batch->remote.insert(batch->remote.end(),
+                       frontier.begin() + batch->local_end, frontier.end());
 }
 
-void InferenceServer::mark_frontier(std::span<const std::uint32_t> frontier) {
-  for (std::size_t pos = 0; pos < frontier.size(); ++pos) {
-    frontier_pos_[frontier[pos]] = static_cast<std::uint32_t>(pos);
-  }
-}
-
-sim::Event InferenceServer::enqueue_batch(const Batch& batch, double base,
-                                          ServeStats* stats) {
+sim::Event InferenceServer::enqueue_batch(const PlannedBatch& batch,
+                                          double base, ServeStats* stats) {
   const int r = batch.replica;
   auto& rep = replicas_[static_cast<std::size_t>(r)];
   auto& device = machine_.device(r);
   const auto& profile = device.profile();
   const bool real = machine_.mode() == sim::ExecutionMode::kReal;
   const sim::Event open = sim::Event::signaled(base + batch.close_time);
-  const auto batch_size = static_cast<std::int64_t>(batch.request_ids.size());
+  const std::int64_t batch_size = batch.num_requests;
 
-  // Classify the frontier: (src local row | cache slot | remote owner),
-  // dst = frontier position = scratch row.
+  // Row copies src -> dst; dst = frontier position = scratch row.
   struct RowCopy {
     std::int64_t src = 0;
     std::int64_t dst = 0;
   };
-  std::vector<RowCopy> local_copies;
-  std::vector<std::uint32_t> remote;
-  for (std::size_t pos = 0; pos < batch.frontier.size(); ++pos) {
-    const std::uint32_t g = batch.frontier[pos];
-    if (g >= partition_.begin(r) && g < partition_.end(r)) {
-      local_copies.push_back({g - partition_.begin(r),
-                              static_cast<std::int64_t>(pos)});
-    } else {
-      remote.push_back(g);
-    }
-  }
-
-  auto part = rep.cache.lookup(remote);
+  auto part = rep.cache.lookup(batch.remote);
   stats->serve_cache_hits += part.hit_vertices.size();
   stats->serve_cache_misses += part.miss_vertices.size();
 
-  // Batches are planned ahead of enqueueing, so the position table still
-  // holds the last planned batch's frontier: re-mark this one.
-  mark_frontier(batch.frontier);
-  const auto frontier_pos = [this](std::uint32_t g) {
-    return static_cast<std::int64_t>(frontier_pos_[g]);
-  };
+  // Hits and misses are order-preserving subsequences of the remote rows,
+  // so one walk over them recovers each row's frontier position.
+  std::vector<RowCopy> hit_copies;
+  std::vector<std::int64_t> miss_pos;
+  hit_copies.reserve(part.hit_vertices.size());
+  miss_pos.reserve(part.miss_vertices.size());
+  for (std::size_t i = 0, next_hit = 0; i < batch.remote.size(); ++i) {
+    if (next_hit < part.hit_vertices.size() &&
+        part.hit_vertices[next_hit] == batch.remote[i]) {
+      hit_copies.push_back(
+          {part.hit_slots[next_hit], batch.remote_position(i)});
+      ++next_hit;
+    } else {
+      miss_pos.push_back(batch.remote_position(i));
+    }
+  }
 
   // 1. Remote misses: one priced pull per owner on the comm stream, charged
   // what a compacted sendv of those rows costs (no collective rendezvous —
@@ -416,7 +442,7 @@ sim::Event InferenceServer::enqueue_batch(const Batch& batch, double base,
       owner_rows.push_back(
           static_cast<std::uint32_t>(g - partition_.begin(owner)));
       copies.push_back({static_cast<std::int64_t>(g - partition_.begin(owner)),
-                        frontier_pos(g)});
+                        miss_pos[m]});
       ++m;
     }
     std::vector<std::span<const std::uint32_t>> rows(
@@ -449,13 +475,9 @@ sim::Event InferenceServer::enqueue_batch(const Batch& batch, double base,
   }
 
   // 2. Local shard rows + cache hits, gathered at HBM cost.
-  std::vector<RowCopy> hit_copies;
-  for (std::size_t h = 0; h < part.hit_vertices.size(); ++h) {
-    hit_copies.push_back(
-        {part.hit_slots[h], frontier_pos(part.hit_vertices[h])});
-  }
-  const auto gathered =
-      static_cast<std::int64_t>(local_copies.size() + hit_copies.size());
+  const std::int64_t gathered =
+      batch.local_end - batch.local_begin +
+      static_cast<std::int64_t>(hit_copies.size());
   if (gathered > 0) {
     sim::TaskDesc task;
     task.label = "serve-gather";
@@ -473,11 +495,15 @@ sim::Event InferenceServer::enqueue_batch(const Batch& batch, double base,
       auto* cache_buf = &rep.cache.buffer();
       auto* dst = &rep.scratch;
       const std::int64_t d = d_store_;
-      task.body = [shard, cache_buf, dst, locals = std::move(local_copies),
+      const std::int64_t shard_begin = partition_.begin(r);
+      task.body = [shard, cache_buf, dst, &batch, shard_begin,
                    hits = std::move(hit_copies), d] {
-        for (const auto& c : locals) {
-          dense::copy(shard->span().data() + c.src * d,
-                      dst->span().data() + c.dst * d, d);
+        for (std::int64_t pos = batch.local_begin; pos < batch.local_end;
+             ++pos) {
+          const std::int64_t row =
+              batch.frontier[static_cast<std::size_t>(pos)] - shard_begin;
+          dense::copy(shard->span().data() + row * d,
+                      dst->span().data() + pos * d, d);
         }
         for (const auto& c : hits) {
           dense::copy(cache_buf->span().data() + c.src * d,
@@ -513,16 +539,15 @@ sim::Event InferenceServer::enqueue_batch(const Batch& batch, double base,
     const std::int64_t d = d_store_;
     auto* predictions = &predictions_;
     const bool write_predictions = !spmm_first_;
+    const std::int64_t first = batch.first_request;
     spmm_task.body = [adj, scratch, out, d, frontier_rows, batch_size,
-                      predictions, write_predictions,
-                      ids = batch.request_ids] {
+                      predictions, write_predictions, first] {
       const dense::ConstMatrixView b{scratch->span().data(), frontier_rows, d};
       const dense::MatrixView c{out->span().data(), batch_size, d};
       sparse::naive::spmm(*adj, b, c, 1.0f, 0.0f);
       if (write_predictions) {
-        for (std::size_t q = 0; q < ids.size(); ++q) {
-          dense::copy(c.row(static_cast<std::int64_t>(q)),
-                      predictions->view().row(ids[q]), d);
+        for (std::int64_t q = 0; q < batch_size; ++q) {
+          dense::copy(c.row(q), predictions->view().row(first + q), d);
         }
       }
     };
@@ -544,14 +569,14 @@ sim::Event InferenceServer::enqueue_batch(const Batch& batch, double base,
       const std::int64_t d_out = d_out_;
       auto* weight = &weight_;
       auto* predictions = &predictions_;
+      const std::int64_t first = batch.first_request;
       gemm_task.body = [tmp, out, weight, d_in, d_out, batch_size, predictions,
-                        ids = batch.request_ids] {
+                        first] {
         const dense::ConstMatrixView a{tmp->span().data(), batch_size, d_in};
         const dense::MatrixView c{out->span().data(), batch_size, d_out};
         dense::gemm(a, weight->view(), c, 1.0f, 0.0f);
-        for (std::size_t q = 0; q < ids.size(); ++q) {
-          dense::copy(c.row(static_cast<std::int64_t>(q)),
-                      predictions->view().row(ids[q]), d_out);
+        for (std::int64_t q = 0; q < batch_size; ++q) {
+          dense::copy(c.row(q), predictions->view().row(first + q), d_out);
         }
       };
     }
@@ -565,7 +590,10 @@ sim::Event InferenceServer::enqueue_batch(const Batch& batch, double base,
     std::vector<RowCopy> copies;
     copies.reserve(admitted.size());
     for (const auto& [vertex, slot] : admitted) {
-      copies.push_back({frontier_pos(vertex), slot});
+      const auto pos = std::lower_bound(batch.frontier.begin(),
+                                        batch.frontier.end(), vertex) -
+                       batch.frontier.begin();
+      copies.push_back({pos, slot});
     }
     sim::TaskDesc task;
     task.label = "serve-admit";
@@ -703,19 +731,26 @@ ServeStats InferenceServer::serve(std::span<const serve::Request> requests,
 
   // Enqueue batches and graph updates in timeline order, so the cache
   // bookkeeping (host side) matches the order the device tasks execute.
+  // The task bodies read `batches`: if an enqueue throws, drain what is
+  // already queued before they go out of scope.
   std::vector<sim::Event> completions(batches.size());
-  std::size_t bi = 0;
-  std::size_t ui = 0;
-  while (bi < batches.size() || ui < updates.size()) {
-    if (ui < updates.size() &&
-        (bi == batches.size() ||
-         updates[ui].time <= batches[bi].close_time)) {
-      enqueue_invalidate(updates[ui], base, &stats);
-      ++ui;
-    } else {
-      completions[bi] = enqueue_batch(batches[bi], base, &stats);
-      ++bi;
+  try {
+    std::size_t bi = 0;
+    std::size_t ui = 0;
+    while (bi < batches.size() || ui < updates.size()) {
+      if (ui < updates.size() &&
+          (bi == batches.size() ||
+           updates[ui].time <= batches[bi].close_time)) {
+        enqueue_invalidate(updates[ui], base, &stats);
+        ++ui;
+      } else {
+        completions[bi] = enqueue_batch(batches[bi], base, &stats);
+        ++bi;
+      }
     }
+  } catch (...) {
+    machine_.synchronize();
+    throw;
   }
   machine_.synchronize();
 
@@ -727,7 +762,9 @@ ServeStats InferenceServer::serve(std::span<const serve::Request> requests,
   for (std::size_t b = 0; b < batches.size(); ++b) {
     const double done = completions[b].wait();
     last_completion = std::max(last_completion, done);
-    for (const std::int64_t id : batches[b].request_ids) {
+    const auto& batch = batches[b];
+    for (std::int64_t id = batch.first_request;
+         id < batch.first_request + batch.num_requests; ++id) {
       const auto& req = requests[static_cast<std::size_t>(id)];
       latencies.push_back(done - (base + req.arrival));
       if (req.deadline > 0.0) {

@@ -152,6 +152,8 @@ class InferenceServer {
   /// InvalidArgumentError for out-of-order requests or updates and for
   /// request or update vertices outside the graph. A call without requests
   /// still applies its updates; only the update counters are reported.
+  /// When an enqueue throws (DeviceLostError from a failed replica), the
+  /// machine is drained of what this call enqueued before the rethrow.
   ServeStats serve(std::span<const serve::Request> requests,
                    std::span<const serve::GraphUpdate> updates = {});
 
@@ -178,18 +180,44 @@ class InferenceServer {
     return a_hat_t_;
   }
 
- private:
-  struct Batch {
+  /// One micro-batch as planned before anything is enqueued: a pure
+  /// function of its requests, the replica and the forward operator.
+  struct PlannedBatch {
     int replica = 0;
-    double close_time = 0.0;               ///< relative to the serve base
-    std::vector<std::int64_t> request_ids;  ///< indices into the trace
+    double close_time = 0.0;  ///< relative to the serve base
+    /// The batch serves requests [first_request, first_request +
+    /// num_requests) of the trace; batch row q is request first_request + q.
+    std::int64_t first_request = 0;
+    std::int64_t num_requests = 0;
     /// Ascending permuted row ids of the union of the batch's neighbor
     /// rows; scratch row i holds frontier[i].
     std::vector<std::uint32_t> frontier;
+    /// frontier[local_begin, local_end) lies in the replica's own shard
+    /// (the partition is contiguous, so the local rows are one slice).
+    std::int64_t local_begin = 0;
+    std::int64_t local_end = 0;
+    /// The other frontier rows, ascending: what the cache is asked for.
+    std::vector<std::uint32_t> remote;
     /// Batch adjacency (request rows x frontier columns, compact).
     sparse::Csr adj;
+
+    /// Frontier position (scratch row) of remote[i].
+    [[nodiscard]] std::int64_t remote_position(std::size_t i) const {
+      const auto pos = static_cast<std::int64_t>(i);
+      return pos < local_begin ? pos : pos + (local_end - local_begin);
+    }
   };
 
+  /// The micro-batches serve() dispatches for an arrival-ordered trace of
+  /// in-range requests, in dispatch order. The batch boundaries are drawn
+  /// on the calling thread; each batch's plan is then built on helper
+  /// threads (util::parallel_for over contiguous chunks of batches, each
+  /// chunk with its own dedupe tables). Touches neither the caches nor the
+  /// machine, so the plans are the same on every call.
+  [[nodiscard]] std::vector<PlannedBatch> plan_batches(
+      std::span<const serve::Request> requests);
+
+ private:
   struct Replica {
     mem::PooledBuffer store_shard;  ///< this rank's store rows
     mem::PooledBuffer scratch;      ///< gathered frontier rows (per serve)
@@ -199,20 +227,31 @@ class InferenceServer {
     sim::Event chain;               ///< previous batch's completion
   };
 
+  /// One planning chunk's tables over Â's columns (permuted vertex ids):
+  /// the stamp of the chunk's last batch whose frontier took the vertex
+  /// (the dedupe before the sort), and its position in that frontier.
+  struct PlanSlot {
+    std::uint32_t stamp = 0;
+    std::uint32_t pos = 0;
+  };
+  struct PlanTables {
+    std::vector<PlanSlot> slots;
+    std::uint32_t stamp = 0;
+  };
+
   void materialize_store(MgGcnTrainer& trainer);
   void build_caches();
-  [[nodiscard]] std::vector<Batch> plan_batches(
-      std::span<const serve::Request> requests);
-  /// Fills batch->frontier and batch->adj. Host cost is O(e + f log f)
-  /// for a batch of e neighbor edges and f distinct frontier rows (one
-  /// sort of the deduplicated frontier; every column maps through
-  /// frontier_pos_).
-  void plan_frontier(Batch* batch, std::span<const serve::Request> requests);
-  /// Points frontier_pos_ at `frontier`'s positions.
-  void mark_frontier(std::span<const std::uint32_t> frontier);
+  /// Fills batch's frontier, local slice, remote list and adjacency. Host
+  /// cost is O(e + f log f) for a batch of e neighbor edges and f distinct
+  /// frontier rows (one sort of the deduplicated frontier; every column
+  /// maps through the tables).
+  void plan_batch(PlannedBatch* batch,
+                  std::span<const serve::Request> requests,
+                  PlanTables* tables) const;
   /// Enqueues one batch's pull/gather/infer/admit tasks; returns the
-  /// completion event and accumulates cost seconds into the counters.
-  sim::Event enqueue_batch(const Batch& batch, double base,
+  /// completion event and accumulates cost seconds into the counters. The
+  /// task bodies read `batch`, which must outlive them.
+  sim::Event enqueue_batch(const PlannedBatch& batch, double base,
                            ServeStats* stats);
   void enqueue_invalidate(const serve::GraphUpdate& update, double base,
                           ServeStats* stats);
@@ -232,12 +271,9 @@ class InferenceServer {
   dense::HostMatrix store_;   ///< n x d_store, permuted order (real mode)
   dense::HostMatrix weight_;  ///< last W (spmm-first, real mode)
 
-  /// Planning tables over Â's columns (permuted vertex ids): the vertex's
-  /// position in the most recently marked frontier, and the stamp of the
-  /// last batch whose frontier took it (the dedupe before the sort).
-  std::vector<std::uint32_t> frontier_pos_;
-  std::vector<std::uint32_t> frontier_stamp_;
-  std::uint32_t stamp_ = 0;
+  /// One per planning chunk, grown on first use up to
+  /// util::hardware_threads().
+  std::vector<PlanTables> plan_tables_;
 
   ServeCacheMode cache_mode_used_ = ServeCacheMode::kOff;
   double est_batch_seconds_ = 0.0;

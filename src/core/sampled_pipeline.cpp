@@ -342,8 +342,9 @@ std::unique_ptr<SampledPipeline::RoundState> SampledPipeline::sample_round(
   round->index = index;
   round->batches.resize(static_cast<std::size_t>(P));
   util::parallel_for(P, [&](std::int64_t r) {
-    sample_batch(index, static_cast<int>(r),
-                 round->batches[static_cast<std::size_t>(r)]);
+    BatchState& batch = round->batches[static_cast<std::size_t>(r)];
+    sample_batch(index, static_cast<int>(r), batch);
+    split_batch(static_cast<int>(r), batch);
   });
   return round;
 }
@@ -352,11 +353,6 @@ void SampledPipeline::prepare_round(RoundState& round) {
   const int P = machine_.num_devices();
   const std::int64_t d0 = dims_.front();
   const int layers = num_layers();
-
-  util::parallel_for(P, [&](std::int64_t r) {
-    split_batch(static_cast<int>(r),
-                round.batches[static_cast<std::size_t>(r)]);
-  });
 
   // Scratch buffers, on this thread in rank order (the pool is
   // single-threaded, and buffer ids and placement stay deterministic).
@@ -421,7 +417,7 @@ void SampledPipeline::enqueue_sample(RoundState& round) {
     BatchState& batch = round.batches[static_cast<std::size_t>(r)];
     sim::Device& device = machine_.device(r);
 
-    // The expansion ran host-side in prepare_round; this task charges its
+    // The expansion ran host-side in sample_round; this task charges its
     // cost on the simulated timeline: one row_ptr/col_idx scan plus the
     // sampled-id writes per hop.
     sim::TaskDesc task;
@@ -826,10 +822,11 @@ EpochStats SampledPipeline::train_epoch() {
   for (auto& state : ranks_) state->rng.shuffle(state->order);
 
   std::deque<std::unique_ptr<RoundState>> inflight;
-  // The look-ahead: the pure host part of a later round, sampled on helper
-  // threads while the host waits out the round it just enqueued. The
-  // future's destructor joins it, so no sampling outlives this call, on
-  // return or throw, and none crosses into the next epoch's shuffle.
+  // The look-ahead: the host part of a later round (sampling and the
+  // cache split), run on helper threads while the host waits out the round
+  // it just enqueued. The future's destructor joins it, so no sampling
+  // outlives this call, on return or throw, and none crosses into the next
+  // epoch's shuffle.
   std::future<std::unique_ptr<RoundState>> ahead;
   const auto launch_front = [&](int index) {
     std::unique_ptr<RoundState> round =
@@ -845,8 +842,9 @@ EpochStats SampledPipeline::train_epoch() {
     for (int k = 0; k < rounds_per_epoch_; ++k) {
       if (k + 1 < rounds_per_epoch_) launch_front(k + 1);
       enqueue_train(*inflight.front());
-      // Each rank's Rng is drawn round by round: round k + 1 was sampled
-      // above, so round k + 2 may start now.
+      // Each rank's Rng and cache bookkeeping advance round by round:
+      // round k + 1 was sampled and split above, so round k + 2 may start
+      // now (its split sees every admission up to round k + 1).
       if (k + 2 < rounds_per_epoch_) {
         ahead = std::async(std::launch::async, [this, index = k + 2] {
           return sample_round(index);

@@ -29,9 +29,10 @@
 // train of round b, so the extraction wire time of the next batch hides
 // behind the current batch's compute — the §4.3 overlap applied to
 // mini-batch training. On the host clock the same holds one round further
-// out: the pure part of round b+2's host preparation (sampling, transposes,
-// labels) runs on helper threads while the host waits for round b, so the
-// executor's workers keep running round b while a later batch is sampled.
+// out: round b+2's host preparation short of its allocations (sampling,
+// transposes, labels, the cache split) runs on helper threads while the
+// host waits for round b, so the executor's workers keep running round b
+// while a later batch is sampled.
 // Every task declares its DeviceBuffer reads/writes, so
 // MGGCN_HAZARD_CHECK audits the overlapped schedule; with pipeline off the
 // same tasks run with machine-wide clock alignment between stages, giving a
@@ -157,14 +158,15 @@ class SampledPipeline {
   struct BatchState;
   struct RoundState;
 
-  /// The pure host part of round `index`: sample_batch for every rank in
-  /// parallel. The pipelined epoch runs it for round k + 2 on a helper
-  /// thread (the look-ahead) while round k trains.
+  /// The host part of round `index` short of its scratch buffers:
+  /// sample_batch then split_batch for every rank, ranks in parallel.
+  /// The pipelined epoch runs it for round k + 2 on a helper thread (the
+  /// look-ahead) while round k trains; round k + 1's split, the last one
+  /// it depends on, has been made by then.
   std::unique_ptr<RoundState> sample_round(int index);
-  /// The rest of a sampled round's host work: split_batch for every rank
-  /// in parallel, then scratch-buffer allocation on the calling thread in
-  /// rank order, so buffer ids and pool placement are deterministic and
-  /// identical across schedules.
+  /// The rest of a sampled round's host work: scratch-buffer allocation
+  /// on the calling thread in rank order, so buffer ids and pool placement
+  /// are deterministic and identical across schedules.
   void prepare_round(RoundState& round);
   /// Rank r's pure part of a round: the seeds from its shuffled shard, the
   /// neighborhood sample (drawing rank r's Rng), the transposed blocks and
@@ -174,7 +176,8 @@ class SampledPipeline {
   void sample_batch(int round_index, int r, BatchState& batch);
   /// Rank r's cache part of a round: the split of the input frontier into
   /// local / cached / per-owner remote rows, and the cache lookup and
-  /// admission. Touches only rank r's FeatureCache and `batch`.
+  /// admission. Touches only rank r's FeatureCache bookkeeping (never its
+  /// buffer, which enqueued tasks use) and `batch`; rounds split in order.
   void split_batch(int r, BatchState& batch);
   void enqueue_sample(RoundState& round);
   void enqueue_extract(RoundState& round);

@@ -1,6 +1,7 @@
 // Fork-join loop for host-side work that splits into independent pieces:
-// graph preparation (permutation, tiling, plan inspection) and the sampled
-// pipeline's per-rank batch preparation.
+// graph preparation (permutation, tiling, plan inspection), the sampled
+// pipeline's per-rank batch preparation and the serving planner's
+// per-batch plans.
 #pragma once
 
 #include <algorithm>
@@ -12,6 +13,14 @@
 
 namespace mggcn::util {
 
+/// The most threads parallel_for runs at once: hardware_concurrency(), at
+/// least 1. Callers that split work into one piece per thread (each with
+/// its own scratch) size the split with it.
+inline std::int64_t hardware_threads() {
+  return static_cast<std::int64_t>(
+      std::max(1u, std::thread::hardware_concurrency()));
+}
+
 /// Runs body(i) once for every i in [0, n) and returns when all calls have
 /// finished. The calling thread and up to hardware_concurrency() - 1 helper
 /// threads take indices from a shared counter, so which thread runs an
@@ -22,9 +31,7 @@ namespace mggcn::util {
 /// failing index is rethrown.
 template <typename Body>
 void parallel_for(std::int64_t n, const Body& body) {
-  const auto cores = static_cast<std::int64_t>(
-      std::max(1u, std::thread::hardware_concurrency()));
-  const std::int64_t threads = std::min(n, cores);
+  const std::int64_t threads = std::min(n, hardware_threads());
   if (threads <= 1) {
     for (std::int64_t i = 0; i < n; ++i) body(i);
     return;

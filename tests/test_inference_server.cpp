@@ -4,7 +4,11 @@
 // batcher/cache accounting must reconcile.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <iterator>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "core/inference_server.hpp"
@@ -405,6 +409,138 @@ TEST(InferenceServer, DeadlineBatchingBeatsPerRequestUnderLoad) {
   EXPECT_GT(batched_stats.serve_mean_batch_size, 1.0);
   EXPECT_GT(batched_stats.serve_qps, base_stats.serve_qps);
   EXPECT_LE(batched_stats.serve_p99_latency, base_stats.serve_p99_latency);
+}
+
+TEST(InferenceServer, PlannedBatchesMatchAFromScratchPlan) {
+  // serve() plans its micro-batches on helper threads, in contiguous
+  // chunks of batches, each chunk with its own dedupe/position tables.
+  // Every plan must equal one built from scratch: the frontier is the sort
+  // + unique of the requests' neighbor columns, each batch-CSR column is
+  // the position of the operator's column in that frontier (values in
+  // order), and the local slice is exactly the replica's shard range. The
+  // trace has more batches than cores, and consecutive batches share
+  // frontier rows, so neighboring chunks' tables see the same vertices.
+  const graph::Dataset ds = small_dataset();
+  sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kPhantom);
+  core::MgGcnTrainer trainer(machine, ds, small_config());
+  trainer.run_forward();
+  core::ServeOptions options;
+  options.policy = core::BatchPolicy::kFixed;
+  options.max_batch = 8;
+  core::InferenceServer server(machine, trainer, ds, options);
+
+  serve::WorkloadOptions wl = load_options();
+  wl.skew = serve::QuerySkew::kZipf;
+  serve::WorkloadGen gen(ds.n(), wl);
+  const auto requests = gen.generate(2400);
+  const auto batches = server.plan_batches(requests);
+  ASSERT_GT(batches.size(),
+            static_cast<std::size_t>(std::thread::hardware_concurrency()));
+
+  const sparse::Csr& op = server.forward_operator();
+  const auto perm = trainer.perm();
+  const core::PartitionVector& partition = trainer.partition();
+  std::int64_t next_request = 0;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const auto& batch = batches[b];
+    EXPECT_EQ(batch.replica, static_cast<int>(b % 4));
+    EXPECT_EQ(batch.first_request, next_request);
+    next_request += batch.num_requests;
+
+    std::vector<std::uint32_t> expected;
+    for (std::int64_t q = 0; q < batch.num_requests; ++q) {
+      const std::uint32_t g =
+          perm[requests[static_cast<std::size_t>(batch.first_request + q)]
+                   .vertex];
+      for (std::int64_t e = op.row_ptr()[g]; e < op.row_ptr()[g + 1]; ++e) {
+        expected.push_back(op.col_idx()[static_cast<std::size_t>(e)]);
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+    ASSERT_EQ(batch.frontier, expected) << "batch " << b;
+
+    ASSERT_EQ(batch.adj.rows(), batch.num_requests);
+    ASSERT_EQ(batch.adj.cols(), static_cast<std::int64_t>(expected.size()));
+    for (std::int64_t q = 0; q < batch.num_requests; ++q) {
+      const std::uint32_t g =
+          perm[requests[static_cast<std::size_t>(batch.first_request + q)]
+                   .vertex];
+      ASSERT_EQ(batch.adj.row_nnz(q), op.row_nnz(g));
+      for (std::int64_t k = 0; k < op.row_nnz(g); ++k) {
+        const auto e = static_cast<std::size_t>(op.row_ptr()[g] + k);
+        const auto bk = static_cast<std::size_t>(batch.adj.row_ptr()[q] + k);
+        EXPECT_EQ(batch.frontier[batch.adj.col_idx()[bk]], op.col_idx()[e]);
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(batch.adj.values()[bk]),
+                  std::bit_cast<std::uint32_t>(op.values()[e]));
+      }
+    }
+
+    for (std::size_t pos = 0; pos < batch.frontier.size(); ++pos) {
+      const std::int64_t g = batch.frontier[pos];
+      const bool local = g >= partition.begin(batch.replica) &&
+                         g < partition.end(batch.replica);
+      const auto p = static_cast<std::int64_t>(pos);
+      EXPECT_EQ(local, p >= batch.local_begin && p < batch.local_end)
+          << "batch " << b << " position " << pos;
+    }
+    ASSERT_EQ(batch.remote.size(),
+              batch.frontier.size() - static_cast<std::size_t>(
+                                          batch.local_end - batch.local_begin));
+    for (std::size_t i = 0; i < batch.remote.size(); ++i) {
+      EXPECT_EQ(batch.frontier[static_cast<std::size_t>(
+                    batch.remote_position(i))],
+                batch.remote[i]);
+    }
+    if (b > 0) {
+      std::vector<std::uint32_t> shared;
+      std::set_intersection(batches[b - 1].frontier.begin(),
+                            batches[b - 1].frontier.end(),
+                            batch.frontier.begin(), batch.frontier.end(),
+                            std::back_inserter(shared));
+      EXPECT_FALSE(shared.empty()) << "batches " << b - 1 << " and " << b;
+    }
+  }
+  EXPECT_EQ(next_request, static_cast<std::int64_t>(requests.size()));
+
+  // The tables are reused (not cleared) across calls: a second plan of the
+  // same trace is the same plan.
+  const auto again = server.plan_batches(requests);
+  ASSERT_EQ(again.size(), batches.size());
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    EXPECT_EQ(again[b].frontier, batches[b].frontier);
+    EXPECT_TRUE(testing::csr_bits_equal(again[b].adj, batches[b].adj));
+  }
+}
+
+TEST(InferenceServer, DeviceLossMidServeDrainsBeforeRethrow) {
+  // Replica 2 is lost before serve(): batches 0 and 1 are enqueued on
+  // devices 0 and 1, and the first task for replica 2 throws. The queued
+  // task bodies read the call's planned batches, so serve() must drain
+  // them before its locals unwind; otherwise the drain below runs them
+  // against freed memory (a use-after-free under ASan).
+  const graph::Dataset ds = small_dataset();
+  sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kReal);
+  core::MgGcnTrainer trainer(machine, ds, small_config());
+  trainer.train(1);
+  trainer.run_forward();
+  {
+    core::InferenceServer server(machine, trainer, ds, {});
+    machine.set_fault_plan(std::make_shared<sim::FaultPlan>(
+        sim::FaultPlan::parse("kill:2@5")));
+    machine.begin_epoch(5);
+    serve::WorkloadGen gen(ds.n(), load_options());
+    const auto requests = gen.generate(200);
+    try {
+      server.serve(requests);
+      FAIL() << "expected DeviceLostError";
+    } catch (const DeviceLostError& err) {
+      EXPECT_EQ(err.rank(), 2);
+    }
+    machine.synchronize();
+  }
+  EXPECT_TRUE(machine.device(2).is_failed());
 }
 
 TEST(WorkloadGen, SeedDeterminism) {
